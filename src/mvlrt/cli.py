@@ -18,6 +18,7 @@ import sys
 
 import numpy as np
 
+from ._blas import single_thread_blas
 from .dataio import load_matrix, write_rows
 from .errors import DataFormatError, DomainError, RegimeError
 from .experiments import (
@@ -135,6 +136,8 @@ _HELP = {
     "spike_ratios": "relative spike sizes for canonical power cells",
     "signal_rank": "nonzero diagonal entries for the diagonal signal",
     "signal_grid": "comma list of signal strengths (trace ratios for spikes)",
+    "threads": "must be >= 1; the work runs in the calling thread and "
+               "results do not depend on this value",
     "out": "write results CSV here instead of stdout",
     "gnuplot": "also write a plotting script next to the CSV",
 }
@@ -347,7 +350,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         resolved = _resolve(args)
-        return _COMMANDS[args.command](resolved)
+        with single_thread_blas():
+            return _COMMANDS[args.command](resolved)
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

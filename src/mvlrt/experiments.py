@@ -6,20 +6,22 @@ per requested method, and returns a ResultTable of rows
 produce a labeled row with no numbers instead of crashing the sweep.
 
 Reproducibility contract: replicate k of cell c draws from a generator keyed
-by (seed, c, k), and aggregation is integer counting, so a sweep rerun with a
-different thread count produces byte-identical tables.
+by (seed, c, k), and aggregation is integer counting, so a rerun produces
+byte-identical tables. Replicates run one after another in the calling
+thread with BLAS on one thread (see ``_blas``); the ``threads`` setting is
+validated but does not change the work or the output.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr
 
+from ._blas import single_thread_blas
 from .errors import DomainError, MvlrtError, RegimeError
 from .lrt import (
     PowerSpec,
@@ -58,7 +60,8 @@ class ExperimentSpec:
     for spikes, coefficient sizes otherwise. ``eta_grid`` turns the dims in
     ``grow`` into floor(n ** eta) per cell. ``noise`` selects the robustness
     generators: "multinomial" thresholds X and Y to six levels, "t3"/"t5"
-    draw the errors from a heavy-tailed t distribution.
+    draw the errors from a heavy-tailed t distribution. ``threads`` must be
+    >= 1; replicates run in the calling thread and tables do not depend on it.
     """
 
     generator: str = "canonical"
@@ -275,26 +278,11 @@ def _estimate_cell(spec: ExperimentSpec, cell_id: int, cell: str, methods,
 
     counts = {meth: 0 for meth in live}
     if live:
-        def chunk_counts(bounds):
-            lo, hi = bounds
-            local = dict.fromkeys(live, 0)
-            for rep in range(lo, hi):
-                ss = draw_ss(stream(spec.seed, cell_id, rep))
-                for meth in live:
-                    if _TESTS[meth](ss).p_value <= spec.alpha:
-                        local[meth] += 1
-            return local
-
-        edges = np.linspace(0, spec.reps, min(spec.threads, spec.reps) * 4 + 1).astype(int)
-        chunks = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
-        if spec.threads > 1:
-            with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-                partials = list(pool.map(chunk_counts, chunks))
-        else:
-            partials = [chunk_counts(c) for c in chunks]
-        for part in partials:
+        for rep in range(spec.reps):
+            ss = draw_ss(stream(spec.seed, cell_id, rep))
             for meth in live:
-                counts[meth] += part[meth]
+                if _TESTS[meth](ss).p_value <= spec.alpha:
+                    counts[meth] += 1
 
     elapsed = time.perf_counter() - started
     for meth in live:
@@ -316,6 +304,7 @@ def _null_cells(spec: ExperimentSpec):
                Dims(spec.n, spec.p, spec.m, spec.r))
 
 
+@single_thread_blas()
 def typeI_sweep(spec: ExperimentSpec) -> ResultTable:
     """Null rejection rates over a dimension grid.
 
@@ -340,6 +329,7 @@ def typeI_sweep(spec: ExperimentSpec) -> ResultTable:
     return ResultTable(rows)
 
 
+@single_thread_blas()
 def power_sweep(spec: ExperimentSpec) -> ResultTable:
     """Rejection rates along the signal grid, plus the t1 theory prediction.
 
@@ -386,13 +376,15 @@ def power_sweep(spec: ExperimentSpec) -> ResultTable:
     return ResultTable(rows)
 
 
+@single_thread_blas()
 def multisplit_sweep(spec: ExperimentSpec, j_grid=(0, 50, 200), delta: float = 0.2,
                      split_ratio: float = 0.3, pca_policy=None, gamma_min=None) -> ResultTable:
     """Multi-split rejection rates for each J in the grid.
 
     The hypothesis is [I_r 0] B = 0 on linear-model data; J = 0 runs the
     deliberately unsafe screen-and-test-on-everything negative control. Each
-    replicate owns a derived seed, so tables are thread-count invariant.
+    replicate owns a derived seed, so tables are reproducible; replicates run
+    in the calling thread whatever ``spec.threads`` says.
     """
     if spec.generator != "linear":
         raise DomainError("multisplit_sweep requires the linear generator")
@@ -421,11 +413,7 @@ def multisplit_sweep(spec: ExperimentSpec, j_grid=(0, 50, 200), delta: float = 0
                 return multisplit_test(data, hyp, cfg, alpha=spec.alpha).reject
 
             try:
-                if spec.threads > 1:
-                    with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-                        hits = sum(pool.map(one_rep, range(spec.reps)))
-                else:
-                    hits = sum(one_rep(rep) for rep in range(spec.reps))
+                hits = sum(one_rep(rep) for rep in range(spec.reps))
                 rate = hits / spec.reps
                 se = math.sqrt(rate * (1.0 - rate) / spec.reps)
                 rows.append(ResultRow(cell, f"multisplit_J{j}", rate, se, spec.reps,
@@ -437,6 +425,7 @@ def multisplit_sweep(spec: ExperimentSpec, j_grid=(0, 50, 200), delta: float = 0
     return ResultTable(rows)
 
 
+@single_thread_blas()
 def gamma_sensitivity(j_splits: int = 200, rho_grid=(0.0, 0.5, 1.0),
                       gamma_grid=(0.005, 0.05, 0.2, 0.5, 0.8, 1.0),
                       reps: int = 10_000, alpha: float = 0.05, seed: int = 0,
@@ -447,10 +436,12 @@ def gamma_sensitivity(j_splits: int = 200, rho_grid=(0.0, 0.5, 1.0),
     correlation rho; psi(u) is the fraction of the J p-values at or below u.
     This probes which quantile level gamma the aggregation should favor as
     the dependence between splits varies: near-independent p-values push the
-    maximizer toward 1/J, perfectly dependent ones toward 1.
+    maximizer toward 1/J, perfectly dependent ones toward 1. ``threads`` must
+    be >= 1; replicates run in the calling thread and the table does not
+    depend on it.
     """
-    if j_splits < 1 or reps < 1:
-        raise DomainError("j_splits and reps must be >= 1")
+    if j_splits < 1 or reps < 1 or threads < 1:
+        raise DomainError("j_splits, reps and threads must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {alpha!r}")
     for g in gamma_grid:
@@ -462,27 +453,15 @@ def gamma_sensitivity(j_splits: int = 200, rho_grid=(0.0, 0.5, 1.0),
         if not 0.0 <= rho <= 1.0:
             raise DomainError(f"equicorrelation must lie in [0,1], got {rho!r}")
         started = time.perf_counter()
-
-        def chunk(bounds, rho=rho, cell_id=cell_id):
-            lo, hi = bounds
-            local = np.zeros(gammas.size, dtype=np.int64)
-            for rep in range(lo, hi):
-                rng = stream(seed, cell_id, rep)
-                shared = rng.standard_normal()
-                own = rng.standard_normal(j_splits)
-                v = math.sqrt(rho) * shared + math.sqrt(1.0 - rho) * own
-                pv = ndtr(-v)
-                psi = np.mean(pv[None, :] <= alpha * gammas[:, None], axis=1)
-                local += psi >= gammas
-            return local
-
-        edges = np.linspace(0, reps, min(threads, reps) * 4 + 1).astype(int)
-        pieces = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                totals = sum(pool.map(chunk, pieces))
-        else:
-            totals = sum(chunk(c) for c in pieces)
+        totals = np.zeros(gammas.size, dtype=np.int64)
+        for rep in range(reps):
+            rng = stream(seed, cell_id, rep)
+            shared = rng.standard_normal()
+            own = rng.standard_normal(j_splits)
+            v = math.sqrt(rho) * shared + math.sqrt(1.0 - rho) * own
+            pv = ndtr(-v)
+            psi = np.mean(pv[None, :] <= alpha * gammas[:, None], axis=1)
+            totals += psi >= gammas
         elapsed = time.perf_counter() - started
         for g, hits in zip(gammas, totals):
             rate = hits / reps

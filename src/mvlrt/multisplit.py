@@ -12,17 +12,18 @@ cutoff near alpha * gamma_min / (1 - log gamma_min), and only a p-value that
 is valid at that depth keeps the bound (Meinshausen, Meier & Buehlmann 2009).
 
 Split j is driven entirely by a seed derived from (config seed, j), so runs
-are bit-reproducible and splits can execute in parallel.
+are bit-reproducible. The splits run one after another in the calling
+thread, with BLAS on one thread (see ``_blas``).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import single_thread_blas
 from .distributions import wilks_lrt_tail
 from .errors import DomainError, SplitInfeasibleError
 from .model import (
@@ -186,6 +187,17 @@ def _prepare_hypothesis(data: DataSet, C):
     return X, c_rows, record.r
 
 
+def _split_outcome(data: DataSet, X, c_rows, protect, cfg: MultiSplitConfig,
+                   j: int) -> SplitOutcome:
+    """Split j on a hypothesis already prepared by _prepare_hypothesis."""
+    split_seed = derive_seed(cfg.seed, j)
+    rng = stream(cfg.seed, j)
+    s_idx, t_idx = split_indices(rng, data.n, cfg.split_ratio)
+    p_val, cols, m_eff = _reduce_and_test(
+        X, data.Y, c_rows, protect, cfg, rng, s_idx, t_idx, f"split {j}")
+    return SplitOutcome(float(p_val), tuple(int(c) for c in cols), m_eff, split_seed)
+
+
 def per_split_pvalue(data: DataSet, C, cfg: MultiSplitConfig, j: int) -> SplitOutcome:
     """Run split j end to end: split, reduce, test on the held-out part.
 
@@ -195,15 +207,10 @@ def per_split_pvalue(data: DataSet, C, cfg: MultiSplitConfig, j: int) -> SplitOu
     columns is row-reduced to full rank; if the restriction is empty the
     split returns p = 1.
     """
-    X, c_rows, protect = _prepare_hypothesis(data, C)
-    split_seed = derive_seed(cfg.seed, j)
-    rng = stream(cfg.seed, j)
-    s_idx, t_idx = split_indices(rng, data.n, cfg.split_ratio)
-    p_val, cols, m_eff = _reduce_and_test(
-        X, data.Y, c_rows, protect, cfg, rng, s_idx, t_idx, f"split {j}")
-    return SplitOutcome(float(p_val), tuple(int(c) for c in cols), m_eff, split_seed)
+    return _split_outcome(data, *_prepare_hypothesis(data, C), cfg, j)
 
 
+@single_thread_blas()
 def no_split_pvalue(data: DataSet, C, cfg: MultiSplitConfig) -> SplitOutcome:
     """Screen and test on the same data: the deliberately unsafe J = 0 mode.
 
@@ -291,22 +298,22 @@ class MultiSplitResult:
         return "\n".join(lines)
 
 
+@single_thread_blas()
 def multisplit_test(data: DataSet, C, cfg: MultiSplitConfig,
                     alpha: float = 0.05, threads: int = 1) -> MultiSplitResult:
     """The full procedure: J splits, per-split p-values, adaptive aggregation.
 
-    Split jobs are independent and may run on a thread pool; results are
-    collected by split index, so the outcome does not depend on thread count.
-    An infeasible split raises SplitInfeasibleError naming the split and the
-    offending sizes rather than silently skipping it.
+    The hypothesis is prepared once, then the splits run in the calling
+    thread with BLAS on one thread. ``threads`` must be >= 1 and is kept for
+    compatibility: the result does not depend on it. An infeasible split
+    raises SplitInfeasibleError naming the split and the offending sizes
+    rather than silently skipping it.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    jobs = range(cfg.j_splits)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda j: per_split_pvalue(data, C, cfg, j), jobs))
-    else:
-        outcomes = [per_split_pvalue(data, C, cfg, j) for j in jobs]
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
+    prepared = _prepare_hypothesis(data, C)
+    outcomes = [_split_outcome(data, *prepared, cfg, j) for j in range(cfg.j_splits)]
     p_t = adaptive_pt([o.p_value for o in outcomes], cfg.resolved_gamma_min)
     return MultiSplitResult(p_t, alpha, p_t <= alpha, cfg.resolved_gamma_min, tuple(outcomes))

@@ -167,8 +167,9 @@ def screen(XS, YS, delta: float, protect: int = 0) -> ScreenResult:
     k = max(k, protect)
 
     scores, degenerate = _column_scores(XS, _response_basis(YS))
-    order = sorted(range(p), key=lambda j: (-scores[j], degenerate[j], j))
-    ranked = [j for j in order if j >= protect]
+    # last key sorts first: higher score, then non-degenerate, then smaller index
+    order = np.lexsort((np.arange(p), degenerate, -scores))
+    ranked = order[order >= protect].tolist()
     chosen = list(range(protect)) + ranked[:k - protect]
     return ScreenResult(tuple(chosen),
                         tuple(float(w) for w in scores),
@@ -222,11 +223,13 @@ def parallel_analysis(rng, YS, b_perm: int = 19, pct: float = 0.95, cap=None) ->
 
     Yc = YS - YS.mean(axis=0)
     eigs = np.linalg.eigvalsh(Yc.T @ Yc / (n_s - 1))[::-1]
-    null_eigs = np.empty((b_perm, m))
+    null_cov = np.empty((b_perm, m, m))
     for b in range(b_perm):
         Zc = rng.permuted(YS, axis=0)
         Zc = Zc - Zc.mean(axis=0)
-        null_eigs[b] = np.linalg.eigvalsh(Zc.T @ Zc / (n_s - 1))[::-1]
+        # one product per copy: a stacked matmul skips the syrk path and can change bits
+        null_cov[b] = Zc.T @ Zc / (n_s - 1)
+    null_eigs = np.linalg.eigvalsh(null_cov)[:, ::-1]
     rank_idx = min(b_perm, max(1, math.ceil(pct * b_perm))) - 1
     thresholds = np.sort(null_eigs, axis=0)[rank_idx]
     # the relative floor keeps rank-deficient spectra (m >= n_S) from letting

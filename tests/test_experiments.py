@@ -283,6 +283,8 @@ def test_gamma_sensitivity_validation():
         gamma_sensitivity(gamma_grid=(0.0,), reps=10)
     with pytest.raises(DomainError):
         gamma_sensitivity(rho_grid=(1.5,), reps=10)
+    with pytest.raises(DomainError):
+        gamma_sensitivity(reps=10, threads=0)
 
 
 # === table plumbing ===

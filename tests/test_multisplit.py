@@ -272,6 +272,32 @@ def test_multisplit_thread_invariance():
     assert serial.outcomes == pooled.outcomes
 
 
+def test_multisplit_prepares_general_hypothesis_once(monkeypatch):
+    import mvlrt.multisplit
+
+    calls = []
+    orig = mvlrt.multisplit.conditional_transform
+
+    def counting(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(mvlrt.multisplit, "conditional_transform", counting)
+    data = _wide_null_data(716)
+    C = np.zeros((2, 120))
+    C[0, :2] = (1.0, -1.0)
+    C[1, 2:4] = 1.0
+    cfg = MultiSplitConfig(j_splits=5, seed=8)
+    res = multisplit_test(data, C, cfg)
+    assert len(calls) == 1
+    assert res.outcomes == tuple(per_split_pvalue(data, C, cfg, j) for j in range(5))
+
+
+def test_multisplit_rejects_thread_count_below_one():
+    with pytest.raises(DomainError):
+        multisplit_test(_wide_null_data(717), np.eye(120), MultiSplitConfig(j_splits=1), threads=0)
+
+
 def test_multisplit_single_split_composition():
     data = _wide_null_data(713)
     cfg = MultiSplitConfig(j_splits=1, seed=4)
