@@ -21,24 +21,10 @@ import numpy as np
 from ._blas import single_thread_blas
 from .dataio import load_matrix, write_rows
 from .errors import DataFormatError, DomainError, RegimeError
-from .experiments import (
-    GENERATORS,
-    NOISE_KINDS,
-    ExperimentSpec,
-    power_sweep,
-    typeI_sweep,
-)
-from .lrt import (
-    TestReport,
-    bartlett_test,
-    boundary_check,
-    chi2_test,
-    t1_test,
-    t2_test,
-    t3_test,
-)
-from .model import DataSet, Dims, HypothesisMatrix, hypothesis_ss
-from .multisplit import MultiSplitConfig, multisplit_test, no_split_pvalue
+from .experiments import ExperimentSpec, power_sweep, typeI_sweep
+from .lrt import TESTS, boundary_check
+from .model import CONVENTIONS, DataSet, Dims, HypothesisMatrix, hypothesis_ss
+from .multisplit import MultiSplitConfig, MultiSplitResult, multisplit_test, no_split_pvalue
 
 log = logging.getLogger("mvlrt.cli")
 
@@ -120,8 +106,10 @@ _HELP = {
     "x": "predictor matrix CSV, n rows by p columns",
     "y": "response matrix CSV, n rows by m columns",
     "c": "hypothesis matrix CSV, r rows by p columns (default: identity)",
-    "method": "one of chi2 | bartlett | t1 | t2 | t3",
-    "convention": "largest-root scaling: johnstone | error",
+    "method": "one of chi2 | bartlett | t1 | t2 | t3; t3 refers to the normal "
+              "law, and while F_n = 2 (n < 1618) its p-values below about 0.01 "
+              "are too small",
+    "convention": "largest-root scaling for t2 and t3: johnstone | error",
     "format": "output format: text | json",
     "j_splits": "number of random splits J (0 needs --unsafe-no-split)",
     "gamma_min": "lower end of the aggregation quantile range",
@@ -209,21 +197,19 @@ def _load_data(v):
 
 
 def _cmd_test(v) -> int:
-    if v["method"] not in TestReport.METHODS:
+    if v["method"] not in TESTS:
         raise DomainError(f"unknown method {v['method']!r}")
+    if v["convention"] not in CONVENTIONS:
+        raise DomainError(f"unknown largest-root convention {v['convention']!r}")
     if v["format"] not in ("text", "json"):
         raise DomainError(f"unknown format {v['format']!r}")
     if not 0.0 < v["alpha"] < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {v['alpha']!r}")
     data, hyp = _load_data(v)
     ss = hypothesis_ss(data, hyp)
-    if v["method"] == "t2":
-        report = t2_test(ss, convention=v["convention"])
-    elif v["method"] == "t3":
-        report = t3_test(ss, convention=v["convention"])
-    else:
-        report = {"chi2": chi2_test, "bartlett": bartlett_test,
-                  "t1": t1_test}[v["method"]](ss)
+    # only the largest-root tests read the convention
+    kwargs = {"convention": v["convention"]} if v["method"] in ("t2", "t3") else {}
+    report = TESTS[v["method"]](ss, **kwargs)
     reject = int(report.p_value <= v["alpha"])
     if v["format"] == "json":
         print(json.dumps({
@@ -253,26 +239,22 @@ def _cmd_multisplit(v) -> int:
                 "J=0 screens and tests on the same data and does not control "
                 "the type-I error; pass --unsafe-no-split to run it anyway")
         outcome = no_split_pvalue(data, hyp, cfg)
-        reject = int(outcome.p_value <= v["alpha"])
-        rows = [[0, outcome.split_seed, repr(outcome.p_value), outcome.m0,
-                 len(outcome.selected)]]
-        summary = [["summary", "", repr(outcome.p_value), repr(v["alpha"]), reject]]
-        print(f"p_t={outcome.p_value!r}")
-        print(f"alpha={v['alpha']!r}")
-        print(f"reject={reject}")
+        result = MultiSplitResult(outcome.p_value, v["alpha"],
+                                  outcome.p_value <= v["alpha"],
+                                  cfg.resolved_gamma_min, (outcome,))
+        print(f"p_t={result.p_t!r}")
+        print(f"alpha={result.alpha!r}")
+        print(f"reject={int(result.reject)}")
         print("j_splits=0")
         print("mode=unsafe_no_split")
-        header = ["j", "split_seed", "p_value", "m0", "n_selected"]
     else:
         result = multisplit_test(data, hyp, cfg, alpha=v["alpha"],
                                  threads=v["threads"])
         print(result.summary_text())
-        header = result.csv_header()
-        rows = result.csv_rows()
-        summary = [["summary", "", repr(result.p_t), repr(result.alpha),
-                    int(result.reject)]]
     if v["out"]:
-        write_rows(v["out"], header, rows + summary)
+        summary = ["summary", "", repr(result.p_t), repr(result.alpha),
+                   int(result.reject)]
+        write_rows(v["out"], result.csv_header(), result.csv_rows() + [summary])
     return 0
 
 
@@ -290,10 +272,6 @@ def _emit_table(table, v) -> None:
 
 
 def _sweep_spec(v, **extra) -> ExperimentSpec:
-    if v["generator"] not in GENERATORS:
-        raise DomainError(f"unknown generator {v['generator']!r}")
-    if v["noise"] not in NOISE_KINDS:
-        raise DomainError(f"unknown noise kind {v['noise']!r}")
     return ExperimentSpec(
         generator=v["generator"], n=v["n"], p=v["p"], m=v["m"], r=v["r"],
         rho_x=v["rho_x"], rho_e=v["rho_e"], noise=v["noise"],

@@ -23,15 +23,7 @@ from scipy.special import ndtr
 
 from ._blas import single_thread_blas
 from .errors import DomainError, MvlrtError, RegimeError
-from .lrt import (
-    PowerSpec,
-    bartlett_test,
-    chi2_test,
-    t1_test,
-    t2_test,
-    t3_test,
-    theoretical_power,
-)
+from .lrt import TESTS, PowerSpec, theoretical_power
 from .model import DataSet, Dims, HypothesisMatrix, SignalMatrix, canonical_form_sample, hypothesis_ss
 from .multisplit import MultiSplitConfig, multisplit_test, no_split_pvalue
 from .rng import derive_seed, stream
@@ -39,13 +31,6 @@ from .rng import derive_seed, stream
 GENERATORS = ("canonical", "linear")
 NOISE_KINDS = ("gaussian", "multinomial", "t3", "t5")
 SIGNAL_KINDS = ("null", "spikes", "diagonal", "single", "dense")
-_TESTS = {
-    "chi2": chi2_test,
-    "bartlett": bartlett_test,
-    "t1": t1_test,
-    "t2": t2_test,
-    "t3": t3_test,
-}
 
 
 @dataclass(frozen=True)
@@ -92,7 +77,7 @@ class ExperimentSpec:
         if not self.signal or self.signal[0] not in SIGNAL_KINDS:
             raise DomainError(f"unknown signal spec {self.signal!r}")
         for meth in self.methods:
-            if meth not in _TESTS:
+            if meth not in TESTS:
                 raise DomainError(f"unknown method {meth!r}")
         if self.reps < 1:
             raise DomainError(f"reps must be >= 1, got {self.reps}")
@@ -270,7 +255,7 @@ def _estimate_cell(spec: ExperimentSpec, cell_id: int, cell: str, methods,
                           f"infeasible: {exc}") for meth in methods]
     for meth in methods:
         try:
-            _TESTS[meth](probe)
+            TESTS[meth](probe)
             live.append(meth)
         except MvlrtError as exc:
             rows.append(ResultRow(cell, meth, None, None, spec.reps,
@@ -281,7 +266,7 @@ def _estimate_cell(spec: ExperimentSpec, cell_id: int, cell: str, methods,
         for rep in range(spec.reps):
             ss = draw_ss(stream(spec.seed, cell_id, rep))
             for meth in live:
-                if _TESTS[meth](ss).p_value <= spec.alpha:
+                if TESTS[meth](ss).p_value <= spec.alpha:
                     counts[meth] += 1
 
     elapsed = time.perf_counter() - started

@@ -3,7 +3,9 @@
 Five tests share the sums-of-squares pair: the classical chi-square
 approximation of -2 log L_n, its Bartlett correction, the dimension-corrected
 normal statistic t1, the largest-root statistic t2 referred to a Tracy-Widom
-law, and the combination t3 = t1 + t2 * 1{t2 >= F_n}. All p-values are
+law, and the combination t3 = t1 + t2 * 1{t2 >= F_n}. They read -2 log L_n
+and the relative eigenvalues that the pair computes once from one Cholesky
+factor of S_E, and TESTS maps each method name to its test. All p-values are
 one-sided upper tails: every test here rejects for large statistics.
 
 boundary_check quantifies how far a dimension quadruple sits from the regime
@@ -35,10 +37,8 @@ class TestReport:
     p_value: float
     diagnostics: dict = field(default_factory=dict)
 
-    METHODS = ("chi2", "bartlett", "t1", "t2", "t3")
-
     def __post_init__(self):
-        if self.method not in self.METHODS:
+        if self.method not in TESTS:
             raise DomainError(f"unknown method tag {self.method!r}")
         if not (0.0 <= self.p_value <= 1.0):
             raise DomainError(f"p_value {self.p_value!r} outside [0,1]")
@@ -191,12 +191,6 @@ def bartlett_test(ss: SumsOfSquares) -> TestReport:
     )
 
 
-def chi2_bias(dims: Dims) -> float:
-    """Leading bias of the plain chi-square approximation."""
-    m, r = dims.m, dims.r
-    return math.sqrt(m * r) * (dims.p + m / 2.0 - r / 2.0 + 0.5) / dims.n
-
-
 def boundary_check(dims: Dims) -> BoundaryDiag:
     """Metrics that must vanish for the classical approximations to hold.
 
@@ -275,6 +269,16 @@ def t3_test(ss: SumsOfSquares, f_rule=None, convention: str = "johnstone") -> Te
         p_value=std_normal_tail(stat),
         diagnostics={"t1": r1.statistic, "t2": r2.statistic, "f_n": f_n},
     )
+
+
+#: method name -> test; the sweeps, the CLI and TestReport look methods up here
+TESTS = {
+    "chi2": chi2_test,
+    "bartlett": bartlett_test,
+    "t1": t1_test,
+    "t2": t2_test,
+    "t3": t3_test,
+}
 
 
 def theoretical_power(spec: PowerSpec) -> float:

@@ -10,6 +10,7 @@ formed; solves go through triangular factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -27,6 +28,9 @@ RANK_TOL = 1e-10
 
 #: relative eigenvalues below this are exact zeros of S_X by construction
 EIG_CLAMP = 1e-12
+
+#: scalings of the largest root accepted by theta_max
+CONVENTIONS = ("johnstone", "error")
 
 
 @dataclass(frozen=True)
@@ -128,6 +132,11 @@ class SumsOfSquares:
     """The pair (S_E, S_X) of m x m error/hypothesis matrices plus dimensions.
 
     This pair is a sufficient input for every test statistic in the package.
+    The object is treated as immutable and keeps its own factorization: the
+    Cholesky factor of S_E, -2 log L_n and the relative eigenvalues are
+    computed on first use and stored, so the five tests share one
+    factorization. A computation that raises is not stored, and raises again
+    on the next call.
     """
 
     def __init__(self, s_err, s_hyp, dims: Dims):
@@ -144,10 +153,37 @@ class SumsOfSquares:
         self.s_hyp = 0.5 * (s_hyp + s_hyp.T)
         self.dims = dims
 
-    @property
-    def degenerate(self) -> bool:
-        """True when n <= p + m, where S_E cannot be positive definite."""
-        return not self.dims.lrt_defined
+    @cached_property
+    def _chol_err(self) -> np.ndarray:
+        if not self.dims.lrt_defined:
+            raise RegimeError(
+                f"S_E cannot be positive definite at n={self.dims.n}, p={self.dims.p}, "
+                f"m={self.dims.m}: need n > p + m"
+            )
+        try:
+            return np.linalg.cholesky(self.s_err)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateMatrixError("S_E is not positive definite") from exc
+
+    @cached_property
+    def _neg2_log_lrt(self) -> float:
+        L_err = self._chol_err
+        try:
+            L_tot = np.linalg.cholesky(self.s_err + self.s_hyp)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateMatrixError("S_E + S_X is not positive definite") from exc
+        val = 2.0 * self.dims.n * (
+            np.sum(np.log(np.diag(L_tot))) - np.sum(np.log(np.diag(L_err)))
+        )
+        return max(float(val), 0.0)
+
+    @cached_property
+    def _rel_eigenvalues(self) -> np.ndarray:
+        L = self._chol_err
+        A = solve_triangular(L, self.s_hyp, lower=True)
+        W = solve_triangular(L, A.T, lower=True)
+        vals = np.linalg.eigvalsh(0.5 * (W + W.T))[::-1]
+        return np.where(vals < EIG_CLAMP, 0.0, vals)
 
     def __repr__(self):
         return f"SumsOfSquares(dims={self.dims})"
@@ -198,21 +234,6 @@ def _qr_design(X: np.ndarray):
     return Q, R
 
 
-def fit_mlr(data: DataSet):
-    """Least squares fit of Y = X B + E.
-
-    Returns ``(Bhat, S_E)`` where Bhat solves the normal equations through
-    the QR factorization of X and S_E is the residual sum of squares
-    Y'(I - P_X)Y, formed as residual' residual.
-    """
-    Q, R = _qr_design(data.X)
-    QtY = Q.T @ data.Y
-    Bhat = solve_triangular(R, QtY, lower=False)
-    resid = data.Y - Q @ QtY
-    s_err = resid.T @ resid
-    return Bhat, s_err
-
-
 def hypothesis_ss(data: DataSet, C) -> SumsOfSquares:
     """Error and hypothesis sums of squares for testing C B = 0.
 
@@ -243,44 +264,20 @@ def hypothesis_ss(data: DataSet, C) -> SumsOfSquares:
     return SumsOfSquares(s_err, s_hyp, dims)
 
 
-def _chol_err(ss: SumsOfSquares) -> np.ndarray:
-    if not ss.dims.lrt_defined:
-        raise RegimeError(
-            f"S_E cannot be positive definite at n={ss.dims.n}, p={ss.dims.p}, "
-            f"m={ss.dims.m}: need n > p + m"
-        )
-    try:
-        return np.linalg.cholesky(ss.s_err)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateMatrixError("S_E is not positive definite") from exc
-
-
 def neg2_log_lrt(ss: SumsOfSquares) -> float:
     """-2 log L_n = n [logdet(S_E + S_X) - logdet(S_E)], via Cholesky factors."""
-    L_err = _chol_err(ss)
-    try:
-        L_tot = np.linalg.cholesky(ss.s_err + ss.s_hyp)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateMatrixError("S_E + S_X is not positive definite") from exc
-    val = 2.0 * ss.dims.n * (
-        np.sum(np.log(np.diag(L_tot))) - np.sum(np.log(np.diag(L_err)))
-    )
-    return max(float(val), 0.0)
+    return ss._neg2_log_lrt
 
 
 def rel_eigenvalues(ss: SumsOfSquares) -> np.ndarray:
-    """Eigenvalues of S_E^{-1} S_X, descending.
+    """Eigenvalues of S_E^{-1} S_X, descending (a copy of the stored values).
 
     Computed as the symmetric eigenproblem of the whitened matrix
     L^{-1} S_X L^{-T} with L the Cholesky factor of S_E. Values below 1e-12
     are set to exactly 0: S_X has rank at most min(m, r) by construction and
     noise floors would otherwise pollute the log terms.
     """
-    L = _chol_err(ss)
-    A = solve_triangular(L, ss.s_hyp, lower=True)
-    W = solve_triangular(L, A.T, lower=True)
-    vals = np.linalg.eigvalsh(0.5 * (W + W.T))[::-1]
-    return np.where(vals < EIG_CLAMP, 0.0, vals)
+    return ss._rel_eigenvalues.copy()
 
 
 def theta_max(ss: SumsOfSquares, convention: str = "johnstone") -> float:

@@ -10,6 +10,7 @@ import pytest
 
 from mvlrt.cli import main
 from mvlrt.dataio import save_matrix
+from mvlrt.lrt import TESTS
 from mvlrt.rng import stream
 
 
@@ -71,6 +72,23 @@ def test_test_command_hypothesis_file_and_conventions(capsys, data_files):
     assert code == 0
     code, _, err = _run(capsys, base + ["--convention", "sideways"])
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("method", list(TESTS))
+def test_test_command_runs_every_method_in_the_table(capsys, data_files, method):
+    code, out, _ = _run(capsys, ["test", "--x", data_files["x"], "--y", data_files["y"],
+                                 "--c", data_files["c"], "--method", method,
+                                 "--format", "json"])
+    assert code == 0 and json.loads(out)["method"] == method
+
+
+@pytest.mark.parametrize("method", list(TESTS))
+def test_test_command_checks_convention_for_every_method(capsys, data_files, method):
+    code, out, err = _run(capsys, ["test", "--x", data_files["x"], "--y", data_files["y"],
+                                   "--c", data_files["c"], "--method", method,
+                                   "--convention", "sideways"])
+    assert code == 1 and out == ""
+    assert "unknown largest-root convention 'sideways'" in err
 
 
 def test_test_command_validation_failures(capsys, data_files):
@@ -246,6 +264,10 @@ def test_sweep_bad_values_exit_one(capsys):
     assert code == 1
     code, _, _ = _run(capsys, ["power", "--signal-grid", "", "--reps", "5"])
     assert code == 1
+    code, _, err = _run(capsys, ["simulate", "--generator", "magic"])
+    assert code == 1 and "unknown generator 'magic'" in err
+    code, _, err = _run(capsys, ["simulate", "--noise", "cauchy"])
+    assert code == 1 and "unknown noise kind 'cauchy'" in err
 
 
 # === boundary command ===

@@ -19,6 +19,7 @@ from mvlrt.experiments import (
     power_sweep,
     typeI_sweep,
 )
+from mvlrt.lrt import TESTS
 from mvlrt.rng import stream
 
 
@@ -106,6 +107,7 @@ def test_spec_validation():
         ExperimentSpec(noise="cauchy")
     with pytest.raises(DomainError):
         ExperimentSpec(noise="multinomial")  # needs the linear generator
+    assert ExperimentSpec(methods=tuple(TESTS)).methods == tuple(TESTS)
     with pytest.raises(DomainError):
         ExperimentSpec(methods=("t9",))
     with pytest.raises(DomainError):

@@ -12,13 +12,13 @@ import pytest
 from mvlrt.distributions import std_normal_tail, tw1_cdf
 from mvlrt.errors import DegenerateRootError, DomainError, RegimeError
 from mvlrt.lrt import (
+    TESTS,
     BoundaryDiag,
     PowerSpec,
     TestReport as Report,
     bartlett_rho,
     bartlett_test,
     boundary_check,
-    chi2_bias,
     chi2_test,
     default_f_rule,
     mu_sigma,
@@ -35,6 +35,7 @@ from mvlrt.model import (
     SumsOfSquares,
     canonical_form_sample,
     hypothesis_ss,
+    rel_eigenvalues,
 )
 from mvlrt.rng import stream
 
@@ -211,6 +212,48 @@ def test_all_statistics_invariant_under_response_transform():
         assert test(moved).statistic == pytest.approx(test(base).statistic, rel=1e-8)
 
 
+# === one factorization, one method table ===
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    orig = getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_method_table_maps_names_to_tests():
+    assert list(TESTS) == ["chi2", "bartlett", "t1", "t2", "t3"]
+    ss = canonical_form_sample(stream(60), None, DIMS_DESK)
+    assert [TESTS[meth](ss).method for meth in TESTS] == list(TESTS)
+
+
+def test_five_tests_share_one_factorization(monkeypatch):
+    ss = canonical_form_sample(stream(61), None, DIMS_DESK)
+    chol = _count_calls(monkeypatch, "cholesky")
+    eig = _count_calls(monkeypatch, "eigvalsh")
+    for test in TESTS.values():
+        test(ss)
+    # one factor of S_E, one of S_E + S_X, one eigenproblem for the roots
+    assert len(chol) == 2
+    assert len(eig) == 1
+
+
+def test_rel_eigenvalues_copy_leaves_stored_roots_alone(monkeypatch):
+    ss = canonical_form_sample(stream(62), None, DIMS_DESK)
+    eig = _count_calls(monkeypatch, "eigvalsh")
+    before = t2_test(ss)
+    lam = rel_eigenvalues(ss)
+    lam[:] = 1e6
+    assert t2_test(ss) == before
+    assert len(eig) == 1
+
+
 # === null calibration smoke (acceptance runs the full-size versions) ===
 
 
@@ -256,10 +299,6 @@ def test_boundary_verdict_thresholds():
     assert BoundaryDiag.verdict(0.3) == "marginal"
     assert BoundaryDiag.verdict(0.5) == "marginal"
     assert BoundaryDiag.verdict(0.51) == "unsafe"
-
-
-def test_chi2_bias_example():
-    assert chi2_bias(Dims(100, 10, 2, 2)) == pytest.approx(0.21, abs=1e-12)
 
 
 # === power prediction ===

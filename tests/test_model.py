@@ -27,7 +27,6 @@ from mvlrt.model import (
     SignalMatrix,
     SumsOfSquares,
     canonical_form_sample,
-    fit_mlr,
     hypothesis_ss,
     neg2_log_lrt,
     rel_eigenvalues,
@@ -84,8 +83,8 @@ def test_sums_of_squares_validation():
     with pytest.raises(DomainError):
         SumsOfSquares(np.array([[1.0, 5.0], [0.0, 1.0]]), np.eye(2), dims)
     ss = SumsOfSquares(np.eye(2), np.zeros((2, 2)), dims)
-    assert not ss.degenerate
-    assert SumsOfSquares(np.eye(2), np.eye(2), Dims(4, 2, 2, 1)).degenerate
+    assert ss.dims.lrt_defined
+    assert not SumsOfSquares(np.eye(2), np.eye(2), Dims(4, 2, 2, 1)).dims.lrt_defined
 
 
 def test_signal_matrix_accessors():
@@ -105,15 +104,13 @@ def test_signal_matrix_accessors():
 
 def test_fit_exact_line():
     data = DataSet(np.array([[1.0], [2.0]]), np.array([[2.0], [4.0]]))
-    bhat, s_err = fit_mlr(data)
-    assert bhat == pytest.approx(np.array([[2.0]]))
+    s_err = hypothesis_ss(data, np.eye(1)).s_err
     assert abs(s_err[0, 0]) < 1e-12
 
 
 def test_fit_saturated_design():
     y = np.array([[1.0, 2.0], [3.0, 4.0]])
-    bhat, s_err = fit_mlr(DataSet(np.eye(2), y))
-    assert np.allclose(bhat, y)
+    s_err = hypothesis_ss(DataSet(np.eye(2), y), np.eye(2)).s_err
     assert np.abs(s_err).max() < 1e-12
 
 
@@ -121,7 +118,7 @@ def test_fit_matches_explicit_projection_oracle():
     rng = stream(101)
     X = rng.standard_normal((20, 3))
     Y = rng.standard_normal((20, 2))
-    _, s_err = fit_mlr(DataSet(X, Y))
+    s_err = hypothesis_ss(DataSet(X, Y), np.eye(3)).s_err
     # oracle: build the projection matrix explicitly
     P = X @ np.linalg.inv(X.T @ X) @ X.T
     want = Y.T @ (np.eye(20) - P) @ Y
@@ -133,9 +130,10 @@ def test_fit_rejects_rank_deficiency():
     X = rng.standard_normal((10, 3))
     X[:, 2] = X[:, 0] + X[:, 1]
     with pytest.raises(SingularDesignError):
-        fit_mlr(DataSet(X, rng.standard_normal((10, 2))))
+        hypothesis_ss(DataSet(X, rng.standard_normal((10, 2))), np.eye(3))
     with pytest.raises(SingularDesignError):
-        fit_mlr(DataSet(rng.standard_normal((2, 5)), rng.standard_normal((2, 1))))
+        hypothesis_ss(DataSet(rng.standard_normal((2, 5)), rng.standard_normal((2, 1))),
+                      np.eye(5))
 
 
 def test_hypothesis_ss_identity_c():
@@ -234,6 +232,18 @@ def test_degenerate_error_matrix_raises():
     singular = SumsOfSquares(np.diag([1.0, 0.0]), np.eye(2), dims)
     with pytest.raises(DegenerateMatrixError):
         neg2_log_lrt(singular)
+
+
+def test_failed_factorization_raises_on_every_call():
+    no_lrt = SumsOfSquares(np.eye(2), np.eye(2), Dims(4, 2, 2, 1))  # n <= p + m
+    for reader in (neg2_log_lrt, rel_eigenvalues, theta_max):
+        for _ in range(2):
+            with pytest.raises(RegimeError):
+                reader(no_lrt)
+    singular = SumsOfSquares(np.diag([1.0, 0.0]), np.eye(2), Dims(30, 2, 2, 2))
+    for _ in range(2):
+        with pytest.raises(DegenerateMatrixError):
+            rel_eigenvalues(singular)
 
 
 # === invariances ===
