@@ -6,14 +6,7 @@ plus a screening and multi-split procedure for designs with more predictors
 than observations, and a Monte Carlo harness to audit all of it.
 """
 
-from .distributions import (
-    chi_sq_tail,
-    chi_sq_upper_quantile,
-    std_normal_tail,
-    std_normal_upper_quantile,
-    tw1_cdf,
-    tw1_upper_quantile,
-)
+from .distributions import tw1_cdf
 from .errors import (
     DataFormatError,
     DegenerateMatrixError,
@@ -25,114 +18,64 @@ from .errors import (
     SingularDesignError,
     SplitInfeasibleError,
 )
+from .experiments import (
+    ExperimentSpec,
+    ResultTable,
+    gamma_sensitivity,
+    multisplit_sweep,
+    power_sweep,
+    typeI_sweep,
+)
 from .lrt import (
-    BoundaryDiag,
+    TESTS,
     PowerSpec,
     TestReport,
-    bartlett_rho,
     bartlett_test,
     boundary_check,
     chi2_test,
-    mu_sigma,
     t1_test,
-    t2_params,
     t2_test,
     t3_test,
     theoretical_power,
 )
-from .model import (
-    DataSet,
-    Dims,
-    HypothesisMatrix,
-    SignalMatrix,
-    SumsOfSquares,
-    canonical_form_sample,
-    hypothesis_ss,
-    neg2_log_lrt,
-    rel_eigenvalues,
-    theta_max,
-)
-from .multisplit import (
-    MultiSplitConfig,
-    MultiSplitResult,
-    SplitOutcome,
-    adaptive_pt,
-    multisplit_test,
-    no_split_pvalue,
-    per_split_pvalue,
-    q_gamma,
-    split_indices,
-)
-from .rng import derive_seed, stream
-from .screening import (
-    PcaReduction,
-    ScreenResult,
-    TransformRecord,
-    canonical_corr,
-    conditional_transform,
-    parallel_analysis,
-    pca_reduce,
-    screen,
-)
+from .model import DataSet, Dims, HypothesisMatrix, SumsOfSquares, hypothesis_ss
+from .multisplit import MultiSplitConfig, MultiSplitResult, multisplit_test
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryDiag",
     "DataFormatError",
     "DataSet",
     "DegenerateMatrixError",
     "DegenerateRootError",
     "Dims",
     "DomainError",
+    "ExperimentSpec",
     "HypothesisMatrix",
     "HypothesisRankError",
     "MultiSplitConfig",
     "MultiSplitResult",
     "MvlrtError",
-    "PcaReduction",
     "PowerSpec",
     "RegimeError",
-    "ScreenResult",
-    "SignalMatrix",
+    "ResultTable",
     "SingularDesignError",
     "SplitInfeasibleError",
-    "SplitOutcome",
     "SumsOfSquares",
+    "TESTS",
     "TestReport",
-    "TransformRecord",
-    "adaptive_pt",
-    "bartlett_rho",
     "bartlett_test",
     "boundary_check",
-    "canonical_corr",
-    "canonical_form_sample",
     "chi2_test",
-    "chi_sq_tail",
-    "chi_sq_upper_quantile",
-    "conditional_transform",
-    "derive_seed",
+    "gamma_sensitivity",
     "hypothesis_ss",
-    "mu_sigma",
+    "multisplit_sweep",
     "multisplit_test",
-    "neg2_log_lrt",
-    "no_split_pvalue",
-    "parallel_analysis",
-    "pca_reduce",
-    "per_split_pvalue",
-    "q_gamma",
-    "rel_eigenvalues",
-    "screen",
-    "split_indices",
-    "std_normal_tail",
-    "std_normal_upper_quantile",
-    "stream",
+    "power_sweep",
     "t1_test",
-    "t2_params",
     "t2_test",
     "t3_test",
     "theoretical_power",
-    "theta_max",
     "tw1_cdf",
-    "tw1_upper_quantile",
+    "typeI_sweep",
 ]

@@ -103,13 +103,8 @@ class Tw1Table:
         self._interp = PchipInterpolator(s, F, extrapolate=False)
 
     @classmethod
-    def embedded(cls) -> "Tw1Table":
-        """The table shipped with the package."""
-        return _embedded_table()
-
-    @classmethod
     def load(cls, path) -> "Tw1Table":
-        """Read a two-column "s,F" CSV written by :meth:`dump`."""
+        """Read a two-column "s,F" CSV, the format of ``data/tw1_cdf.csv``."""
         s_vals, f_vals = [], []
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
@@ -128,13 +123,6 @@ class Tw1Table:
                 except ValueError as exc:
                     raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
         return cls(s_vals, f_vals)
-
-    def dump(self, path) -> None:
-        """Write the table as two-column CSV for audit."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("s,F\n")
-            for s, f in zip(self.s, self.F):
-                fh.write(f"{s:.17g},{f:.17g}\n")
 
     def cdf(self, s: float) -> float:
         """Interpolated CDF with asymptotically shaped tail extrapolation."""

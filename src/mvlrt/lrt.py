@@ -60,12 +60,6 @@ class TestReport:
         return "\n".join(f"{k}={v!r}" if not isinstance(v, str) else f"{k}={v}"
                          for k, v in self._items())
 
-    def csv_header(self) -> list:
-        return [k for k, _ in self._items()]
-
-    def csv_row(self) -> list:
-        return [v if isinstance(v, str) else repr(v) for _, v in self._items()]
-
 
 @dataclass(frozen=True)
 class BoundaryDiag:
@@ -122,12 +116,9 @@ def mu_sigma(dims: Dims):
     The limits in the classical regime are mu_n -> -mr and (n sigma_n)^2 -> 2mr.
     """
     n, p, m, r = dims.n, dims.p, dims.m, dims.r
+    # n > p + m also makes every log argument below positive (Dims has r <= p)
     if not dims.lrt_defined:
         raise RegimeError(f"mu_sigma needs n > p + m, got {dims}")
-    if p < r:
-        raise RegimeError(f"mu_sigma needs p >= r, got {dims}")
-    if n + r - p - m <= 0:
-        raise RegimeError(f"mu_sigma needs n + r - p - m > 0, got {dims}")
     a = n + r - p - m
     b = n - p
     c = n - p - m
@@ -142,11 +133,16 @@ def mu_sigma(dims: Dims):
     return float(mu), float(n * math.sqrt(sigma_sq))
 
 
-def t1_test(ss: SumsOfSquares) -> TestReport:
-    """Dimension-corrected normal test: (-2 log L_n + mu_n) / (n sigma_n)."""
+def _t1_stat(ss: SumsOfSquares):
+    """t1's statistic with its (mu_n, n sigma_n, -2 log L_n)."""
     mu, n_sigma = mu_sigma(ss.dims)
     neg2 = neg2_log_lrt(ss)
-    stat = (neg2 + mu) / n_sigma
+    return (neg2 + mu) / n_sigma, mu, n_sigma, neg2
+
+
+def t1_test(ss: SumsOfSquares) -> TestReport:
+    """Dimension-corrected normal test: (-2 log L_n + mu_n) / (n sigma_n)."""
+    stat, mu, n_sigma, neg2 = _t1_stat(ss)
     return TestReport(
         method="t1",
         statistic=stat,
@@ -213,26 +209,28 @@ def t2_params(dims: Dims):
     n, p, m, r = dims.n, dims.p, dims.m, dims.r
     N = n - p + r - 1
     lo, hi = min(m, r), max(m, r)
+    # N > hi >= lo >= 1 keeps both asin arguments inside (0, 1)
     if N <= hi:
         raise RegimeError(f"t2 needs n - p + r - 1 > max(m, r), got N={N} at {dims}")
-    arg_lo = (lo - 0.5) / N
-    arg_hi = (hi - 0.5) / N
-    if not (0.0 <= arg_lo <= 1.0 and 0.0 <= arg_hi <= 1.0):
-        raise RegimeError(f"t2 angle arguments outside [0,1] at {dims}")
-    gamma = 2.0 * math.asin(math.sqrt(arg_lo))
-    phi = 2.0 * math.asin(math.sqrt(arg_hi))
+    gamma = 2.0 * math.asin(math.sqrt((lo - 0.5) / N))
+    phi = 2.0 * math.asin(math.sqrt((hi - 0.5) / N))
     mu_t = 2.0 * math.log(math.tan((phi + gamma) / 2.0))
     sigma_cubed = 16.0 / (N * N * math.sin(phi + gamma) ** 2 * math.sin(phi) * math.sin(gamma))
     return mu_t, sigma_cubed ** (1.0 / 3.0)
 
 
-def t2_test(ss: SumsOfSquares, convention: str = "johnstone") -> TestReport:
-    """Largest-root test: standardized logit of theta against Tracy-Widom order 1."""
+def _t2_stat(ss: SumsOfSquares, convention: str):
+    """t2's statistic with its (mu_tilde, sigma_tilde, theta)."""
     mu_t, sigma_t = t2_params(ss.dims)
     theta = theta_max(ss, convention)
     if theta <= 0.0 or theta >= 1.0:
         raise DegenerateRootError(f"largest root theta={theta!r} has no logit")
-    stat = (math.log(theta / (1.0 - theta)) - mu_t) / sigma_t
+    return (math.log(theta / (1.0 - theta)) - mu_t) / sigma_t, mu_t, sigma_t, theta
+
+
+def t2_test(ss: SumsOfSquares, convention: str = "johnstone") -> TestReport:
+    """Largest-root test: standardized logit of theta against Tracy-Widom order 1."""
+    stat, mu_t, sigma_t, theta = _t2_stat(ss, convention)
     return TestReport(
         method="t2",
         statistic=stat,
@@ -248,26 +246,26 @@ def default_f_rule(n: int) -> float:
     return max(math.log(math.log(n)), 2.0)
 
 
-def t3_test(ss: SumsOfSquares, f_rule=None, convention: str = "johnstone") -> TestReport:
+def t3_test(ss: SumsOfSquares, convention: str = "johnstone") -> TestReport:
     """Combined test t3 = t1 + t2 * 1{t2 >= F_n}, referred to the normal null.
 
     Under the null the indicator vanishes asymptotically, so the reference
     stays standard normal; the added term only fires on strong largest-root
-    evidence. The default F_n stays at 2 for every n below e^(e^2), about
-    1618, and there the indicator fires on about 1% of null draws, each time
-    adding at least 2 to the statistic, so normal p-values of t3 below about
-    1e-2 are too small.
+    evidence. F_n = default_f_rule(n) stays at 2 for every n below e^(e^2),
+    about 1618, and there the indicator fires on about 1% of null draws, each
+    time adding at least 2 to the statistic, so normal p-values of t3 below
+    about 1e-2 are too small. Only the two statistics are computed, not t1's
+    and t2's p-values.
     """
-    rule = default_f_rule if f_rule is None else f_rule
-    r1 = t1_test(ss)
-    r2 = t2_test(ss, convention)
-    f_n = float(rule(ss.dims.n))
-    stat = r1.statistic + (r2.statistic if r2.statistic >= f_n else 0.0)
+    t1 = _t1_stat(ss)[0]
+    t2 = _t2_stat(ss, convention)[0]
+    f_n = default_f_rule(ss.dims.n)
+    stat = t1 + (t2 if t2 >= f_n else 0.0)
     return TestReport(
         method="t3",
         statistic=stat,
         p_value=std_normal_tail(stat),
-        diagnostics={"t1": r1.statistic, "t2": r2.statistic, "f_n": f_n},
+        diagnostics={"t1": t1, "t2": t2, "f_n": f_n},
     )
 
 

@@ -112,11 +112,6 @@ class HypothesisMatrix:
     def p(self) -> int:
         return self.C.shape[1]
 
-    @classmethod
-    def identity(cls, p: int) -> "HypothesisMatrix":
-        """C = I_p, testing every coefficient row (B = 0)."""
-        return cls(np.eye(p))
-
     def is_leading_identity(self, atol: float = 1e-12) -> bool:
         """True when C is exactly [I_r, 0], the already-canonical layout."""
         r, p = self.C.shape

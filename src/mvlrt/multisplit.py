@@ -1,15 +1,19 @@
 """Repeated-split testing for designs where the likelihood ratio is undefined.
 
-When n < p + m the full-data test does not exist, so each round randomly
-splits the sample, screens predictors (and optionally PCA-reduces responses)
-on one part, and tests on the other. The per-split p-value refers
--2 log L_n on the testing part to its exact null law, Wilks' Lambda as a
-product of betas at the split's (n_T, p0, m0, r), so it is valid far into
-the tail. The J per-split p-values are aggregated through an adaptive
-quantile with a correction factor, giving a single p_t whose level is
-controlled for any J: the aggregation compares the smallest p-value with a
-cutoff near alpha * gamma_min / (1 - log gamma_min), and only a p-value that
-is valid at that depth keeps the bound (Meinshausen, Meier & Buehlmann 2009).
+When n < p + m the full-data test does not exist. A general hypothesis is
+first rotated once, on the whole design, to the leading-identity form by
+conditional_transform, and its r columns are protected from screening.
+Then each round randomly splits the sample, screens predictors (and
+optionally PCA-reduces responses) on one part, and tests on the other. The
+per-split p-value refers -2 log L_n on the testing part to its exact null
+law, Wilks' Lambda as a product of betas at the split's (n_T, p0, m0, r), so
+it is valid far into the tail. The J per-split p-values are aggregated
+through an adaptive quantile with a correction factor, giving a single p_t
+whose level is controlled for any J: the aggregation compares the smallest
+p-value with a cutoff near alpha * gamma_min / (1 - log gamma_min), and only
+a p-value that is valid at that depth keeps the bound (Meinshausen, Meier &
+Buehlmann 2009). no_split_pvalue is the J = 0 negative control: it screens
+and tests on the same rows.
 
 Split j is driven entirely by a seed derived from (config seed, j), so runs
 are bit-reproducible. The splits run one after another in the calling
@@ -133,19 +137,46 @@ def split_pvalue(ss: SumsOfSquares) -> float:
     return wilks_lrt_tail(neg2_log_lrt(ss), d.n, d.p, d.m, d.r)
 
 
-def _reduce_and_test(X, Y, c_rows, protect, cfg, rng, n_s_idx, n_t_idx, label):
-    """Shared screening + testing half of the split and no-split paths."""
-    X_s, Y_s = X[n_s_idx], Y[n_s_idx]
-    X_t, Y_t = X[n_t_idx], Y[n_t_idx]
-    n_t = len(n_t_idx)
-    p = X.shape[1]
-    m = Y.shape[1]
-    budget = max(int(math.floor(cfg.delta * p + 1e-9)), protect)
+def _prepare_hypothesis(data: DataSet, C):
+    """(X, c_rows, protect): the design and hypothesis rows that every split uses.
+
+    A hypothesis already in leading-identity form is used as it is, with no
+    protected columns. Any other is rotated by conditional_transform to
+    [I_r 0], and its r rotated columns are protected from screening.
+    """
+    hyp = C if isinstance(C, HypothesisMatrix) else HypothesisMatrix(C)
+    if hyp.p != data.p:
+        raise DomainError(f"C has p={hyp.p} columns but the design has p={data.p}")
+    if hyp.is_leading_identity():
+        return data.X, hyp.C, 0
+    X, _ = conditional_transform(data.X, hyp)
+    return X, np.eye(hyp.r, hyp.p), hyp.r
+
+
+def _split_outcome(data: DataSet, X, c_rows, protect, cfg: MultiSplitConfig,
+                   j: int, unsplit: bool = False) -> SplitOutcome:
+    """Split j on a hypothesis prepared by _prepare_hypothesis: split, reduce, test.
+
+    With unsplit set this is the J = 0 control, which screens and tests on
+    every row; j then only seeds the dimension reduction.
+    """
+    rng = stream(cfg.seed, j)
+    if unsplit:
+        s_idx = t_idx = np.arange(data.n)
+        label = "no-split run"
+    else:
+        s_idx, t_idx = split_indices(rng, data.n, cfg.split_ratio)
+        label = f"split {j}"
+    X_s, Y_s = X[s_idx], data.Y[s_idx]
+    X_t, Y_t = X[t_idx], data.Y[t_idx]
+    n_t = len(t_idx)
+    m = data.m
+    budget = max(int(math.floor(cfg.delta * data.p + 1e-9)), protect)
 
     reduction = None
     m_eff = m
     if cfg.pca_policy is not None:
-        cap = min(n_t - budget - 2, len(n_s_idx) - 1, m)
+        cap = min(n_t - budget - 2, len(s_idx) - 1, m)
         if cap < 1:
             raise SplitInfeasibleError(
                 f"{label}: no room for responses with n_T={n_t}, p0={budget}, m={m}")
@@ -169,43 +200,21 @@ def _reduce_and_test(X, Y, c_rows, protect, cfg, rng, n_s_idx, n_t_idx, label):
     c_eff = _row_space_basis(c_rows[:, cols])
     if c_eff is None:
         # screening removed every hypothesis column: nothing to test, stay conservative
-        return 1.0, cols, m_eff
-    if reduction is not None:
-        Y_t = reduction.transform(Y_t)
-    return split_pvalue(hypothesis_ss(DataSet(X_t[:, cols], Y_t), c_eff)), cols, m_eff
-
-
-def _prepare_hypothesis(data: DataSet, C):
-    hyp = C if isinstance(C, HypothesisMatrix) else HypothesisMatrix(C)
-    if hyp.p != data.p:
-        raise DomainError(f"C has p={hyp.p} columns but the design has p={data.p}")
-    if hyp.is_leading_identity():
-        return data.X, hyp.C, 0
-    X, record = conditional_transform(data.X, hyp)
-    c_rows = np.zeros((hyp.r, hyp.p))
-    c_rows[:, :hyp.r] = np.eye(hyp.r)
-    return X, c_rows, record.r
-
-
-def _split_outcome(data: DataSet, X, c_rows, protect, cfg: MultiSplitConfig,
-                   j: int) -> SplitOutcome:
-    """Split j on a hypothesis already prepared by _prepare_hypothesis."""
-    split_seed = derive_seed(cfg.seed, j)
-    rng = stream(cfg.seed, j)
-    s_idx, t_idx = split_indices(rng, data.n, cfg.split_ratio)
-    p_val, cols, m_eff = _reduce_and_test(
-        X, data.Y, c_rows, protect, cfg, rng, s_idx, t_idx, f"split {j}")
-    return SplitOutcome(float(p_val), tuple(int(c) for c in cols), m_eff, split_seed)
+        p_val = 1.0
+    else:
+        if reduction is not None:
+            Y_t = reduction.transform(Y_t)
+        p_val = split_pvalue(hypothesis_ss(DataSet(X_t[:, cols], Y_t), c_eff))
+    return SplitOutcome(float(p_val), tuple(int(c) for c in cols), m_eff,
+                        derive_seed(cfg.seed, j))
 
 
 def per_split_pvalue(data: DataSet, C, cfg: MultiSplitConfig, j: int) -> SplitOutcome:
-    """Run split j end to end: split, reduce, test on the held-out part.
+    """Run split j end to end: prepare the hypothesis, split, reduce, test.
 
-    A hypothesis not already in leading-identity form is first rotated by
-    conditional_transform and its r transformed predictors are protected from
-    screening. After screening, the hypothesis restricted to the selected
-    columns is row-reduced to full rank; if the restriction is empty the
-    split returns p = 1.
+    After screening, the hypothesis restricted to the selected columns is
+    row-reduced to full rank; if the restriction is empty the split returns
+    p = 1.
     """
     return _split_outcome(data, *_prepare_hypothesis(data, C), cfg, j)
 
@@ -218,31 +227,7 @@ def no_split_pvalue(data: DataSet, C, cfg: MultiSplitConfig) -> SplitOutcome:
     valid; this exists as a negative control demonstrating why splitting is
     required. The command-line front end refuses it without an override.
     """
-    X, c_rows, protect = _prepare_hypothesis(data, C)
-    split_seed = derive_seed(cfg.seed, -1)
-    rng = stream(cfg.seed, -1)
-    idx = np.arange(data.n)
-    p_val, cols, m_eff = _reduce_and_test(
-        X, data.Y, c_rows, protect, cfg, rng, idx, idx, "no-split run")
-    return SplitOutcome(float(p_val), tuple(int(c) for c in cols), m_eff, split_seed)
-
-
-def q_gamma(pvals, gamma: float) -> float:
-    """Empirical gamma-quantile of the scaled p-values, capped at 1.
-
-    Uses the ceil(gamma * J)-th order statistic of {p_j / gamma}.
-    """
-    pv = np.asarray(pvals, dtype=float)
-    if pv.size == 0:
-        raise DomainError("q_gamma needs at least one p-value")
-    if not 0.0 < gamma < 1.0:
-        raise DomainError(f"gamma must lie in (0, 1), got {gamma!r}")
-    if np.any(~np.isfinite(pv)) or pv.min() < 0.0 or pv.max() > 1.0:
-        raise DomainError("p-values must lie in [0, 1]")
-    # the tiny slack keeps ceil() exact when gamma * J is an integer in real arithmetic
-    k = min(pv.size, max(1, math.ceil(gamma * pv.size - 1e-9)))
-    q = np.sort(pv)[k - 1] / gamma
-    return float(min(1.0, q))
+    return _split_outcome(data, *_prepare_hypothesis(data, C), cfg, -1, unsplit=True)
 
 
 def adaptive_pt(pvals, gamma_min: float) -> float:

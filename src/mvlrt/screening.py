@@ -1,11 +1,14 @@
 """Dimension reduction for designs with more unknowns than samples.
 
-Three tools, all meant for the screening half of a data split: canonical
-correlation scores rank predictor columns by how much of the response space
-each one explains; an SVD change of basis turns a general hypothesis C B = 0
-into the leading-identity form [I_r 0] B~ = 0 so the hypothesis rows can be
-protected from screening; and a PCA step sized by parallel analysis shrinks a
-wide response matrix. Nothing here looks at the testing half.
+screen ranks predictor columns by their canonical correlation with the
+responses, the largest correlation between a column and any combination of
+response columns, and keeps the best floor(delta * p); parallel_analysis
+sizes and pca_reduce fits a PCA step that shrinks a wide response matrix.
+The multi-split procedure runs these three on the screening part of each
+split only. conditional_transform is the one step that sees the whole
+design: an orthogonal change of basis, made once before any split, that
+turns a general hypothesis C B = 0 into the leading-identity form
+[I_r 0] B~ = 0, so the hypothesis columns can be protected from screening.
 """
 
 from __future__ import annotations
@@ -45,26 +48,6 @@ class ScreenResult:
         for w in self.scores:
             if not 0.0 <= w <= 1.0:
                 raise DomainError(f"score {w!r} outside [0, 1]")
-
-    def csv_header(self) -> list:
-        return ["column", "score", "selected"]
-
-    def csv_rows(self) -> list:
-        picked = set(self.selected)
-        return [[j, repr(self.scores[j]), int(j in picked)]
-                for j in range(len(self.scores))]
-
-
-class TransformRecord:
-    """Basis note from conditional_transform: X~ = X d, first r columns protected."""
-
-    def __init__(self, d, r, trivial):
-        self.d = d
-        self.r = int(r)
-        self.trivial = bool(trivial)
-
-    def __repr__(self):
-        return f"TransformRecord(r={self.r}, trivial={self.trivial})"
 
 
 class PcaReduction:
@@ -111,6 +94,12 @@ def _response_basis(Y: np.ndarray) -> np.ndarray:
 
 
 def _column_scores(X: np.ndarray, basis: np.ndarray):
+    """Canonical correlation of each column with the responses, plus degenerate flags.
+
+    A column's score is the square root of the R^2 from regressing it,
+    centered, on the centered responses: the norm of its projection onto
+    ``basis`` over its own norm. A zero-variance column scores 0.
+    """
     Xc = X - X.mean(axis=0)
     spread = np.linalg.norm(Xc, axis=0)
     raw = np.linalg.norm(X, axis=0)
@@ -121,25 +110,6 @@ def _column_scores(X: np.ndarray, basis: np.ndarray):
         proj = np.linalg.norm(basis.T @ Xc[:, ok], axis=0)
         scores[ok] = np.minimum(proj / spread[ok], 1.0)
     return scores, degenerate
-
-
-def canonical_corr(xj, Y) -> float:
-    """Largest correlation between a predictor column and any combination of responses.
-
-    Computed as the square root of the R^2 from regressing the centered xj on
-    the centered columns of Y, via projection onto an orthonormal basis of
-    that column space. A zero-variance xj scores 0 rather than erroring.
-    """
-    xj = np.asarray(xj, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(xj)):
-        raise DomainError("xj contains non-finite entries")
-    Y = _check_matrix(Y, "Y")
-    if xj.size != Y.shape[0]:
-        raise DomainError(f"xj has {xj.size} entries but Y has {Y.shape[0]} rows")
-    if xj.size < 2:
-        raise DomainError("need at least two observations")
-    scores, _ = _column_scores(xj[:, None], _response_basis(Y))
-    return float(scores[0])
 
 
 def screen(XS, YS, delta: float, protect: int = 0) -> ScreenResult:
@@ -181,21 +151,17 @@ def conditional_transform(X, C):
 
     With the SVD C = U S V', the orthogonal change of basis D = V puts the
     row space of C on the first r transformed predictors; screening must then
-    protect those columns and may rank only the rest. A hypothesis already in
-    leading-identity form passes through untouched (trivial record, D = I),
-    and in that case no columns are implicitly protected downstream.
+    protect those columns and may rank only the rest.
 
-    Returns ``(X_tilde, record)`` where ``record.d`` satisfies X_tilde = X d.
+    Returns ``(X_tilde, d)`` with X_tilde = X d.
     """
     hyp = C if isinstance(C, HypothesisMatrix) else HypothesisMatrix(C)
     X = _check_matrix(X, "X")
     if X.shape[1] != hyp.p:
         raise DomainError(f"X has {X.shape[1]} columns but C expects p={hyp.p}")
-    if hyp.is_leading_identity():
-        return X, TransformRecord(np.eye(hyp.p), hyp.r, True)
     _, _, vt = np.linalg.svd(hyp.C, full_matrices=True)
     d = vt.T
-    return X @ d, TransformRecord(d, hyp.r, False)
+    return X @ d, d
 
 
 def parallel_analysis(rng, YS, b_perm: int = 19, pct: float = 0.95, cap=None) -> int:

@@ -181,14 +181,19 @@ def test_t3_indicator_examples():
     assert rep.statistic == pytest.approx(rep.diagnostics["t1"] + 2.5, abs=1e-9)
 
 
-def test_t3_threshold_rule_override():
-    ss = canonical_form_sample(stream(501), None, Dims(80, 20, 6, 5))
-    always = t3_test(ss, f_rule=lambda n: -1e9)
-    never = t3_test(ss, f_rule=lambda n: 1e9)
-    assert always.statistic == pytest.approx(
-        always.diagnostics["t1"] + always.diagnostics["t2"]
-    )
-    assert never.statistic == never.diagnostics["t1"]
+def test_t3_reads_the_statistics_once_and_no_p_values(monkeypatch):
+    import mvlrt.lrt
+
+    ss = canonical_form_sample(stream(503), None, Dims(80, 20, 6, 5))
+    reads = []
+    for name in ("neg2_log_lrt", "theta_max", "tw1_cdf"):
+        orig = getattr(mvlrt.lrt, name)
+        monkeypatch.setattr(mvlrt.lrt, name,
+                            lambda *a, _name=name, _orig=orig: reads.append(_name) or _orig(*a))
+    rep = t3_test(ss)
+    assert sorted(reads) == ["neg2_log_lrt", "theta_max"]
+    assert rep.diagnostics["t1"] == t1_test(ss).statistic
+    assert rep.diagnostics["t2"] == t2_test(ss).statistic
 
 
 def test_t3_dominates_t1():
@@ -344,7 +349,6 @@ def test_report_validation_and_text():
     rep = Report("t1", 1.5, 0.07, {"mu_n": -3.0})
     text = rep.key_value_text()
     assert "method=t1" in text and "mu_n=-3.0" in text
-    assert rep.csv_header() == ["method", "statistic", "p_value", "mu_n"]
     with pytest.raises(DomainError):
         Report("lrt", 0.0, 0.5)
     with pytest.raises(DomainError):

@@ -71,7 +71,6 @@ def test_hypothesis_matrix_rank_check():
         HypothesisMatrix(np.zeros((2, 3)))
     with pytest.raises(HypothesisRankError):
         HypothesisMatrix(np.ones((3, 2)))  # more rows than columns
-    assert HypothesisMatrix.identity(4).r == 4
     assert HypothesisMatrix(np.eye(5)[:3]).is_leading_identity()
     assert not HypothesisMatrix(np.eye(5)[::-1][:3]).is_leading_identity()
 
@@ -140,7 +139,7 @@ def test_hypothesis_ss_identity_c():
     rng = stream(103)
     X = rng.standard_normal((25, 4))
     Y = rng.standard_normal((25, 3))
-    ss = hypothesis_ss(DataSet(X, Y), HypothesisMatrix.identity(4))
+    ss = hypothesis_ss(DataSet(X, Y), HypothesisMatrix(np.eye(4)))
     want = Y.T @ X @ np.linalg.inv(X.T @ X) @ X.T @ Y
     assert np.allclose(ss.s_hyp, want, rtol=1e-8)
 

