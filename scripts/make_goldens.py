@@ -11,7 +11,10 @@ numbers alone can show that it did:
   ``--gnuplot``, and ``mvlrt boundary``;
 * the exit codes and texts of the typed errors;
 * the library's multi-split outcomes (``p_t`` and every split) and small
-  ``multisplit_sweep`` and ``gamma_sensitivity`` tables.
+  ``multisplit_sweep`` and ``gamma_sensitivity`` tables;
+* the Tracy-Widom law: ``tw1_cdf`` on 2,501 points over [-13, 12], which
+  crosses both tails and the tabulated grid, and ``tw1_upper_quantile`` at
+  four levels.
 
 Every output is hashed (SHA-256) into ``tests/golden/MANIFEST.sha256``, in
 the format ``sha256sum -c`` reads. Outputs of at most ``SHORT`` bytes are
@@ -186,6 +189,7 @@ def _cli_outputs(f: dict, work: pathlib.Path) -> dict:
 
 def _library_outputs(f: dict) -> dict:
     from mvlrt import multisplit as ms
+    from mvlrt.distributions import tw1_cdf, tw1_upper_quantile
     from mvlrt.experiments import ExperimentSpec, gamma_sensitivity, multisplit_sweep
     from mvlrt.model import DataSet
 
@@ -208,6 +212,10 @@ def _library_outputs(f: dict) -> dict:
         "gamma_sensitivity.csv": gamma_sensitivity(
             j_splits=20, rho_grid=(0.0, 0.7), gamma_grid=(0.05, 0.5), reps=200,
             seed=2).csv_text(),
+        "tw1_cdf.txt": "".join(f"{s!r} {tw1_cdf(s)!r}\n"
+                               for s in np.linspace(-13.0, 12.0, 2501).tolist()),
+        "tw1_upper_quantile.txt": "".join(f"{a!r} {tw1_upper_quantile(a)!r}\n"
+                                          for a in (0.01, 0.05, 0.1, 0.5)),
     }
 
 
