@@ -229,10 +229,17 @@ def _cmd_test(v) -> int:
 
 def _cmd_multisplit(v) -> int:
     data, hyp = _load_data(v)
+    if v["j_splits"] < 0:
+        raise DomainError(f"j_splits must be >= 0, got {v['j_splits']}")
     cfg = MultiSplitConfig(
         j_splits=max(v["j_splits"], 1), gamma_min=v["gamma_min"],
         delta=v["delta"], split_ratio=v["split_ratio"], seed=v["seed"],
         pca_policy=v["pca_policy"])
+    # the J = 0 control skips multisplit_test, so both paths are checked here
+    if not 0.0 < v["alpha"] < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {v['alpha']!r}")
+    if v["threads"] < 1:
+        raise DomainError(f"threads must be >= 1, got {v['threads']}")
     if v["j_splits"] == 0:
         if not v["unsafe_no_split"]:
             raise DomainError(
@@ -252,9 +259,13 @@ def _cmd_multisplit(v) -> int:
                                  threads=v["threads"])
         print(result.summary_text())
     if v["out"]:
+        rows = result.csv_rows()
+        if v["j_splits"] == 0:
+            # the control is seeded by derive_seed(seed, -1), not as split 0
+            rows[0][0] = "unsplit"
         summary = ["summary", "", repr(result.p_t), repr(result.alpha),
                    int(result.reject)]
-        write_rows(v["out"], result.csv_header(), result.csv_rows() + [summary])
+        write_rows(v["out"], result.csv_header(), rows + [summary])
     return 0
 
 

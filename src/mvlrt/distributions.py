@@ -8,6 +8,9 @@ choice matters for the largest-root test and is documented in the README.
 The Tracy-Widom CDF is realized as an embedded table (``data/tw1_cdf.csv``,
 regenerated by ``scripts/make_tw1_table.py``) with monotone cubic
 interpolation inside the grid and asymptotically shaped tails outside it.
+The table is read once, as shipped; its invariants (grid over [-12, 10] at
+spacing 0.02, monotone F, both tails reached) are checked by the test suite,
+not at load time.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.special import gammaincc, gammainccinv, gammaln, ndtr, ndtri, psi, zeta
 
-from .errors import DataFormatError, DomainError
+from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -64,116 +67,51 @@ def chi_sq_upper_quantile(alpha: float, df: int) -> float:
     return float(2.0 * gammainccinv(0.5 * df, alpha))
 
 
-class Tw1Table:
-    """Tabulated CDF of the Tracy-Widom law of order 1.
-
-    The table must cover at least s in [-10, 6] with grid spacing <= 0.05,
-    reach below 1e-8 at s = -10 and above 1 - 1e-8 at its right end, and be
-    monotone. The embedded asset spans [-12, 10] at spacing 0.02.
-    """
-
-    #: grid bounds every valid table has to cover
-    COVER_LO = -10.0
-    COVER_HI = 6.0
-    MAX_SPACING = 0.05
-    TAIL_EPS = 1e-8
-
-    def __init__(self, s, F):
-        s = np.asarray(s, dtype=float)
-        F = np.asarray(F, dtype=float)
-        if s.ndim != 1 or s.shape != F.shape or s.size < 2:
-            raise DomainError("Tw1Table: s and F must be equal-length 1-d arrays")
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(F))):
-            raise DomainError("Tw1Table: non-finite table entries")
-        if np.any(np.diff(s) <= 0):
-            raise DomainError("Tw1Table: s must be strictly increasing")
-        if np.any(np.diff(F) < 0) or F[0] < 0.0 or F[-1] > 1.0:
-            raise DomainError("Tw1Table: F must be non-decreasing within [0,1]")
-        if s[0] > self.COVER_LO or s[-1] < self.COVER_HI:
-            raise DomainError(f"Tw1Table: grid must cover [{self.COVER_LO}, {self.COVER_HI}]")
-        if np.max(np.diff(s)) > self.MAX_SPACING + 1e-12:
-            raise DomainError(f"Tw1Table: grid spacing exceeds {self.MAX_SPACING}")
-        i_lo = np.searchsorted(s, self.COVER_LO, side="right") - 1
-        if F[i_lo] >= self.TAIL_EPS:
-            raise DomainError("Tw1Table: F at s = -10 must be below 1e-8")
-        if F[-1] <= 1.0 - self.TAIL_EPS:
-            raise DomainError("Tw1Table: F at the right grid end must exceed 1 - 1e-8")
-        self.s = s
-        self.F = F
-        self._interp = PchipInterpolator(s, F, extrapolate=False)
-
-    @classmethod
-    def load(cls, path) -> "Tw1Table":
-        """Read a two-column "s,F" CSV, the format of ``data/tw1_cdf.csv``."""
-        s_vals, f_vals = [], []
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header.replace(" ", "") != "s,F":
-                raise DataFormatError(f"{path}: expected header 's,F', got {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 2:
-                    raise DataFormatError(f"{path}: line {lineno}: expected two fields")
-                try:
-                    s_vals.append(float(parts[0]))
-                    f_vals.append(float(parts[1]))
-                except ValueError as exc:
-                    raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
-        return cls(s_vals, f_vals)
-
-    def cdf(self, s: float) -> float:
-        """Interpolated CDF with asymptotically shaped tail extrapolation."""
-        if not math.isfinite(s):
-            raise DomainError(f"tw1_cdf: s must be finite, got {s!r}")
-        s0, s1 = self.s[0], self.s[-1]
-        if s <= s0:
-            # left tail falls like exp(-|s|^3 / 24), matched at the grid end
-            return float(self.F[0] * math.exp(-(abs(s) ** 3 - abs(s0) ** 3) / 24.0))
-        if s >= s1:
-            # right tail: 1 - F ~ exp(-(2/3) s^{3/2})
-            surv = (1.0 - self.F[-1]) * math.exp(-(2.0 / 3.0) * (s**1.5 - s1**1.5))
-            return float(1.0 - surv)
-        return float(min(1.0, max(0.0, self._interp(s))))
-
-    def upper_quantile(self, alpha: float) -> float:
-        """The s with cdf(s) = 1 - alpha, by bisection."""
-        if not (0.0 < alpha < 1.0) or not math.isfinite(alpha):
-            raise DomainError(f"tw1_upper_quantile: alpha must lie in (0,1), got {alpha!r}")
-        target = 1.0 - alpha
-        lo, hi = float(self.s[0]), float(self.s[-1])
-        while self.cdf(lo) > target:
-            lo -= 5.0
-        while self.cdf(hi) < target:
-            hi += 5.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-12:
-                break
-        return 0.5 * (lo + hi)
-
-
 @lru_cache(maxsize=1)
-def _embedded_table() -> Tw1Table:
+def _embedded_table():
+    """The grid s, the CDF values F and their monotone cubic interpolant."""
     ref = resources.files("mvlrt").joinpath("data/tw1_cdf.csv")
     with resources.as_file(ref) as path:
-        return Tw1Table.load(path)
+        s, F = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    return s, F, PchipInterpolator(s, F, extrapolate=False)
 
 
 def tw1_cdf(s: float) -> float:
     """CDF of the Tracy-Widom law of order 1 (embedded table)."""
-    return _embedded_table().cdf(s)
+    if not math.isfinite(s):
+        raise DomainError(f"tw1_cdf: s must be finite, got {s!r}")
+    grid, F, interp = _embedded_table()
+    s0, s1 = grid[0], grid[-1]
+    if s <= s0:
+        # left tail falls like exp(-|s|^3 / 24), matched at the grid end
+        return float(F[0] * math.exp(-(abs(s) ** 3 - abs(s0) ** 3) / 24.0))
+    if s >= s1:
+        # right tail: 1 - F ~ exp(-(2/3) s^{3/2})
+        surv = (1.0 - F[-1]) * math.exp(-(2.0 / 3.0) * (s**1.5 - s1**1.5))
+        return float(1.0 - surv)
+    return float(min(1.0, max(0.0, interp(s))))
 
 
 def tw1_upper_quantile(alpha: float) -> float:
-    """Upper alpha-quantile of the Tracy-Widom law of order 1."""
-    return _embedded_table().upper_quantile(alpha)
+    """Upper alpha-quantile of the Tracy-Widom law of order 1, by bisection on tw1_cdf."""
+    if not (0.0 < alpha < 1.0) or not math.isfinite(alpha):
+        raise DomainError(f"tw1_upper_quantile: alpha must lie in (0,1), got {alpha!r}")
+    target = 1.0 - alpha
+    grid = _embedded_table()[0]
+    lo, hi = float(grid[0]), float(grid[-1])
+    while tw1_cdf(lo) > target:
+        lo -= 5.0
+    while tw1_cdf(hi) < target:
+        hi += 5.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if tw1_cdf(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12:
+            break
+    return 0.5 * (lo + hi)
 
 
 #: half-width, in standard deviations of -log(Lambda), of the window around

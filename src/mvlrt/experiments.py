@@ -6,14 +6,15 @@ per requested method, and returns a ResultTable of rows
 produce a labeled row with no numbers instead of crashing the sweep.
 
 Reproducibility contract: replicate k of cell c draws from a generator keyed
-by (seed, c, k), and aggregation is integer counting, so a rerun produces
-byte-identical tables. Replicates run one after another in the calling
-thread with BLAS on one thread (see ``_blas``); the ``threads`` setting is
-validated but does not change the work or the output.
+by (seed, c, k), and all four sweeps aggregate by integer counting in one
+loop (``_count``), so a rerun produces byte-identical tables. Replicates run
+in order in the calling thread with BLAS on one thread (see ``_blas``); the
+``threads`` setting is validated but does not change the work or the output.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -222,71 +223,88 @@ def _spike_signal(ratios, target: float, dims: Dims) -> SignalMatrix:
     return SignalMatrix.diagonal_spikes(ratios * scale, dims)
 
 
-def _grown_dims(spec: ExperimentSpec, eta: float) -> Dims:
-    size = max(1, int(math.floor(spec.n ** eta)))
-    return Dims(
-        spec.n,
-        size if "p" in spec.grow else spec.p,
-        size if "m" in spec.grow else spec.m,
-        size if "r" in spec.grow else spec.r,
-    )
+def _drawer(spec: ExperimentSpec, dims: Dims, signal=None, strength: float = 0.0):
+    """draw(rng) -> one replicate's sums of squares: sampled directly under ``signal``
+    (canonical), or from Y = X B + E at coefficient size ``strength`` with the
+    hypothesis [I_r 0] B = 0 (linear)."""
+    if spec.generator == "canonical":
+        return lambda rng: canonical_form_sample(rng, signal, dims)
+    cell_spec = replace(spec, p=dims.p, m=dims.m, r=dims.r)
+    hyp = HypothesisMatrix(np.eye(dims.r, dims.p))
+    return lambda rng: hypothesis_ss(gen_linear_model(rng, cell_spec, strength), hyp)
 
 
-def _leading_identity(dims: Dims) -> HypothesisMatrix:
-    return HypothesisMatrix(np.eye(dims.p)[: dims.r])
+def _count(reps: int, hits_of):
+    """Sum hits_of(rep) over replicates 0 .. reps-1 of one cell, in order.
+
+    ``hits_of`` returns a bool or an array of them (one per row of the cell);
+    the totals are integers, so a rerun reproduces them exactly.
+    """
+    total = 0
+    for rep in range(reps):
+        total += hits_of(rep)
+    return total
 
 
-def _estimate_cell(spec: ExperimentSpec, cell_id: int, cell: str, methods,
-                   draw_ss) -> list:
-    """Count rejections of each method over spec.reps replicates of one cell.
+def _rows(labels, hits, reps: int, started: float) -> list:
+    """One row per (cell, method) label: rate hits / reps and its binomial standard error."""
+    elapsed = time.perf_counter() - started
+    rows = []
+    for (cell, method), k in zip(labels, hits):
+        rate = float(k / reps)
+        rows.append(ResultRow(cell, method, rate, math.sqrt(rate * (1.0 - rate) / reps),
+                              reps, elapsed))
+    return rows
 
-    ``draw_ss(rng)`` produces the sums-of-squares sample. Methods that fail
+
+def _infeasible(labels, reps: int, started: float, exc) -> list:
+    """One row without numbers per (cell, method) label, saying why it cannot run."""
+    elapsed = time.perf_counter() - started
+    return [ResultRow(cell, method, None, None, reps, elapsed, f"infeasible: {exc}")
+            for cell, method in labels]
+
+
+def _estimate_cell(spec: ExperimentSpec, cell_id: int, cell: str, draw) -> list:
+    """Count rejections of each of spec.methods over spec.reps replicates of one cell.
+
+    ``draw(rng)`` produces the sums-of-squares sample. Methods that fail
     their regime preconditions on a probe sample are reported infeasible and
     excluded from the loop.
     """
     started = time.perf_counter()
-    live = []
-    rows = []
     try:
-        probe = draw_ss(stream(spec.seed, cell_id, 0))
+        probe = draw(stream(spec.seed, cell_id, 0))
     except MvlrtError as exc:
-        elapsed = time.perf_counter() - started
-        return [ResultRow(cell, meth, None, None, spec.reps, elapsed,
-                          f"infeasible: {exc}") for meth in methods]
-    for meth in methods:
+        return _infeasible([(cell, meth) for meth in spec.methods], spec.reps, started, exc)
+    rows, live = [], []
+    for meth in spec.methods:
         try:
             TESTS[meth](probe)
             live.append(meth)
         except MvlrtError as exc:
-            rows.append(ResultRow(cell, meth, None, None, spec.reps,
-                                  time.perf_counter() - started, f"infeasible: {exc}"))
+            rows += _infeasible([(cell, meth)], spec.reps, started, exc)
 
-    counts = {meth: 0 for meth in live}
+    def hits_of(rep):
+        ss = draw(stream(spec.seed, cell_id, rep))
+        return np.array([TESTS[meth](ss).p_value <= spec.alpha for meth in live])
+
     if live:
-        for rep in range(spec.reps):
-            ss = draw_ss(stream(spec.seed, cell_id, rep))
-            for meth in live:
-                if TESTS[meth](ss).p_value <= spec.alpha:
-                    counts[meth] += 1
-
-    elapsed = time.perf_counter() - started
-    for meth in live:
-        rate = counts[meth] / spec.reps
-        se = math.sqrt(rate * (1.0 - rate) / spec.reps)
-        rows.append(ResultRow(cell, meth, rate, se, spec.reps, elapsed))
-    order = {meth: k for k, meth in enumerate(methods)}
-    rows.sort(key=lambda row: order[row.method])
+        rows += _rows([(cell, meth) for meth in live], _count(spec.reps, hits_of),
+                      spec.reps, started)
+    rows.sort(key=lambda row: spec.methods.index(row.method))
     return rows
 
 
 def _null_cells(spec: ExperimentSpec):
-    if spec.eta_grid:
-        for eta in spec.eta_grid:
-            dims = _grown_dims(spec, eta)
-            yield f"n={dims.n} p={dims.p} m={dims.m} r={dims.r} eta={eta:g}", dims
-    else:
+    """(label, dims) per null cell: the spec's own dims, or one cell per eta in
+    which the dims named in ``grow`` are floor(n ** eta)."""
+    if not spec.eta_grid:
         yield (f"n={spec.n} p={spec.p} m={spec.m} r={spec.r}",
                Dims(spec.n, spec.p, spec.m, spec.r))
+    for eta in spec.eta_grid:
+        size = max(1, int(math.floor(spec.n ** eta)))
+        dims = Dims(spec.n, *(size if k in spec.grow else getattr(spec, k) for k in "pmr"))
+        yield f"n={dims.n} p={dims.p} m={dims.m} r={dims.r} eta={eta:g}", dims
 
 
 @single_thread_blas()
@@ -300,17 +318,7 @@ def typeI_sweep(spec: ExperimentSpec) -> ResultTable:
         raise DomainError("typeI_sweep requires a null signal")
     rows = []
     for cell_id, (cell, dims) in enumerate(_null_cells(spec)):
-        if spec.generator == "canonical":
-            def draw(rng, dims=dims):
-                return canonical_form_sample(rng, None, dims)
-        else:
-            cell_spec = replace(spec, p=dims.p, m=dims.m, r=dims.r)
-            hyp = _leading_identity(dims)
-
-            def draw(rng, cell_spec=cell_spec, hyp=hyp):
-                return hypothesis_ss(gen_linear_model(rng, cell_spec), hyp)
-
-        rows.extend(_estimate_cell(spec, cell_id, cell, spec.methods, draw))
+        rows += _estimate_cell(spec, cell_id, cell, _drawer(spec, dims))
     return ResultTable(rows)
 
 
@@ -325,39 +333,28 @@ def power_sweep(spec: ExperimentSpec) -> ResultTable:
     """
     if not spec.signal_grid:
         raise DomainError("power_sweep needs a non-empty signal_grid")
+    if spec.generator == "canonical" and spec.signal[0] != "spikes":
+        raise DomainError("canonical power cells need a ('spikes', ratios) signal")
     dims = Dims(spec.n, spec.p, spec.m, spec.r)
     rows = []
     for cell_id, strength in enumerate(spec.signal_grid):
-        if spec.generator == "canonical":
-            if spec.signal[0] != "spikes":
-                raise DomainError("canonical power cells need a ('spikes', ratios) signal")
-            cell = f"trace_ratio={strength:g}"
-            signal = _spike_signal(spec.signal[1], float(strength), dims)
-
-            def draw(rng, signal=signal):
-                return canonical_form_sample(rng, signal, dims)
-
-            rows.extend(_estimate_cell(spec, cell_id, cell, spec.methods, draw))
-            started = time.perf_counter()
-            try:
-                deltas = [d for d in np.diag(signal.delta(dims.n)) if d > 0.0]
-                pred = theoretical_power(PowerSpec(
-                    tuple(deltas), dims.p / dims.n, dims.r / dims.n,
-                    dims.m / dims.n, spec.alpha))
-                rows.append(ResultRow(cell, "t1_theory", pred, 0.0, 0,
-                                      time.perf_counter() - started))
-            except (RegimeError, DomainError) as exc:
-                rows.append(ResultRow(cell, "t1_theory", None, None, 0,
-                                      time.perf_counter() - started,
-                                      f"infeasible: {exc}"))
-        else:
-            cell = f"signal={strength:g}"
-            hyp = _leading_identity(dims)
-
-            def draw(rng, strength=float(strength), hyp=hyp):
-                return hypothesis_ss(gen_linear_model(rng, spec, strength), hyp)
-
-            rows.extend(_estimate_cell(spec, cell_id, cell, spec.methods, draw))
+        if spec.generator != "canonical":
+            rows += _estimate_cell(spec, cell_id, f"signal={strength:g}",
+                                   _drawer(spec, dims, strength=float(strength)))
+            continue
+        cell = f"trace_ratio={strength:g}"
+        signal = _spike_signal(spec.signal[1], float(strength), dims)
+        rows += _estimate_cell(spec, cell_id, cell, _drawer(spec, dims, signal))
+        started = time.perf_counter()
+        try:
+            deltas = [d for d in np.diag(signal.delta(dims.n)) if d > 0.0]
+            pred = theoretical_power(PowerSpec(
+                tuple(deltas), dims.p / dims.n, dims.r / dims.n,
+                dims.m / dims.n, spec.alpha))
+            rows.append(ResultRow(cell, "t1_theory", pred, 0.0, 0,
+                                  time.perf_counter() - started))
+        except (RegimeError, DomainError) as exc:
+            rows += _infeasible([(cell, "t1_theory")], 0, started, exc)
     return ResultTable(rows)
 
 
@@ -369,44 +366,33 @@ def multisplit_sweep(spec: ExperimentSpec, j_grid=(0, 50, 200), delta: float = 0
     The hypothesis is [I_r 0] B = 0 on linear-model data; J = 0 runs the
     deliberately unsafe screen-and-test-on-everything negative control. Each
     replicate owns a derived seed, so tables are reproducible; replicates run
-    in the calling thread whatever ``spec.threads`` says.
+    in the calling thread whatever ``spec.threads`` says. A cell whose
+    replicates raise a typed error gets an infeasible row.
     """
     if spec.generator != "linear":
         raise DomainError("multisplit_sweep requires the linear generator")
-    dims = Dims(spec.n, spec.p, spec.m, spec.r)
-    hyp = _leading_identity(dims)
-    strengths = spec.signal_grid if spec.signal_grid else (0.0,)
+    hyp = HypothesisMatrix(np.eye(spec.r, spec.p))
     rows = []
-    cell_id = 0
-    for strength in strengths:
-        for j in j_grid:
-            if j < 0:
-                raise DomainError(f"split count must be >= 0, got {j}")
-            cell = f"signal={strength:g} J={j}"
-            started = time.perf_counter()
+    for cell_id, (strength, j) in enumerate(itertools.product(spec.signal_grid or (0.0,), j_grid)):
+        if j < 0:
+            raise DomainError(f"split count must be >= 0, got {j}")
+        labels = [(f"signal={strength:g} J={j}", f"multisplit_J{j}")]
+        started = time.perf_counter()
 
-            def one_rep(rep, j=j, strength=float(strength), cell_id=cell_id):
-                rng = stream(spec.seed, cell_id, rep)
-                data = gen_linear_model(rng, spec, strength)
-                cfg = MultiSplitConfig(
-                    j_splits=max(j, 1), gamma_min=gamma_min, delta=delta,
-                    split_ratio=split_ratio,
-                    seed=derive_seed(spec.seed, cell_id, rep),
-                    pca_policy=pca_policy)
-                if j == 0:
-                    return no_split_pvalue(data, hyp, cfg).p_value <= spec.alpha
-                return multisplit_test(data, hyp, cfg, alpha=spec.alpha).reject
+        def hit(rep):
+            data = gen_linear_model(stream(spec.seed, cell_id, rep), spec, float(strength))
+            cfg = MultiSplitConfig(
+                j_splits=max(j, 1), gamma_min=gamma_min, delta=delta,
+                split_ratio=split_ratio, seed=derive_seed(spec.seed, cell_id, rep),
+                pca_policy=pca_policy)
+            if j == 0:
+                return no_split_pvalue(data, hyp, cfg).p_value <= spec.alpha
+            return multisplit_test(data, hyp, cfg, alpha=spec.alpha).reject
 
-            try:
-                hits = sum(one_rep(rep) for rep in range(spec.reps))
-                rate = hits / spec.reps
-                se = math.sqrt(rate * (1.0 - rate) / spec.reps)
-                rows.append(ResultRow(cell, f"multisplit_J{j}", rate, se, spec.reps,
-                                      time.perf_counter() - started))
-            except MvlrtError as exc:
-                rows.append(ResultRow(cell, f"multisplit_J{j}", None, None, spec.reps,
-                                      time.perf_counter() - started, f"infeasible: {exc}"))
-            cell_id += 1
+        try:
+            rows += _rows(labels, [_count(spec.reps, hit)], spec.reps, started)
+        except MvlrtError as exc:
+            rows += _infeasible(labels, spec.reps, started, exc)
     return ResultTable(rows)
 
 
@@ -438,18 +424,14 @@ def gamma_sensitivity(j_splits: int = 200, rho_grid=(0.0, 0.5, 1.0),
         if not 0.0 <= rho <= 1.0:
             raise DomainError(f"equicorrelation must lie in [0,1], got {rho!r}")
         started = time.perf_counter()
-        totals = np.zeros(gammas.size, dtype=np.int64)
-        for rep in range(reps):
+
+        def hits_of(rep):
             rng = stream(seed, cell_id, rep)
             shared = rng.standard_normal()
             own = rng.standard_normal(j_splits)
-            v = math.sqrt(rho) * shared + math.sqrt(1.0 - rho) * own
-            pv = ndtr(-v)
-            psi = np.mean(pv[None, :] <= alpha * gammas[:, None], axis=1)
-            totals += psi >= gammas
-        elapsed = time.perf_counter() - started
-        for g, hits in zip(gammas, totals):
-            rate = hits / reps
-            rows.append(ResultRow(f"rho={rho:g} gamma={g:g}", "psi_level", rate,
-                                  math.sqrt(rate * (1.0 - rate) / reps), reps, elapsed))
+            pv = ndtr(-(math.sqrt(rho) * shared + math.sqrt(1.0 - rho) * own))
+            return np.mean(pv[None, :] <= alpha * gammas[:, None], axis=1) >= gammas
+
+        labels = [(f"rho={rho:g} gamma={g:g}", "psi_level") for g in gammas]
+        rows += _rows(labels, _count(reps, hits_of), reps, started)
     return ResultTable(rows)

@@ -196,6 +196,31 @@ def test_multisplit_j_zero_override(capsys, wide_files):
     assert "mode=unsafe_no_split" in out and "j_splits=0" in out
 
 
+@pytest.mark.parametrize("extra, word", [
+    (["--j-splits", "-5"], "j_splits"),
+    (["--j-splits", "0", "--unsafe-no-split", "--alpha", "7"], "alpha"),
+    (["--j-splits", "0", "--unsafe-no-split", "--threads", "0"], "threads"),
+])
+def test_multisplit_checks_options_before_choosing_the_path(capsys, wide_files, extra, word):
+    x, y = wide_files
+    code, out, err = _run(capsys, ["multisplit", "--x", x, "--y", y, *extra])
+    assert code == 1
+    assert out == ""
+    assert f"error: {word} must" in err
+
+
+def test_multisplit_j_zero_audit_row_is_labelled_unsplit(capsys, tmp_path, wide_files):
+    x, y = wide_files
+    out_csv = tmp_path / "control.csv"
+    code, _, _ = _run(capsys, ["multisplit", "--x", x, "--y", y, "--j-splits", "0",
+                               "--unsafe-no-split", "--out", str(out_csv)])
+    assert code == 0
+    with open(out_csv) as fh:
+        rows = list(csv.reader(fh))
+    # its seed is derive_seed(seed, -1), so it must not read as split 0
+    assert [row[0] for row in rows[1:]] == ["unsplit", "summary"]
+
+
 def test_multisplit_writes_audit_csv(capsys, tmp_path, wide_files):
     x, y = wide_files
     out_csv = tmp_path / "splits.csv"

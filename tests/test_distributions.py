@@ -13,7 +13,6 @@ import pytest
 from scipy.stats import beta as beta_law
 
 from mvlrt.distributions import (
-    Tw1Table,
     _embedded_table,
     chi_sq_tail,
     chi_sq_upper_quantile,
@@ -24,7 +23,7 @@ from mvlrt.distributions import (
     tw1_upper_quantile,
     wilks_lrt_tail,
 )
-from mvlrt.errors import DataFormatError, DomainError
+from mvlrt.errors import DomainError
 from mvlrt.rng import stream
 
 # x -> 1 - Phi(x), 50-digit erfc oracle
@@ -137,14 +136,14 @@ def test_chi2_quantile_against_monte_carlo():
 
 
 def test_tw1_table_invariants():
-    table = _embedded_table()
-    assert table.s[0] <= -10.0 and table.s[-1] >= 6.0
-    assert np.all(np.diff(table.s) > 0)
-    assert np.max(np.diff(table.s)) <= 0.05 + 1e-12
-    assert np.all(np.diff(table.F) >= 0)
-    i10 = np.searchsorted(table.s, -10.0, side="right") - 1
-    assert table.F[i10] < 1e-8
-    assert table.F[-1] > 1.0 - 1e-8
+    s, F, _ = _embedded_table()
+    assert s[0] <= -10.0 and s[-1] >= 6.0
+    assert np.all(np.diff(s) > 0)
+    assert np.max(np.diff(s)) <= 0.05 + 1e-12
+    assert np.all(np.diff(F) >= 0)
+    i10 = np.searchsorted(s, -10.0, side="right") - 1
+    assert F[i10] < 1e-8
+    assert F[-1] > 1.0 - 1e-8
 
 
 def test_tw1_interpolant_monotone_between_grid_points():
@@ -179,39 +178,6 @@ def test_tw1_tail_extrapolation():
         tw1_cdf(float("nan"))
     with pytest.raises(DomainError):
         tw1_upper_quantile(1.5)
-
-
-def test_tw1_table_dump_load_round_trip(tmp_path):
-    table = _embedded_table()
-    path = tmp_path / "tw.csv"
-    path.write_text("s,F\n" + "".join(f"{s:.17g},{f:.17g}\n" for s, f in zip(table.s, table.F)))
-    back = Tw1Table.load(path)
-    assert np.array_equal(back.s, table.s)
-    assert np.array_equal(back.F, table.F)
-
-
-def test_tw1_table_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("s,F\n0.0,0.5,9\n")
-    with pytest.raises(DataFormatError):
-        Tw1Table.load(path)
-    path.write_text("wrong,header\n0.0,0.5\n")
-    with pytest.raises(DataFormatError):
-        Tw1Table.load(path)
-
-
-def test_tw1_table_rejects_bad_grids():
-    s = np.arange(-12.0, 10.01, 0.02)
-    f_ok = np.clip(np.linspace(-0.1, 1.1, s.size), 0.0, 1.0)
-    f_ok[0] = 0.0
-    f_ok[-1] = 1.0
-    with pytest.raises(DomainError):
-        Tw1Table(s[::-1], f_ok)  # decreasing grid
-    with pytest.raises(DomainError):
-        Tw1Table(s[::4], f_ok[::4])  # spacing too coarse
-    shallow = np.clip(np.linspace(0.1, 0.9, s.size), 0.0, 1.0)
-    with pytest.raises(DomainError):
-        Tw1Table(s, shallow)  # tails not reached
 
 
 # === beta sampling ===

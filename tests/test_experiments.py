@@ -278,6 +278,15 @@ def test_gamma_sensitivity_thread_invariance():
     assert a == b
 
 
+def test_gamma_sensitivity_csv_rates_are_numbers():
+    text = gamma_sensitivity(j_splits=20, rho_grid=(0.0, 0.7), gamma_grid=(0.05, 0.5),
+                             reps=200, seed=2).csv_text()
+    rows = _parse_csv(text)[1:]
+    assert len(rows) == 4
+    for row in rows:
+        assert 0.0 <= float(row[2]) <= 1.0  # not an "np.float64(...)" repr
+
+
 def test_gamma_sensitivity_validation():
     with pytest.raises(DomainError):
         gamma_sensitivity(j_splits=0)
