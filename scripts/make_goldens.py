@@ -12,6 +12,10 @@ numbers alone can show that it did:
 * the exit codes and texts of the typed errors;
 * the library's multi-split outcomes (``p_t`` and every split) and small
   ``multisplit_sweep`` and ``gamma_sensitivity`` tables;
+* the Monte Carlo sweeps at the shape of the ``mc_sweep`` benchmark
+  workload: ``typeI_sweep`` over eta 0.5/0.65/0.8 at n=100 and
+  ``power_sweep`` at 100/50/20/30 with rank-1 spikes, all five methods at
+  300 replicates per cell;
 * the Tracy-Widom law: ``tw1_cdf`` on 2,501 points over [-13, 12], which
   crosses both tails and the tabulated grid, and ``tw1_upper_quantile`` at
   four levels.
@@ -190,7 +194,13 @@ def _cli_outputs(f: dict, work: pathlib.Path) -> dict:
 def _library_outputs(f: dict) -> dict:
     from mvlrt import multisplit as ms
     from mvlrt.distributions import tw1_cdf, tw1_upper_quantile
-    from mvlrt.experiments import ExperimentSpec, gamma_sensitivity, multisplit_sweep
+    from mvlrt.experiments import (
+        ExperimentSpec,
+        gamma_sensitivity,
+        multisplit_sweep,
+        power_sweep,
+        typeI_sweep,
+    )
     from mvlrt.model import DataSet
 
     def load(path):
@@ -206,7 +216,12 @@ def _library_outputs(f: dict) -> dict:
     lines.append(f"no_split_pvalue={ms.no_split_pvalue(data, C, cfg)!r}")
     spec = ExperimentSpec(generator="linear", n=40, p=60, m=5, r=2, reps=4, seed=9,
                           signal=("single",), signal_grid=(0.0, 2.0))
+    common = dict(n=100, methods=METHODS, reps=300, seed=41)
+    type1 = ExperimentSpec(eta_grid=(0.5, 0.65, 0.8), grow="pmr", **common)
+    power = ExperimentSpec(p=50, m=20, r=30, signal=("spikes", (1.0,)),
+                           signal_grid=(0.5, 1.0, 2.0), **common)
     return {
+        "benchmark_sweeps.csv": typeI_sweep(type1).csv_text() + power_sweep(power).csv_text(),
         "multisplit_outcomes.txt": "\n".join(lines) + "\n",
         "multisplit_sweep.csv": multisplit_sweep(spec, j_grid=(0, 5)).csv_text(),
         "gamma_sensitivity.csv": gamma_sensitivity(
