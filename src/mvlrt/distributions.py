@@ -1,9 +1,15 @@
-"""Scalar distribution primitives.
+"""Distribution primitives.
 
 Standard normal and chi-square tails and quantiles, beta sampling, the exact
 null tail of the likelihood ratio (Wilks' Lambda), and the Tracy-Widom law of
 order 1. Order 1 is the orthogonal (real-data) case; that
 choice matters for the largest-root test and is documented in the README.
+
+The three tails the tests refer to (``std_normal_tail``, ``chi_sq_tail`` and
+``tw1_cdf``) work element-wise: a float gives a float, an array gives an
+array of the same shape, and an array entry gets the same bits as the float
+would. Any non-finite entry raises ``DomainError``. The quantiles, the
+Wilks' Lambda tail and the sampler take floats.
 
 The Tracy-Widom CDF is realized as an embedded table (``data/tw1_cdf.csv``,
 regenerated by ``scripts/make_tw1_table.py``) with monotone cubic
@@ -29,11 +35,24 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def std_normal_tail(x: float) -> float:
-    """Upper tail 1 - Phi(x) of the standard normal."""
-    if not math.isfinite(x):
-        raise DomainError(f"std_normal_tail: x must be finite, got {x!r}")
-    return 0.5 * math.erfc(x / _SQRT2)
+#: libm's erfc as a ufunc, so an array entry gets the bits of the float
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _finite(x, what: str) -> np.ndarray:
+    """x as a float array; DomainError naming the first entry that is not finite."""
+    a = np.asarray(x, dtype=float)
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise DomainError(f"{what} must be finite, got {float(a[~finite][0])!r}")
+    return a
+
+
+def std_normal_tail(x):
+    """Upper tail 1 - Phi(x) of the standard normal, element-wise."""
+    a = _finite(x, "std_normal_tail: x")
+    out = 0.5 * np.asarray(_erfc(a / _SQRT2), dtype=float)
+    return out if a.ndim else float(out)
 
 
 def std_normal_upper_quantile(alpha: float) -> float:
@@ -43,15 +62,13 @@ def std_normal_upper_quantile(alpha: float) -> float:
     return float(-ndtri(alpha))
 
 
-def chi_sq_tail(x: float, df: int) -> float:
-    """Upper tail P(chi2_df > x); the regularized upper incomplete gamma."""
-    if not math.isfinite(x):
-        raise DomainError(f"chi_sq_tail: x must be finite, got {x!r}")
+def chi_sq_tail(x, df: int):
+    """Upper tail P(chi2_df > x), element-wise; the regularized upper incomplete gamma."""
+    a = _finite(x, "chi_sq_tail: x")
     if int(df) != df or df < 1:
         raise DomainError(f"chi_sq_tail: df must be a positive integer, got {df!r}")
-    if x <= 0.0:
-        return 1.0
-    return float(gammaincc(0.5 * df, 0.5 * x))
+    out = np.where(a <= 0.0, 1.0, gammaincc(0.5 * df, 0.5 * a))
+    return out if a.ndim else float(out)
 
 
 def chi_sq_upper_quantile(alpha: float, df: int) -> float:
@@ -76,20 +93,30 @@ def _embedded_table():
     return s, F, PchipInterpolator(s, F, extrapolate=False)
 
 
-def tw1_cdf(s: float) -> float:
-    """CDF of the Tracy-Widom law of order 1 (embedded table)."""
-    if not math.isfinite(s):
-        raise DomainError(f"tw1_cdf: s must be finite, got {s!r}")
-    grid, F, interp = _embedded_table()
+def _tw1_tail(s: float) -> float:
+    """The Tracy-Widom CDF at one s outside the open interval of the grid."""
+    grid, F, _ = _embedded_table()
     s0, s1 = grid[0], grid[-1]
     if s <= s0:
         # left tail falls like exp(-|s|^3 / 24), matched at the grid end
         return float(F[0] * math.exp(-(abs(s) ** 3 - abs(s0) ** 3) / 24.0))
-    if s >= s1:
-        # right tail: 1 - F ~ exp(-(2/3) s^{3/2})
-        surv = (1.0 - F[-1]) * math.exp(-(2.0 / 3.0) * (s**1.5 - s1**1.5))
-        return float(1.0 - surv)
-    return float(min(1.0, max(0.0, interp(s))))
+    # right tail: 1 - F ~ exp(-(2/3) s^{3/2})
+    surv = (1.0 - F[-1]) * math.exp(-(2.0 / 3.0) * (s**1.5 - s1**1.5))
+    return float(1.0 - surv)
+
+
+_tw1_tails = np.frompyfunc(_tw1_tail, 1, 1)
+
+
+def tw1_cdf(s):
+    """CDF of the Tracy-Widom law of order 1 (embedded table), element-wise."""
+    a = _finite(s, "tw1_cdf: s")
+    grid, _, interp = _embedded_table()
+    out = np.array(np.clip(interp(a), 0.0, 1.0))
+    tails = (a <= grid[0]) | (a >= grid[-1])
+    if tails.any():
+        out[tails] = _tw1_tails(a[tails])
+    return out if a.ndim else float(out)
 
 
 def tw1_upper_quantile(alpha: float) -> float:

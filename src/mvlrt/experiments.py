@@ -7,9 +7,14 @@ produce a labeled row with no numbers instead of crashing the sweep.
 
 Reproducibility contract: replicate k of cell c draws from a generator keyed
 by (seed, c, k), and all four sweeps aggregate by integer counting in one
-loop (``_count``), so a rerun produces byte-identical tables. Replicates run
-in order in the calling thread with BLAS on one thread (see ``_blas``); the
-``threads`` setting is validated but does not change the work or the output.
+loop (``_count``), so a rerun produces byte-identical tables. The
+calibration and power sweeps count in blocks of 32 consecutive replicates
+(``_BLOCK``): a block stacks its replicates' sums of squares, each still drawn
+from its own generator, and applies each test's formula to the stack once.
+A pair in a stack gets the bits it would get alone, so the block size
+changes no output. Blocks and replicates run in order in the calling thread
+with BLAS on one thread (see ``_blas``); the ``threads`` setting is
+validated but does not change the work or the output.
 """
 
 from __future__ import annotations
@@ -24,14 +29,26 @@ from scipy.special import ndtr
 
 from ._blas import single_thread_blas
 from .errors import DomainError, MvlrtError, RegimeError
-from .lrt import TESTS, PowerSpec, theoretical_power
-from .model import DataSet, Dims, HypothesisMatrix, SignalMatrix, canonical_form_sample, hypothesis_ss
+from .lrt import TESTS, PowerSpec, _rejections, theoretical_power
+from .model import (
+    DataSet,
+    Dims,
+    HypothesisMatrix,
+    SignalMatrix,
+    SumsOfSquares,
+    canonical_form_sample,
+    hypothesis_ss,
+)
 from .multisplit import MultiSplitConfig, multisplit_test, no_split_pvalue
 from .rng import derive_seed, stream
 
 GENERATORS = ("canonical", "linear")
 NOISE_KINDS = ("gaussian", "multinomial", "t3", "t5")
 SIGNAL_KINDS = ("null", "spikes", "diagonal", "single", "dense")
+
+#: replicates per block of the calibration and power sweeps; a larger block
+#: holds more memory and saves little more time
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -226,23 +243,34 @@ def _spike_signal(ratios, target: float, dims: Dims) -> SignalMatrix:
 def _drawer(spec: ExperimentSpec, dims: Dims, signal=None, strength: float = 0.0):
     """draw(rng) -> one replicate's sums of squares: sampled directly under ``signal``
     (canonical), or from Y = X B + E at coefficient size ``strength`` with the
-    hypothesis [I_r 0] B = 0 (linear)."""
+    hypothesis [I_r 0] B = 0 (linear). Given a list of generators, draw
+    returns the stack of one replicate's pair per generator; linear
+    replicates still fit one QR each."""
     if spec.generator == "canonical":
         return lambda rng: canonical_form_sample(rng, signal, dims)
     cell_spec = replace(spec, p=dims.p, m=dims.m, r=dims.r)
     hyp = HypothesisMatrix(np.eye(dims.r, dims.p))
-    return lambda rng: hypothesis_ss(gen_linear_model(rng, cell_spec, strength), hyp)
+
+    def draw(rng):
+        if isinstance(rng, np.random.Generator):
+            return hypothesis_ss(gen_linear_model(rng, cell_spec, strength), hyp)
+        pairs = [draw(one) for one in rng]
+        return SumsOfSquares(np.stack([ss.s_err for ss in pairs]),
+                             np.stack([ss.s_hyp for ss in pairs]), dims)
+
+    return draw
 
 
-def _count(reps: int, hits_of):
-    """Sum hits_of(rep) over replicates 0 .. reps-1 of one cell, in order.
+def _count(units: int, hits_of):
+    """Sum hits_of(i) over units i = 0 .. units-1 of one cell, in order.
 
-    ``hits_of`` returns a bool or an array of them (one per row of the cell);
-    the totals are integers, so a rerun reproduces them exactly.
+    A unit is a replicate or a block of them. ``hits_of`` returns a count or
+    an array of counts (one per row of the cell); the totals are integers,
+    so a rerun reproduces them exactly.
     """
     total = 0
-    for rep in range(reps):
-        total += hits_of(rep)
+    for i in range(units):
+        total += hits_of(i)
     return total
 
 
@@ -267,9 +295,10 @@ def _infeasible(labels, reps: int, started: float, exc) -> list:
 def _estimate_cell(spec: ExperimentSpec, cell_id: int, cell: str, draw) -> list:
     """Count rejections of each of spec.methods over spec.reps replicates of one cell.
 
-    ``draw(rng)`` produces the sums-of-squares sample. Methods that fail
-    their regime preconditions on a probe sample are reported infeasible and
-    excluded from the loop.
+    ``draw`` is a ``_drawer``. Methods whose test fails on a probe pair (the
+    pair of replicate 0) are reported infeasible and excluded from the
+    count. The others count in blocks of ``_BLOCK`` replicates, each block one
+    stack of pairs; a typed error in any replicate of a block propagates.
     """
     started = time.perf_counter()
     try:
@@ -284,12 +313,14 @@ def _estimate_cell(spec: ExperimentSpec, cell_id: int, cell: str, draw) -> list:
         except MvlrtError as exc:
             rows += _infeasible([(cell, meth)], spec.reps, started, exc)
 
-    def hits_of(rep):
-        ss = draw(stream(spec.seed, cell_id, rep))
-        return np.array([TESTS[meth](ss).p_value <= spec.alpha for meth in live])
+    def hits_of(block):
+        reps = range(block * _BLOCK, min((block + 1) * _BLOCK, spec.reps))
+        return _rejections(draw([stream(spec.seed, cell_id, rep) for rep in reps]),
+                           live, spec.alpha)
 
     if live:
-        rows += _rows([(cell, meth) for meth in live], _count(spec.reps, hits_of),
+        blocks = -(-spec.reps // _BLOCK)
+        rows += _rows([(cell, meth) for meth in live], _count(blocks, hits_of),
                       spec.reps, started)
     rows.sort(key=lambda row: spec.methods.index(row.method))
     return rows
@@ -371,11 +402,12 @@ def multisplit_sweep(spec: ExperimentSpec, j_grid=(0, 50, 200), delta: float = 0
     """
     if spec.generator != "linear":
         raise DomainError("multisplit_sweep requires the linear generator")
+    for j in j_grid:
+        if j < 0:
+            raise DomainError(f"split count must be >= 0, got {j}")
     hyp = HypothesisMatrix(np.eye(spec.r, spec.p))
     rows = []
     for cell_id, (strength, j) in enumerate(itertools.product(spec.signal_grid or (0.0,), j_grid)):
-        if j < 0:
-            raise DomainError(f"split count must be >= 0, got {j}")
         labels = [(f"signal={strength:g} J={j}", f"multisplit_J{j}")]
         started = time.perf_counter()
 
@@ -418,11 +450,12 @@ def gamma_sensitivity(j_splits: int = 200, rho_grid=(0.0, 0.5, 1.0),
     for g in gamma_grid:
         if not 0.0 < g <= 1.0:
             raise DomainError(f"gamma values must lie in (0,1], got {g!r}")
+    for rho in rho_grid:
+        if not 0.0 <= rho <= 1.0:
+            raise DomainError(f"equicorrelation must lie in [0,1], got {rho!r}")
     gammas = np.asarray(gamma_grid, dtype=float)
     rows = []
     for cell_id, rho in enumerate(rho_grid):
-        if not 0.0 <= rho <= 1.0:
-            raise DomainError(f"equicorrelation must lie in [0,1], got {rho!r}")
         started = time.perf_counter()
 
         def hits_of(rep):

@@ -8,6 +8,11 @@ and the relative eigenvalues that the pair computes once from one Cholesky
 factor of S_E, and TESTS maps each method name to its test. All p-values are
 one-sided upper tails: every test here rejects for large statistics.
 
+Each test is one formula, (statistic, p-value, diagnostics) of a
+SumsOfSquares, written over arrays: the test function applies it to one
+pair and returns a TestReport, and the Monte Carlo sweeps apply it to a
+stack of pairs and count rejections (``_rejections``).
+
 boundary_check quantifies how far a dimension quadruple sits from the regime
 where the plain chi-square (or Bartlett-corrected) approximation is trusted.
 theoretical_power predicts the t1 power under proportional-growth asymptotics.
@@ -17,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .distributions import (
     chi_sq_tail,
@@ -59,6 +66,12 @@ class TestReport:
         """Flat key=value block, one pair per line."""
         return "\n".join(f"{k}={v!r}" if not isinstance(v, str) else f"{k}={v}"
                          for k, v in self._items())
+
+
+def _report(method: str, statistic, p_value, diagnostics: dict) -> TestReport:
+    """The TestReport of one pair's formula values."""
+    return TestReport(method, float(statistic), float(p_value),
+                      {k: float(v) for k, v in diagnostics.items()})
 
 
 @dataclass(frozen=True)
@@ -140,27 +153,25 @@ def _t1_stat(ss: SumsOfSquares):
     return (neg2 + mu) / n_sigma, mu, n_sigma, neg2
 
 
+def _t1(ss: SumsOfSquares):
+    stat, mu, n_sigma, neg2 = _t1_stat(ss)
+    return stat, std_normal_tail(stat), {"mu_n": mu, "n_sigma_n": n_sigma, "neg2_log_lrt": neg2}
+
+
 def t1_test(ss: SumsOfSquares) -> TestReport:
     """Dimension-corrected normal test: (-2 log L_n + mu_n) / (n sigma_n)."""
-    stat, mu, n_sigma, neg2 = _t1_stat(ss)
-    return TestReport(
-        method="t1",
-        statistic=stat,
-        p_value=std_normal_tail(stat),
-        diagnostics={"mu_n": mu, "n_sigma_n": n_sigma, "neg2_log_lrt": neg2},
-    )
+    return _report("t1", *_t1(ss))
+
+
+def _chi2(ss: SumsOfSquares):
+    neg2 = neg2_log_lrt(ss)
+    df = ss.dims.m * ss.dims.r
+    return neg2, chi_sq_tail(neg2, df), {"df": float(df)}
 
 
 def chi2_test(ss: SumsOfSquares) -> TestReport:
     """Classical approximation: -2 log L_n against chi-square with mr df."""
-    neg2 = neg2_log_lrt(ss)
-    df = ss.dims.m * ss.dims.r
-    return TestReport(
-        method="chi2",
-        statistic=neg2,
-        p_value=chi_sq_tail(neg2, df),
-        diagnostics={"df": float(df)},
-    )
+    return _report("chi2", *_chi2(ss))
 
 
 def bartlett_rho(dims: Dims) -> float:
@@ -168,23 +179,21 @@ def bartlett_rho(dims: Dims) -> float:
     return 1.0 - (dims.p - dims.r / 2.0 + dims.m / 2.0 + 0.5) / dims.n
 
 
-def bartlett_test(ss: SumsOfSquares) -> TestReport:
-    """Bartlett-corrected chi-square test: rho * (-2 log L_n) against chi2_mr."""
+def _bartlett(ss: SumsOfSquares):
     rho = bartlett_rho(ss.dims)
     if rho <= 0.0:
         raise RegimeError(
             f"Bartlett correction factor rho={rho:.4g} <= 0 at {ss.dims}; "
             "the correction is meaningless here"
         )
-    neg2 = neg2_log_lrt(ss)
     df = ss.dims.m * ss.dims.r
-    stat = rho * neg2
-    return TestReport(
-        method="bartlett",
-        statistic=stat,
-        p_value=chi_sq_tail(stat, df),
-        diagnostics={"rho": rho, "df": float(df)},
-    )
+    stat = rho * neg2_log_lrt(ss)
+    return stat, chi_sq_tail(stat, df), {"rho": rho, "df": float(df)}
+
+
+def bartlett_test(ss: SumsOfSquares) -> TestReport:
+    """Bartlett-corrected chi-square test: rho * (-2 log L_n) against chi2_mr."""
+    return _report("bartlett", *_bartlett(ss))
 
 
 def boundary_check(dims: Dims) -> BoundaryDiag:
@@ -223,20 +232,21 @@ def _t2_stat(ss: SumsOfSquares, convention: str):
     """t2's statistic with its (mu_tilde, sigma_tilde, theta)."""
     mu_t, sigma_t = t2_params(ss.dims)
     theta = theta_max(ss, convention)
-    if theta <= 0.0 or theta >= 1.0:
+    flat = (theta <= 0.0) | (theta >= 1.0)
+    if np.any(flat):
+        theta = float(np.extract(flat, theta)[0])
         raise DegenerateRootError(f"largest root theta={theta!r} has no logit")
-    return (math.log(theta / (1.0 - theta)) - mu_t) / sigma_t, mu_t, sigma_t, theta
+    return (np.log(theta / (1.0 - theta)) - mu_t) / sigma_t, mu_t, sigma_t, theta
+
+
+def _t2(ss: SumsOfSquares, convention: str = "johnstone"):
+    stat, mu_t, sigma_t, theta = _t2_stat(ss, convention)
+    return stat, 1.0 - tw1_cdf(stat), {"mu_tilde": mu_t, "sigma_tilde": sigma_t, "theta": theta}
 
 
 def t2_test(ss: SumsOfSquares, convention: str = "johnstone") -> TestReport:
     """Largest-root test: standardized logit of theta against Tracy-Widom order 1."""
-    stat, mu_t, sigma_t, theta = _t2_stat(ss, convention)
-    return TestReport(
-        method="t2",
-        statistic=stat,
-        p_value=1.0 - tw1_cdf(stat),
-        diagnostics={"mu_tilde": mu_t, "sigma_tilde": sigma_t, "theta": theta},
-    )
+    return _report("t2", *_t2(ss, convention))
 
 
 def default_f_rule(n: int) -> float:
@@ -244,6 +254,14 @@ def default_f_rule(n: int) -> float:
     if n < 3:
         raise DomainError(f"F_n needs n >= 3, got {n}")
     return max(math.log(math.log(n)), 2.0)
+
+
+def _t3(ss: SumsOfSquares, convention: str = "johnstone"):
+    t1 = _t1_stat(ss)[0]
+    t2 = _t2_stat(ss, convention)[0]
+    f_n = default_f_rule(ss.dims.n)
+    stat = t1 + np.where(t2 >= f_n, t2, 0.0)
+    return stat, std_normal_tail(stat), {"t1": t1, "t2": t2, "f_n": f_n}
 
 
 def t3_test(ss: SumsOfSquares, convention: str = "johnstone") -> TestReport:
@@ -257,16 +275,7 @@ def t3_test(ss: SumsOfSquares, convention: str = "johnstone") -> TestReport:
     about 1e-2 are too small. Only the two statistics are computed, not t1's
     and t2's p-values.
     """
-    t1 = _t1_stat(ss)[0]
-    t2 = _t2_stat(ss, convention)[0]
-    f_n = default_f_rule(ss.dims.n)
-    stat = t1 + (t2 if t2 >= f_n else 0.0)
-    return TestReport(
-        method="t3",
-        statistic=stat,
-        p_value=std_normal_tail(stat),
-        diagnostics={"t1": t1, "t2": t2, "f_n": f_n},
-    )
+    return _report("t3", *_t3(ss, convention))
 
 
 #: method name -> test; the sweeps, the CLI and TestReport look methods up here
@@ -277,6 +286,20 @@ TESTS = {
     "t2": t2_test,
     "t3": t3_test,
 }
+
+#: method name -> the formula its test applies to one pair
+_FORMULAS = {"chi2": _chi2, "bartlett": _bartlett, "t1": _t1, "t2": _t2, "t3": _t3}
+
+
+def _rejections(ss: SumsOfSquares, methods, alpha: float) -> np.ndarray:
+    """How many pairs of a stack each method rejects at level alpha.
+
+    Every method applies its test's formula to the whole stack, with the
+    default largest-root convention. The reference tails raise on a
+    non-finite statistic and return values in [0, 1], so each pair meets
+    TestReport's checks without a report being built.
+    """
+    return np.array([np.count_nonzero(_FORMULAS[meth](ss)[1] <= alpha) for meth in methods])
 
 
 def theoretical_power(spec: PowerSpec) -> float:

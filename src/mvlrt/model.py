@@ -5,6 +5,12 @@ factorization, the error and hypothesis sums-of-squares pair (S_E, S_X), the
 relative eigenvalues driving the likelihood ratio, the largest-root quantity,
 and direct sampling of the canonical form. No explicit matrix inverse is ever
 formed; solves go through triangular factors.
+
+A SumsOfSquares holds one pair (S_E, S_X) or a stack of B pairs of the same
+dimensions, shape (B, m, m). A stack is checked once and factored by batched
+Cholesky and eigvalsh calls, with the two triangular solves made per pair;
+each pair of it gets the bits it would get alone. The readers return a float
+(or an m-vector) for a pair and an array with a leading axis B for a stack.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import (
     DegenerateMatrixError,
@@ -56,10 +63,11 @@ class Dims:
         return self.n > self.p + self.m
 
 
-def _check_matrix(a, name: str) -> np.ndarray:
+def _check_matrix(a, name: str, stack: bool = False) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.size == 0:
-        raise DomainError(f"{name} must be a non-empty 2-d matrix")
+    if a.ndim not in ((2, 3) if stack else (2,)) or a.size == 0:
+        raise DomainError(f"{name} must be a non-empty 2-d matrix"
+                          + (" or a stack of them" if stack else ""))
     if not np.all(np.isfinite(a)):
         raise DomainError(f"{name} contains non-finite entries")
     return a
@@ -123,29 +131,50 @@ class HypothesisMatrix:
         return f"HypothesisMatrix(r={self.r}, p={self.p})"
 
 
+def _transpose(a: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix of a stack (or of one matrix)."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^{-1} b for one C-ordered lower-triangular L with a positive diagonal.
+
+    This is the LAPACK trtrs call that scipy's solve_triangular makes for
+    such an L, so the bits are the same, without that function's per-call
+    checks, which cost more than the solve on the small matrices of a stack.
+    """
+    return dtrtrs(L.T, b, lower=0, trans=1)[0]
+
+
+def _float_or_array(a):
+    """A float for one pair's value, the array itself for a stack's values."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
 class SumsOfSquares:
-    """The pair (S_E, S_X) of m x m error/hypothesis matrices plus dimensions.
+    """The pair (S_E, S_X) of m x m error/hypothesis matrices plus dimensions,
+    or a stack of such pairs: S_E and S_X of shape (B, m, m), one dims.
 
     This pair is a sufficient input for every test statistic in the package.
     The object is treated as immutable and keeps its own factorization: the
     Cholesky factor of S_E, -2 log L_n and the relative eigenvalues are
     computed on first use and stored, so the five tests share one
     factorization. A computation that raises is not stored, and raises again
-    on the next call.
+    on the next call; on a stack it raises if any pair would.
     """
 
     def __init__(self, s_err, s_hyp, dims: Dims):
-        s_err = _check_matrix(s_err, "S_E")
-        s_hyp = _check_matrix(s_hyp, "S_X")
+        s_err = _check_matrix(s_err, "S_E", stack=True)
+        s_hyp = _check_matrix(s_hyp, "S_X", stack=True)
         m = dims.m
-        if s_err.shape != (m, m) or s_hyp.shape != (m, m):
+        if s_err.shape[-2:] != (m, m) or s_hyp.shape != s_err.shape:
             raise DomainError(f"sums of squares must be {m}x{m} for dims {dims}")
         for name, a in (("S_E", s_err), ("S_X", s_hyp)):
-            scale = np.abs(a).max()
-            if scale > 0 and np.abs(a - a.T).max() > 1e-10 * scale:
+            scale = np.abs(a).max(axis=(-2, -1), keepdims=True)
+            if (np.abs(a - _transpose(a)) > 1e-10 * scale).any():
                 raise DomainError(f"{name} is not symmetric to 1e-10 relative")
-        self.s_err = 0.5 * (s_err + s_err.T)
-        self.s_hyp = 0.5 * (s_hyp + s_hyp.T)
+        self.s_err = 0.5 * (s_err + _transpose(s_err))
+        self.s_hyp = 0.5 * (s_hyp + _transpose(s_hyp))
         self.dims = dims
 
     @cached_property
@@ -161,23 +190,28 @@ class SumsOfSquares:
             raise DegenerateMatrixError("S_E is not positive definite") from exc
 
     @cached_property
-    def _neg2_log_lrt(self) -> float:
+    def _neg2_log_lrt(self):
         L_err = self._chol_err
         try:
             L_tot = np.linalg.cholesky(self.s_err + self.s_hyp)
         except np.linalg.LinAlgError as exc:
             raise DegenerateMatrixError("S_E + S_X is not positive definite") from exc
-        val = 2.0 * self.dims.n * (
-            np.sum(np.log(np.diag(L_tot))) - np.sum(np.log(np.diag(L_err)))
-        )
-        return max(float(val), 0.0)
+
+        def log_diag_sum(L):
+            return np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+
+        val = 2.0 * self.dims.n * (log_diag_sum(L_tot) - log_diag_sum(L_err))
+        return _float_or_array(np.maximum(val, 0.0))
 
     @cached_property
     def _rel_eigenvalues(self) -> np.ndarray:
         L = self._chol_err
-        A = solve_triangular(L, self.s_hyp, lower=True)
-        W = solve_triangular(L, A.T, lower=True)
-        vals = np.linalg.eigvalsh(0.5 * (W + W.T))[::-1]
+        m = self.dims.m
+        W = np.empty_like(self.s_hyp)
+        for Lk, Sk, Wk in zip(L.reshape(-1, m, m), self.s_hyp.reshape(-1, m, m),
+                              W.reshape(-1, m, m)):
+            Wk[...] = _solve_lower(Lk, _solve_lower(Lk, Sk).T)
+        vals = np.linalg.eigvalsh(0.5 * (W + _transpose(W)))[..., ::-1]
         return np.where(vals < EIG_CLAMP, 0.0, vals)
 
     def __repr__(self):
@@ -259,13 +293,15 @@ def hypothesis_ss(data: DataSet, C) -> SumsOfSquares:
     return SumsOfSquares(s_err, s_hyp, dims)
 
 
-def neg2_log_lrt(ss: SumsOfSquares) -> float:
-    """-2 log L_n = n [logdet(S_E + S_X) - logdet(S_E)], via Cholesky factors."""
+def neg2_log_lrt(ss: SumsOfSquares):
+    """-2 log L_n = n [logdet(S_E + S_X) - logdet(S_E)], via Cholesky factors;
+    a float for a pair, a (B,) array for a stack."""
     return ss._neg2_log_lrt
 
 
 def rel_eigenvalues(ss: SumsOfSquares) -> np.ndarray:
-    """Eigenvalues of S_E^{-1} S_X, descending (a copy of the stored values).
+    """Eigenvalues of S_E^{-1} S_X, descending (a copy of the stored values);
+    shape (m,) for a pair, (B, m) for a stack.
 
     Computed as the symmetric eigenproblem of the whitened matrix
     L^{-1} S_X L^{-T} with L the Cholesky factor of S_E. Values below 1e-12
@@ -275,8 +311,8 @@ def rel_eigenvalues(ss: SumsOfSquares) -> np.ndarray:
     return ss._rel_eigenvalues.copy()
 
 
-def theta_max(ss: SumsOfSquares, convention: str = "johnstone") -> float:
-    """Largest-root quantity in [0, 1].
+def theta_max(ss: SumsOfSquares, convention: str = "johnstone"):
+    """Largest-root quantity in [0, 1]: a float for a pair, a (B,) array for a stack.
 
     convention="johnstone": largest eigenvalue of (S_E + S_X)^{-1} S_X, equal
     to lam_max / (1 + lam_max). convention="error": largest eigenvalue of
@@ -285,18 +321,21 @@ def theta_max(ss: SumsOfSquares, convention: str = "johnstone") -> float:
     """
     lam = rel_eigenvalues(ss)
     if convention == "johnstone":
-        return float(lam[0] / (1.0 + lam[0]))
+        return _float_or_array(lam[..., 0] / (1.0 + lam[..., 0]))
     if convention == "error":
-        return float(1.0 / (1.0 + lam[-1]))
+        return _float_or_array(1.0 / (1.0 + lam[..., -1]))
     raise DomainError(f"unknown largest-root convention {convention!r}")
 
 
-def canonical_form_sample(rng: np.random.Generator, signal, dims: Dims) -> SumsOfSquares:
+def canonical_form_sample(rng, signal, dims: Dims) -> SumsOfSquares:
     """Sample (S_E, S_X) directly in canonical form.
 
     Y1 (r x m) has independent rows with means given by the signal matrix and
     identity covariance; Y2 ((n-p) x m) is pure noise. Returns
     S_X = Y1'Y1, S_E = Y2'Y2. The null hypothesis corresponds to signal 0.
+    ``rng`` is one generator, which gives one pair, or a sequence of them,
+    which gives a stack with one pair per generator; each draws Y1 and then
+    Y2, so pair k of a stack equals the pair drawn from generator k alone.
     """
     if not dims.lrt_defined:
         raise RegimeError(f"canonical form needs n > p + m, got {dims}")
@@ -306,6 +345,15 @@ def canonical_form_sample(rng: np.random.Generator, signal, dims: Dims) -> SumsO
         M1 = signal.M1 if isinstance(signal, SignalMatrix) else np.asarray(signal, dtype=float)
     if M1.shape != (dims.r, dims.m):
         raise DomainError(f"signal shape {M1.shape} does not match (r, m)=({dims.r}, {dims.m})")
-    Y1 = M1 + rng.standard_normal((dims.r, dims.m))
-    Y2 = rng.standard_normal((dims.n - dims.p, dims.m))
-    return SumsOfSquares(Y2.T @ Y2, Y1.T @ Y1, dims)
+    one = isinstance(rng, np.random.Generator)
+    rngs = [rng] if one else list(rng)
+    Y1 = np.empty((len(rngs), dims.r, dims.m))
+    Y2 = np.empty((len(rngs), dims.n - dims.p, dims.m))
+    for gen, y1, y2 in zip(rngs, Y1, Y2):
+        gen.standard_normal(out=y1)
+        gen.standard_normal(out=y2)
+    Y1 += M1
+    s_err, s_hyp = _transpose(Y2) @ Y2, _transpose(Y1) @ Y1
+    if one:
+        return SumsOfSquares(s_err[0], s_hyp[0], dims)
+    return SumsOfSquares(s_err, s_hyp, dims)

@@ -180,6 +180,38 @@ def test_tw1_tail_extrapolation():
         tw1_upper_quantile(1.5)
 
 
+# === element-wise tails ===
+
+
+def _ulps(a, b):
+    return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+
+
+# points across the normal and chi-square bodies and both Tracy-Widom tails
+_POINTS = np.concatenate([np.linspace(-14.0, 14.0, 561), [0.0, 40.0, -40.0, 1e-300]])
+
+
+@pytest.mark.parametrize("tail", [
+    std_normal_tail,
+    tw1_cdf,
+    lambda x: chi_sq_tail(x, 1),
+    lambda x: chi_sq_tail(x, 600),
+])
+def test_array_tails_agree_with_float_calls(tail):
+    got = tail(_POINTS.reshape(5, -1))
+    assert got.shape == (5, _POINTS.size // 5)
+    one = np.array([tail(float(x)) for x in _POINTS])
+    assert all(isinstance(tail(float(x)), float) for x in _POINTS[:3])
+    assert np.max(_ulps(got.ravel(), one)) <= 2.0
+
+
+@pytest.mark.parametrize("tail", [std_normal_tail, tw1_cdf, lambda x: chi_sq_tail(x, 3)])
+def test_array_tails_reject_any_non_finite_entry(tail):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="must be finite"):
+            tail(np.array([0.5, 1.0, bad, 2.0]))
+
+
 # === beta sampling ===
 
 

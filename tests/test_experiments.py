@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import mvlrt.experiments
 from mvlrt.errors import DomainError
 from mvlrt.experiments import (
     ExperimentSpec,
     ResultRow,
     ResultTable,
     _six_level,
+    _spike_signal,
     gamma_sensitivity,
     gen_linear_model,
     multisplit_sweep,
@@ -20,6 +22,7 @@ from mvlrt.experiments import (
     typeI_sweep,
 )
 from mvlrt.lrt import TESTS
+from mvlrt.model import Dims, HypothesisMatrix, canonical_form_sample, hypothesis_ss
 from mvlrt.rng import stream
 
 
@@ -188,6 +191,62 @@ def test_linear_generator_sweep_agrees_with_canonical_calibration():
     assert 0.01 <= row.rate <= 0.12
 
 
+# === blocks of replicates against a per-replicate loop ===
+
+_ALL = tuple(TESTS)
+
+
+def _loop_rates(draw, spec, cell_id=0):
+    """Rejection rate of each method from one TESTS call per replicate and method."""
+    hits = dict.fromkeys(spec.methods, 0)
+    for k in range(spec.reps):
+        ss = draw(stream(spec.seed, cell_id, k))
+        for meth in spec.methods:
+            hits[meth] += TESTS[meth](ss).p_value <= spec.alpha
+    return {meth: h / spec.reps for meth, h in hits.items()}
+
+
+def _table_rates(table, cell):
+    return {row.method: row.rate for row in table.rows
+            if row.cell == cell and row.method in TESTS}
+
+
+def test_blocks_count_as_a_per_replicate_loop_canonical_null():
+    spec = ExperimentSpec(n=60, p=8, m=4, r=4, methods=_ALL, reps=77, seed=31)
+    dims = Dims(60, 8, 4, 4)
+    want = _loop_rates(lambda rng: canonical_form_sample(rng, None, dims), spec)
+    assert _table_rates(typeI_sweep(spec), "n=60 p=8 m=4 r=4") == want
+
+
+def test_blocks_count_as_a_per_replicate_loop_canonical_spikes():
+    spec = ExperimentSpec(n=60, p=20, m=8, r=10, signal=("spikes", (1.0, 0.5)),
+                          signal_grid=(0.5, 2.0), methods=_ALL, reps=77, seed=32)
+    dims = Dims(60, 20, 8, 10)
+    table = power_sweep(spec)
+    for cell_id, target in enumerate(spec.signal_grid):
+        signal = _spike_signal((1.0, 0.5), target, dims)
+        want = _loop_rates(lambda rng: canonical_form_sample(rng, signal, dims), spec, cell_id)
+        assert _table_rates(table, f"trace_ratio={target:g}") == want
+
+
+def test_blocks_count_as_a_per_replicate_loop_linear():
+    spec = ExperimentSpec(generator="linear", n=60, p=8, m=4, r=3, rho_x=0.3,
+                          methods=_ALL, reps=77, seed=33)
+    hyp = HypothesisMatrix(np.eye(3, 8))
+    want = _loop_rates(lambda rng: hypothesis_ss(gen_linear_model(rng, spec), hyp), spec)
+    assert _table_rates(typeI_sweep(spec), "n=60 p=8 m=4 r=3") == want
+
+
+@pytest.mark.parametrize("block", [1, 5, 77, 1000])
+def test_block_size_changes_no_table(monkeypatch, block):
+    spec = ExperimentSpec(n=60, eta_grid=(0.5, 0.6), methods=_ALL, reps=77, seed=34)
+    power = ExperimentSpec(n=60, p=20, m=8, r=10, signal=("spikes", (1.0,)),
+                           signal_grid=(1.0,), methods=_ALL, reps=77, seed=34)
+    want = typeI_sweep(spec).csv_text() + power_sweep(power).csv_text()
+    monkeypatch.setattr(mvlrt.experiments, "_BLOCK", block)
+    assert typeI_sweep(spec).csv_text() + power_sweep(power).csv_text() == want
+
+
 # === power sweeps ===
 
 
@@ -255,6 +314,22 @@ def test_multisplit_sweep_validation():
         multisplit_sweep(spec, j_grid=(-1,))
 
 
+def _count_streams(monkeypatch):
+    calls = []
+    orig = mvlrt.experiments.stream
+    monkeypatch.setattr(mvlrt.experiments, "stream",
+                        lambda *path: calls.append(path) or orig(*path))
+    return calls
+
+
+def test_multisplit_sweep_checks_the_j_grid_before_any_draw(monkeypatch):
+    calls = _count_streams(monkeypatch)
+    spec = ExperimentSpec(generator="linear", n=60, p=80, m=5, r=80, reps=3)
+    with pytest.raises(DomainError):
+        multisplit_sweep(spec, j_grid=(2, -1))
+    assert calls == []
+
+
 # === aggregation-level sensitivity ===
 
 
@@ -285,6 +360,13 @@ def test_gamma_sensitivity_csv_rates_are_numbers():
     assert len(rows) == 4
     for row in rows:
         assert 0.0 <= float(row[2]) <= 1.0  # not an "np.float64(...)" repr
+
+
+def test_gamma_sensitivity_checks_the_rho_grid_before_any_draw(monkeypatch):
+    calls = _count_streams(monkeypatch)
+    with pytest.raises(DomainError):
+        gamma_sensitivity(j_splits=20, rho_grid=(0.0, 1.5), reps=50)
+    assert calls == []
 
 
 def test_gamma_sensitivity_validation():

@@ -16,6 +16,7 @@ from mvlrt.lrt import (
     BoundaryDiag,
     PowerSpec,
     TestReport as Report,
+    _rejections,
     bartlett_rho,
     bartlett_test,
     boundary_check,
@@ -257,6 +258,30 @@ def test_rel_eigenvalues_copy_leaves_stored_roots_alone(monkeypatch):
     lam[:] = 1e6
     assert t2_test(ss) == before
     assert len(eig) == 1
+
+
+# === one formula for a pair and for a stack ===
+
+
+def _stack(pairs):
+    return SumsOfSquares(np.stack([ss.s_err for ss in pairs]),
+                         np.stack([ss.s_hyp for ss in pairs]), pairs[0].dims)
+
+
+def test_stack_rejections_count_the_pair_tests():
+    pairs = [canonical_form_sample(stream(63, k), None, Dims(60, 20, 8, 10)) for k in range(40)]
+    for alpha in (0.05, 0.5):
+        want = [sum(TESTS[meth](ss).p_value <= alpha for ss in pairs) for meth in TESTS]
+        assert list(_rejections(_stack(pairs), TESTS, alpha)) == want
+
+
+def test_stack_with_a_root_without_logit_raises():
+    dims = Dims(40, 5, 2, 3)
+    pairs = [_spike_ss(dims, 0.5), SumsOfSquares(np.eye(2), np.zeros((2, 2)), dims)]
+    assert len(_rejections(_stack(pairs[:1]), ("t2", "t3"), 0.05)) == 2
+    for meth in ("t2", "t3"):
+        with pytest.raises(DegenerateRootError):
+            _rejections(_stack(pairs), (meth,), 0.05)
 
 
 # === null calibration smoke (acceptance runs the full-size versions) ===

@@ -245,6 +245,64 @@ def test_failed_factorization_raises_on_every_call():
             rel_eigenvalues(singular)
 
 
+# === stacks of pairs ===
+
+
+def _stack(pairs):
+    return SumsOfSquares(np.stack([ss.s_err for ss in pairs]),
+                         np.stack([ss.s_hyp for ss in pairs]), pairs[0].dims)
+
+
+def test_canonical_stack_is_the_pairs_drawn_one_at_a_time():
+    dims = Dims(40, 6, 5, 3)
+    signal = SignalMatrix.diagonal_spikes([2.0, 1.0], dims)
+    stack = canonical_form_sample([stream(410, k) for k in range(7)], signal, dims)
+    assert stack.s_err.shape == stack.s_hyp.shape == (7, 5, 5)
+    for k in range(7):
+        one = canonical_form_sample(stream(410, k), signal, dims)
+        assert np.array_equal(stack.s_err[k], one.s_err)
+        assert np.array_equal(stack.s_hyp[k], one.s_hyp)
+
+
+def test_stack_readers_give_each_pair_its_own_bits():
+    dims = Dims(100, 50, 20, 30)
+    pairs = [_random_ss(stream(411, k), dims) for k in range(9)]
+    stack = _stack(pairs)
+    assert np.array_equal(neg2_log_lrt(stack), [neg2_log_lrt(ss) for ss in pairs])
+    assert np.array_equal(rel_eigenvalues(stack), [rel_eigenvalues(ss) for ss in pairs])
+    for convention in ("johnstone", "error"):
+        assert np.array_equal(theta_max(stack, convention),
+                              [theta_max(ss, convention) for ss in pairs])
+    assert isinstance(neg2_log_lrt(pairs[0]), float)
+    assert isinstance(theta_max(pairs[0]), float)
+
+
+def test_stack_validation():
+    dims = Dims(20, 3, 2, 2)
+    eye = np.stack([np.eye(2)] * 3)
+    with pytest.raises(DomainError):
+        SumsOfSquares(eye, np.stack([np.eye(2)] * 2), dims)  # stacks of unequal length
+    with pytest.raises(DomainError):
+        SumsOfSquares(eye[None], eye[None], dims)  # 4-d
+    lopsided = eye.copy()
+    lopsided[2, 0, 1] = 5.0
+    with pytest.raises(DomainError):
+        SumsOfSquares(eye, lopsided, dims)
+    bad = eye.copy()
+    bad[1, 1, 1] = np.nan
+    with pytest.raises(DomainError):
+        SumsOfSquares(bad, eye, dims)
+
+
+def test_stack_with_one_singular_error_matrix_raises():
+    dims = Dims(30, 2, 2, 2)
+    s_err = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.eye(2)])
+    stack = SumsOfSquares(s_err, np.stack([np.eye(2)] * 3), dims)
+    for reader in (neg2_log_lrt, rel_eigenvalues, theta_max):
+        with pytest.raises(DegenerateMatrixError):
+            reader(stack)
+
+
 # === invariances ===
 
 
