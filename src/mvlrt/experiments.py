@@ -3,7 +3,8 @@
 Every sweep walks a grid of experiment cells, estimates rejection frequencies
 per requested method, and returns a ResultTable of rows
 (cell, method, rate, mc_std_error, reps, runtime, status). Infeasible cells
-produce a labeled row with no numbers instead of crashing the sweep.
+produce a labeled row with no numbers instead of crashing the sweep; a bad
+setting raises before any replicate runs.
 
 Reproducibility contract: replicate k of cell c draws from a generator keyed
 by (seed, c, k), and all four sweeps aggregate by integer counting in one
@@ -12,9 +13,10 @@ calibration and power sweeps count in blocks of 32 consecutive replicates
 (``_BLOCK``): a block stacks its replicates' sums of squares, each still drawn
 from its own generator, and applies each test's formula to the stack once.
 A pair in a stack gets the bits it would get alone, so the block size
-changes no output. Blocks and replicates run in order in the calling thread
-with BLAS on one thread (see ``_blas``); the ``threads`` setting is
-validated but does not change the work or the output.
+changes no output. There is no probe pair: the first block of a cell decides
+which methods are feasible there. Blocks and replicates run in order in the
+calling thread with BLAS on one thread (see ``_blas``); the ``threads``
+setting is validated but does not change the work or the output.
 """
 
 from __future__ import annotations
@@ -92,8 +94,13 @@ class ExperimentSpec:
             raise DomainError(f"unknown noise kind {self.noise!r}")
         if self.noise != "gaussian" and self.generator != "linear":
             raise DomainError("non-Gaussian noise requires the linear generator")
-        if not self.signal or self.signal[0] not in SIGNAL_KINDS:
+        kind = self.signal[0] if self.signal else None
+        if kind not in SIGNAL_KINDS or len(self.signal) != 1 + (kind in ("spikes", "diagonal")):
             raise DomainError(f"unknown signal spec {self.signal!r}")
+        if kind == "spikes" and self.generator == "linear":
+            raise DomainError("signal 'spikes' is not defined for the linear generator")
+        if kind == "diagonal" and not 1 <= int(self.signal[1]) <= min(self.p, self.m):
+            raise DomainError(f"diagonal rank {self.signal[1]} outside [1, {min(self.p, self.m)}]")
         for meth in self.methods:
             if meth not in TESTS:
                 raise DomainError(f"unknown method {meth!r}")
@@ -198,16 +205,11 @@ def _build_b(rng, spec: ExperimentSpec, p: int, m: int, strength: float) -> np.n
     if kind == "null" or strength == 0.0:
         return b
     if kind == "diagonal":
-        r_k = int(spec.signal[1])
-        if r_k > min(p, m):
-            raise DomainError(f"diagonal signal rank {r_k} exceeds min(p,m)={min(p, m)}")
-        b[np.arange(r_k), np.arange(r_k)] = strength
+        np.fill_diagonal(b[:int(spec.signal[1])], strength)
     elif kind == "single":
         b[0, 0] = strength
     elif kind == "dense":
         b = rng.standard_normal((p, m)) * strength
-    else:
-        raise DomainError(f"signal {kind!r} is not defined for the linear generator")
     return b
 
 
@@ -241,20 +243,17 @@ def _spike_signal(ratios, target: float, dims: Dims) -> SignalMatrix:
 
 
 def _drawer(spec: ExperimentSpec, dims: Dims, signal=None, strength: float = 0.0):
-    """draw(rng) -> one replicate's sums of squares: sampled directly under ``signal``
-    (canonical), or from Y = X B + E at coefficient size ``strength`` with the
-    hypothesis [I_r 0] B = 0 (linear). Given a list of generators, draw
-    returns the stack of one replicate's pair per generator; linear
-    replicates still fit one QR each."""
+    """draw(rngs) -> the stack of one replicate's sums of squares per generator:
+    sampled directly under ``signal`` (canonical), or from Y = X B + E at
+    coefficient size ``strength`` with the hypothesis [I_r 0] B = 0 (linear),
+    where each replicate still fits one QR."""
     if spec.generator == "canonical":
-        return lambda rng: canonical_form_sample(rng, signal, dims)
+        return lambda rngs: canonical_form_sample(rngs, signal, dims)
     cell_spec = replace(spec, p=dims.p, m=dims.m, r=dims.r)
     hyp = HypothesisMatrix(np.eye(dims.r, dims.p))
 
-    def draw(rng):
-        if isinstance(rng, np.random.Generator):
-            return hypothesis_ss(gen_linear_model(rng, cell_spec, strength), hyp)
-        pairs = [draw(one) for one in rng]
+    def draw(rngs):
+        pairs = [hypothesis_ss(gen_linear_model(rng, cell_spec, strength), hyp) for rng in rngs]
         return SumsOfSquares(np.stack([ss.s_err for ss in pairs]),
                              np.stack([ss.s_hyp for ss in pairs]), dims)
 
@@ -295,33 +294,34 @@ def _infeasible(labels, reps: int, started: float, exc) -> list:
 def _estimate_cell(spec: ExperimentSpec, cell_id: int, cell: str, draw) -> list:
     """Count rejections of each of spec.methods over spec.reps replicates of one cell.
 
-    ``draw`` is a ``_drawer``. Methods whose test fails on a probe pair (the
-    pair of replicate 0) are reported infeasible and excluded from the
-    count. The others count in blocks of ``_BLOCK`` replicates, each block one
-    stack of pairs; a typed error in any replicate of a block propagates.
+    ``draw`` is a ``_drawer``. The cell counts in blocks of ``_BLOCK``
+    replicates, each one stack of pairs, and has no probe pair: a typed error
+    while drawing the first block makes the cell infeasible, one from a
+    method's formula on it makes that method infeasible, and one in a later
+    block propagates.
     """
     started = time.perf_counter()
+
+    def block(b):
+        reps = range(b * _BLOCK, min((b + 1) * _BLOCK, spec.reps))
+        return draw([stream(spec.seed, cell_id, rep) for rep in reps])
+
     try:
-        probe = draw(stream(spec.seed, cell_id, 0))
+        first = block(0)
     except MvlrtError as exc:
         return _infeasible([(cell, meth) for meth in spec.methods], spec.reps, started, exc)
-    rows, live = [], []
+    rows, live, hits = [], [], []
     for meth in spec.methods:
         try:
-            TESTS[meth](probe)
+            hits.append(_rejections(first, [meth], spec.alpha)[0])
             live.append(meth)
         except MvlrtError as exc:
             rows += _infeasible([(cell, meth)], spec.reps, started, exc)
-
-    def hits_of(block):
-        reps = range(block * _BLOCK, min((block + 1) * _BLOCK, spec.reps))
-        return _rejections(draw([stream(spec.seed, cell_id, rep) for rep in reps]),
-                           live, spec.alpha)
-
+    del first  # hold one block at a time, not two
     if live:
-        blocks = -(-spec.reps // _BLOCK)
-        rows += _rows([(cell, meth) for meth in live], _count(blocks, hits_of),
-                      spec.reps, started)
+        later = -(-spec.reps // _BLOCK) - 1
+        hits = np.array(hits) + _count(later, lambda b: _rejections(block(b + 1), live, spec.alpha))
+        rows += _rows([(cell, meth) for meth in live], hits, spec.reps, started)
     rows.sort(key=lambda row: spec.methods.index(row.method))
     return rows
 
@@ -406,6 +406,8 @@ def multisplit_sweep(spec: ExperimentSpec, j_grid=(0, 50, 200), delta: float = 0
         if j < 0:
             raise DomainError(f"split count must be >= 0, got {j}")
     hyp = HypothesisMatrix(np.eye(spec.r, spec.p))
+    base = MultiSplitConfig(gamma_min=gamma_min, delta=delta, split_ratio=split_ratio,
+                            pca_policy=pca_policy)
     rows = []
     for cell_id, (strength, j) in enumerate(itertools.product(spec.signal_grid or (0.0,), j_grid)):
         labels = [(f"signal={strength:g} J={j}", f"multisplit_J{j}")]
@@ -413,10 +415,7 @@ def multisplit_sweep(spec: ExperimentSpec, j_grid=(0, 50, 200), delta: float = 0
 
         def hit(rep):
             data = gen_linear_model(stream(spec.seed, cell_id, rep), spec, float(strength))
-            cfg = MultiSplitConfig(
-                j_splits=max(j, 1), gamma_min=gamma_min, delta=delta,
-                split_ratio=split_ratio, seed=derive_seed(spec.seed, cell_id, rep),
-                pca_policy=pca_policy)
+            cfg = replace(base, j_splits=max(j, 1), seed=derive_seed(spec.seed, cell_id, rep))
             if j == 0:
                 return no_split_pvalue(data, hyp, cfg).p_value <= spec.alpha
             return multisplit_test(data, hyp, cfg, alpha=spec.alpha).reject

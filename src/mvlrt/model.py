@@ -120,12 +120,12 @@ class HypothesisMatrix:
     def p(self) -> int:
         return self.C.shape[1]
 
-    def is_leading_identity(self, atol: float = 1e-12) -> bool:
-        """True when C is exactly [I_r, 0], the already-canonical layout."""
+    def is_leading_identity(self) -> bool:
+        """True when C is [I_r, 0] to within 1e-12 per entry, the already-canonical layout."""
         r, p = self.C.shape
         target = np.zeros((r, p))
         target[:, :r] = np.eye(r)
-        return bool(np.allclose(self.C, target, rtol=0.0, atol=atol))
+        return bool(np.allclose(self.C, target, rtol=0.0, atol=1e-12))
 
     def __repr__(self):
         return f"HypothesisMatrix(r={self.r}, p={self.p})"
@@ -223,10 +223,6 @@ class SignalMatrix:
 
     def __init__(self, M1):
         self.M1 = _check_matrix(M1, "M1")
-
-    @classmethod
-    def null(cls, dims: Dims) -> "SignalMatrix":
-        return cls(np.zeros((dims.r, dims.m)))
 
     @classmethod
     def diagonal_spikes(cls, deltas, dims: Dims) -> "SignalMatrix":

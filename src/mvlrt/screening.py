@@ -22,6 +22,9 @@ import scipy.linalg
 from .errors import DomainError
 from .model import RANK_TOL, HypothesisMatrix, _check_matrix
 
+#: parallel analysis: column-permuted copies, and the quantile of their eigenvalues to beat
+PA_COPIES, PA_QUANTILE = 19, 0.95
+
 
 @dataclass(frozen=True)
 class ScreenResult:
@@ -164,12 +167,12 @@ def conditional_transform(X, C):
     return X @ d, d
 
 
-def parallel_analysis(rng, YS, b_perm: int = 19, pct: float = 0.95, cap=None) -> int:
+def parallel_analysis(rng, YS, cap=None) -> int:
     """Pick a response-PCA rank by comparison with column-permuted noise.
 
     m0 is the length of the leading run of sample covariance eigenvalues of
-    YS that exceed the pct order-statistic quantile of the matching
-    eigenvalue across ``b_perm`` independently column-permuted copies.
+    YS that exceed the PA_QUANTILE order-statistic quantile of the matching
+    eigenvalue across PA_COPIES independently column-permuted copies.
     Permutation kills cross-column structure while preserving marginals, so
     eigenvalues that survive the comparison indicate real factors; the run
     stops at the first failure so stray exceedances deep in the spectrum
@@ -180,23 +183,19 @@ def parallel_analysis(rng, YS, b_perm: int = 19, pct: float = 0.95, cap=None) ->
     n_s, m = YS.shape
     if n_s < 3:
         raise DomainError(f"parallel analysis needs n_S >= 3, got {n_s}")
-    if b_perm < 1:
-        raise DomainError(f"b_perm must be >= 1, got {b_perm}")
-    if not 0.0 < pct <= 1.0:
-        raise DomainError(f"pct must lie in (0, 1], got {pct!r}")
     if cap is not None and cap < 1:
         raise DomainError(f"cap must be >= 1, got {cap}")
 
     Yc = YS - YS.mean(axis=0)
     eigs = np.linalg.eigvalsh(Yc.T @ Yc / (n_s - 1))[::-1]
-    null_cov = np.empty((b_perm, m, m))
-    for b in range(b_perm):
+    null_cov = np.empty((PA_COPIES, m, m))
+    for b in range(PA_COPIES):
         Zc = rng.permuted(YS, axis=0)
         Zc = Zc - Zc.mean(axis=0)
         # one product per copy: a stacked matmul skips the syrk path and can change bits
         null_cov[b] = Zc.T @ Zc / (n_s - 1)
     null_eigs = np.linalg.eigvalsh(null_cov)[:, ::-1]
-    rank_idx = min(b_perm, max(1, math.ceil(pct * b_perm))) - 1
+    rank_idx = min(PA_COPIES, max(1, math.ceil(PA_QUANTILE * PA_COPIES))) - 1
     thresholds = np.sort(null_eigs, axis=0)[rank_idx]
     # the relative floor keeps rank-deficient spectra (m >= n_S) from letting
     # zero-vs-zero rounding noise count as a factor

@@ -13,6 +13,7 @@ from mvlrt.experiments import (
     ExperimentSpec,
     ResultRow,
     ResultTable,
+    _estimate_cell,
     _six_level,
     _spike_signal,
     gamma_sensitivity,
@@ -22,7 +23,13 @@ from mvlrt.experiments import (
     typeI_sweep,
 )
 from mvlrt.lrt import TESTS
-from mvlrt.model import Dims, HypothesisMatrix, canonical_form_sample, hypothesis_ss
+from mvlrt.model import (
+    Dims,
+    HypothesisMatrix,
+    SumsOfSquares,
+    canonical_form_sample,
+    hypothesis_ss,
+)
 from mvlrt.rng import stream
 
 
@@ -32,6 +39,14 @@ def _rows_by_method(table):
 
 def _parse_csv(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+def _count_streams(monkeypatch):
+    calls = []
+    orig = mvlrt.experiments.stream
+    monkeypatch.setattr(mvlrt.experiments, "stream",
+                        lambda *path: calls.append(path) or orig(*path))
+    return calls
 
 
 # === data generators ===
@@ -121,6 +136,22 @@ def test_spec_validation():
         ExperimentSpec(grow="pq")
     with pytest.raises(DomainError):
         ExperimentSpec(rho_x=1.0)
+
+
+@pytest.mark.parametrize("signal", [("spikes",), ("null", 1), ("diagonal",), ("single", 2),
+                                    ("diagonal", 0), ("diagonal", -2)])
+def test_spec_checks_the_signal_tag(signal):
+    with pytest.raises(DomainError):
+        ExperimentSpec(signal=signal)
+
+
+@pytest.mark.parametrize("signal", [("diagonal", 99), ("spikes", (1.0,))])
+def test_linear_power_sweep_rejects_a_bad_signal_before_any_draw(monkeypatch, signal):
+    calls = _count_streams(monkeypatch)
+    with pytest.raises(DomainError):
+        power_sweep(ExperimentSpec(generator="linear", n=60, p=8, m=4, r=4, signal=signal,
+                                   signal_grid=(0.0, 1.0), reps=5))
+    assert calls == []
 
 
 # === null sweeps ===
@@ -237,6 +268,44 @@ def test_blocks_count_as_a_per_replicate_loop_linear():
     assert _table_rates(typeI_sweep(spec), "n=60 p=8 m=4 r=3") == want
 
 
+def test_sweeps_build_each_replicate_stream_once(monkeypatch):
+    calls = _count_streams(monkeypatch)
+    typeI_sweep(ExperimentSpec(n=60, eta_grid=(0.5, 0.6), methods=_ALL, reps=64, seed=35))
+    power_sweep(ExperimentSpec(generator="linear", n=60, p=8, m=4, r=4, signal=("single",),
+                               signal_grid=(0.0, 1.0), methods=("t1",), reps=40, seed=36))
+    assert calls == ([(35, c, k) for c in range(2) for k in range(64)]
+                     + [(36, c, k) for c in range(2) for k in range(40)])
+
+
+def test_first_block_drops_only_the_methods_it_breaks():
+    """A flat largest root at replicate 3 (first block, not the first pair)
+    makes t2 and t3 infeasible; t1 still counts every replicate."""
+    spec = ExperimentSpec(n=60, p=8, m=4, r=4, methods=("t1", "t2", "t3"), reps=70, seed=37)
+    dims = Dims(60, 8, 4, 4)
+    drawn = []
+
+    def draw(rngs):
+        ss = canonical_form_sample(rngs, None, dims)
+        drawn.append(rngs)
+        if len(drawn) > 1:
+            return ss
+        s_hyp = ss.s_hyp.copy()
+        s_hyp[3] = 0.0
+        return SumsOfSquares(ss.s_err, s_hyp, dims)
+
+    rows = {row.method: row for row in _estimate_cell(spec, 0, "cell", draw)}
+    for meth in ("t2", "t3"):
+        assert rows[meth].rate is None
+        assert rows[meth].status == "infeasible: largest root theta=0.0 has no logit"
+    hits = 0
+    for k in range(spec.reps):
+        ss = canonical_form_sample(stream(37, 0, k), None, dims)
+        if k == 3:
+            ss = SumsOfSquares(ss.s_err, np.zeros((4, 4)), dims)
+        hits += TESTS["t1"](ss).p_value <= spec.alpha
+    assert rows["t1"].status == "ok" and rows["t1"].rate == hits / spec.reps
+
+
 @pytest.mark.parametrize("block", [1, 5, 77, 1000])
 def test_block_size_changes_no_table(monkeypatch, block):
     spec = ExperimentSpec(n=60, eta_grid=(0.5, 0.6), methods=_ALL, reps=77, seed=34)
@@ -314,12 +383,14 @@ def test_multisplit_sweep_validation():
         multisplit_sweep(spec, j_grid=(-1,))
 
 
-def _count_streams(monkeypatch):
-    calls = []
-    orig = mvlrt.experiments.stream
-    monkeypatch.setattr(mvlrt.experiments, "stream",
-                        lambda *path: calls.append(path) or orig(*path))
-    return calls
+@pytest.mark.parametrize("setting", [dict(delta=2.0), dict(split_ratio=1.5),
+                                     dict(gamma_min=3.0), dict(pca_policy="bogus")])
+def test_multisplit_sweep_checks_its_settings_before_any_draw(monkeypatch, setting):
+    calls = _count_streams(monkeypatch)
+    spec = ExperimentSpec(generator="linear", n=60, p=80, m=5, r=80, reps=3)
+    with pytest.raises(DomainError):
+        multisplit_sweep(spec, j_grid=(0, 2), **setting)
+    assert calls == []
 
 
 def test_multisplit_sweep_checks_the_j_grid_before_any_draw(monkeypatch):

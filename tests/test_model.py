@@ -93,7 +93,6 @@ def test_signal_matrix_accessors():
     omega = sig.omega()
     assert np.allclose(omega, np.diag([4.0, 1.0, 0.0]))
     assert np.allclose(sig.delta(30), omega / 30.0)
-    assert np.all(SignalMatrix.null(dims).M1 == 0.0)
     with pytest.raises(DomainError):
         SignalMatrix.diagonal_spikes([1.0, 1.0, 1.0], dims)  # k > min(r, m)
 

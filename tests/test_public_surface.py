@@ -1,13 +1,19 @@
-"""The top-level namespace holds the workflow, and the README quick start runs on it."""
+"""The top-level namespace holds the workflow, the README quick start runs on it,
+and the functions and report keys the benchmark hooks into exist."""
 
 import contextlib
+import importlib
+import importlib.util
 import io
 import pathlib
 import re
 
+import numpy as np
+
 import mvlrt
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 WORKFLOW = [
     "DataFormatError", "DataSet", "DegenerateMatrixError", "DegenerateRootError", "Dims",
@@ -37,3 +43,19 @@ def test_readme_quick_start_runs():
         with contextlib.redirect_stdout(out):
             exec(compile(block, str(README), "exec"), {})
         assert out.getvalue().strip()
+
+
+def test_benchmark_hooks_resolve():
+    """perfbench/ traces the functions named in its spans.TARGETS and reads
+    three diagnostics keys, so neither may disappear from the package."""
+    path = ROOT / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod_name, fn_names in spans.TARGETS.items():
+        mod = importlib.import_module(f"mvlrt.{mod_name}")
+        for name in fn_names:
+            assert callable(getattr(mod, name, None)), f"mvlrt.{mod_name}.{name}"
+    ss = mvlrt.SumsOfSquares(50.0 * np.eye(4), np.eye(4), mvlrt.Dims(60, 8, 4, 4))
+    assert "neg2_log_lrt" in mvlrt.t1_test(ss).diagnostics
+    assert {"t2", "f_n"} <= set(mvlrt.t3_test(ss).diagnostics)

@@ -251,10 +251,6 @@ def test_parallel_analysis_validation():
     with pytest.raises(DomainError):
         parallel_analysis(rng, Y[:2])
     with pytest.raises(DomainError):
-        parallel_analysis(rng, Y, b_perm=0)
-    with pytest.raises(DomainError):
-        parallel_analysis(rng, Y, pct=1.5)
-    with pytest.raises(DomainError):
         parallel_analysis(rng, Y, cap=0)
 
 
