@@ -2,10 +2,11 @@
 simulation sweeps, and regime diagnostics.
 
 Subcommands: test, multisplit, simulate, power, boundary. Every option can
-also be supplied through a flat key=value --config file; explicit flags win
-over file values, file values win over defaults. Each run echoes its fully
-resolved configuration to stderr so any output is reproducible from the log
-alone.
+also be supplied through a flat key=value --config file; a file value is
+parsed exactly like its flag, so a bad one names the option. Explicit flags
+win over file values, file values win over defaults. Each run echoes its
+fully resolved configuration to stderr so any output is reproducible from
+the log alone.
 
 Exit status: 0 on success, 2 when a statistic is undefined in the requested
 dimension regime, 1 for malformed input, bad configuration, or IO failure.
@@ -15,6 +16,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -51,11 +53,9 @@ def _strs(text):
 
 def _bool(text):
     tok = str(text).strip().lower()
-    if tok in ("1", "true", "yes", "on"):
-        return True
-    if tok in ("0", "false", "no", "off"):
-        return False
-    raise DataFormatError(f"expected a boolean, got {text!r}")
+    if tok in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        return tok in ("1", "true", "yes", "on")
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
 def _pca_policy(text):
@@ -67,86 +67,71 @@ def _pca_policy(text):
     try:
         return int(tok)
     except ValueError:
-        raise DataFormatError(
+        raise argparse.ArgumentTypeError(
             f"pca_policy must be none, parallel_analysis, or an integer, got {text!r}"
         ) from None
 
 
-# dest -> (converter for config-file strings, default) per subcommand.
-_DATA = {"x": (str, None), "y": (str, None), "c": (str, None)}
+# The one option table: dest -> (type, default, help) per subcommand.
+# argparse applies the type to a flag's text and to a --config file's text alike.
+_DATA = {
+    "x": (str, None, "predictor matrix CSV, n rows by p columns"),
+    "y": (str, None, "response matrix CSV, n rows by m columns"),
+    "c": (str, None, "hypothesis matrix CSV, r rows by p columns (default: identity)"),
+}
+_THREADS = (int, 1, "must be >= 1; the work runs in the calling thread and "
+                    "results do not depend on this value")
+_OUT = (str, None, "write results CSV here instead of stdout")
 _SWEEP = {
-    "generator": (str, "canonical"),
-    "n": (int, 100), "p": (int, 50), "m": (int, 20), "r": (int, 30),
-    "noise": (str, "gaussian"),
-    "rho_x": (float, 0.0), "rho_e": (float, 0.0),
-    "methods": (_strs, ("t1",)),
-    "reps": (int, 10_000), "alpha": (float, 0.05),
-    "seed": (int, 0), "threads": (int, 1),
-    "out": (str, None), "gnuplot": (_bool, False),
+    "generator": (str, "canonical", None), "noise": (str, "gaussian", None),
+    "n": (int, 100, None), "p": (int, 50, None), "m": (int, 20, None), "r": (int, 30, None),
+    "rho_x": (float, 0.0, None), "rho_e": (float, 0.0, None), "seed": (int, 0, None),
+    "methods": (_strs, ("t1",), "comma list of test statistics to tabulate"),
+    "reps": (int, 10_000, None), "alpha": (float, 0.05, None), "threads": _THREADS, "out": _OUT,
+    "gnuplot": (_bool, False, "also write a plotting script next to the CSV"),
 }
 _SCHEMA = {
-    "test": dict(_DATA, method=(str, "t3"), convention=(str, "johnstone"),
-                 alpha=(float, 0.05), format=(str, "text")),
+    "test": dict(
+        _DATA, method=(str, "t3", "one of chi2 | bartlett | t1 | t2 | t3; t3 refers to the normal "
+                "law, and while F_n = 2 (n < 1618) its p-values below about 0.01 "
+                "are too small"),
+        convention=(str, "johnstone", "largest-root scaling for t2 and t3: johnstone | error"),
+        alpha=(float, 0.05, None), format=(str, "text", "output format: text | json")),
     "multisplit": dict(
-        _DATA,
-        j_splits=(int, 200), gamma_min=(float, None), delta=(float, 0.2),
-        split_ratio=(float, 0.3), seed=(int, 0),
-        pca_policy=(_pca_policy, None),
-        alpha=(float, 0.05), threads=(int, 1), out=(str, None),
-        unsafe_no_split=(_bool, False)),
-    "simulate": dict(_SWEEP, eta_grid=(_floats, ()), grow=(str, "pmr")),
-    "power": dict(_SWEEP, signal_kind=(str, "spikes"),
-                  spike_ratios=(_floats, (1.0,)), signal_rank=(int, 1),
-                  signal_grid=(_floats, ())),
-    "boundary": {"n": (int, None), "p": (int, None), "m": (int, None),
-                 "r": (int, None)},
-}
-
-_HELP = {
-    "x": "predictor matrix CSV, n rows by p columns",
-    "y": "response matrix CSV, n rows by m columns",
-    "c": "hypothesis matrix CSV, r rows by p columns (default: identity)",
-    "method": "one of chi2 | bartlett | t1 | t2 | t3; t3 refers to the normal "
-              "law, and while F_n = 2 (n < 1618) its p-values below about 0.01 "
-              "are too small",
-    "convention": "largest-root scaling for t2 and t3: johnstone | error",
-    "format": "output format: text | json",
-    "j_splits": "number of random splits J (0 needs --unsafe-no-split)",
-    "gamma_min": "lower end of the aggregation quantile range",
-    "delta": "screened fraction of predictors per split",
-    "split_ratio": "screening fraction of the sample",
-    "pca_policy": "response reduction: none | parallel_analysis | fixed m0",
-    "unsafe_no_split": "allow J=0: screen and test on the same data",
-    "eta_grid": "comma list of growth exponents, dims become floor(n^eta)",
-    "grow": "subset of 'pmr' naming which dims follow eta",
-    "methods": "comma list of test statistics to tabulate",
-    "signal_kind": "spikes | diagonal | single | dense",
-    "spike_ratios": "relative spike sizes for canonical power cells",
-    "signal_rank": "nonzero diagonal entries for the diagonal signal",
-    "signal_grid": "comma list of signal strengths (trace ratios for spikes)",
-    "threads": "must be >= 1; the work runs in the calling thread and "
-               "results do not depend on this value",
-    "out": "write results CSV here instead of stdout",
-    "gnuplot": "also write a plotting script next to the CSV",
+        _DATA, j_splits=(int, 200, "number of random splits J (0 needs --unsafe-no-split)"),
+        gamma_min=(float, None, "lower end of the aggregation quantile range"),
+        delta=(float, 0.2, "screened fraction of predictors per split"),
+        split_ratio=(float, 0.3, "screening fraction of the sample"), seed=(int, 0, None),
+        pca_policy=(_pca_policy, None, "response reduction: none | parallel_analysis | fixed m0"),
+        alpha=(float, 0.05, None), threads=_THREADS, out=_OUT,
+        unsafe_no_split=(_bool, False, "allow J=0: screen and test on the same data")),
+    "simulate": dict(
+        _SWEEP, eta_grid=(_floats, (), "comma list of growth exponents, dims become floor(n^eta)"),
+        grow=(str, "pmr", "subset of 'pmr' naming which dims follow eta")),
+    "power": dict(
+        _SWEEP, signal_kind=(str, None, "spikes | diagonal | single | dense (default: spikes for "
+                     "the canonical generator, diagonal for the linear one)"),
+        spike_ratios=(_floats, (1.0,), "relative spike sizes for canonical power cells"),
+        signal_rank=(int, 1, "nonzero diagonal entries for the diagonal signal"),
+        signal_grid=(_floats, (), "comma list of signal strengths (trace ratios for spikes)")),
+    "boundary": {dest: (int, None, None) for dest in "npmr"},
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The top-level parser and its subparsers, keyed by command."""
     top = _Parser(prog="mvlrt", description=__doc__)
     sub = top.add_subparsers(dest="command", metavar="command", required=True)
     for command, schema in _SCHEMA.items():
-        p = sub.add_parser(command, parents=(), add_help=True)
+        p = sub.add_parser(command)
         p.add_argument("--config", default=None,
                        help="flat key=value file; flags override its values")
-        for dest, (conv, _default) in schema.items():
-            flag = "--" + dest.replace("_", "-")
-            if conv is _bool:
-                p.add_argument(flag, action="store_true", default=None,
-                               help=_HELP.get(dest))
-            else:
-                p.add_argument(flag, default=None, help=_HELP.get(dest),
-                               type=str if conv in (_floats, _strs, _pca_policy) else conv)
-    return top
+        for dest, (conv, default, text) in schema.items():
+            # a bare boolean flag means true
+            bare = {"nargs": "?", "const": True, "metavar": "BOOL"} if conv is _bool else {}
+            p.add_argument("--" + dest.replace("_", "-"), type=conv, default=default,
+                           help=text, **bare)
+    return top, sub.choices
 
 
 def _read_config(path) -> dict:
@@ -163,28 +148,29 @@ def _read_config(path) -> dict:
     return pairs
 
 
-def _resolve(args) -> dict:
-    """Merge flag > config file > default, then echo the result to stderr."""
+def _resolve(argv):
+    """(command, settings): flag > config file > default, echoed to stderr.
+
+    A --config file's values become the command's string defaults and argv is
+    parsed again, so argparse converts them exactly as it converts flags."""
+    top, commands = _build_parser()
+    args = top.parse_args(argv)
     schema = _SCHEMA[args.command]
-    file_pairs = _read_config(args.config) if args.config else {}
-    for key in file_pairs:
-        if key not in schema:
-            raise DataFormatError(f"unknown config key {key!r} for {args.command}")
-    resolved = {}
-    for dest, (conv, default) in schema.items():
-        flag_value = getattr(args, dest)
-        if flag_value is not None:
-            resolved[dest] = conv(flag_value) if conv in (_floats, _strs, _pca_policy) else flag_value
-        elif dest in file_pairs:
-            resolved[dest] = conv(file_pairs[dest])
-        else:
-            resolved[dest] = default
-    for dest in sorted(resolved):
-        value = resolved[dest]
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        print(f"# config {args.command}.{dest}={value}", file=sys.stderr)
-    return resolved
+    if args.config:
+        pairs = _read_config(args.config)
+        for key in pairs:
+            if key not in schema:
+                raise DataFormatError(f"unknown config key {key!r} for {args.command}")
+        commands[args.command].set_defaults(**pairs)
+        args = top.parse_args(argv)
+    resolved = {dest: getattr(args, dest) for dest in schema}
+    if args.command == "power" and resolved["signal_kind"] is None:
+        # the default signal is one the generator defines
+        resolved["signal_kind"] = "spikes" if resolved["generator"] == "canonical" else "diagonal"
+    for dest, value in sorted(resolved.items()):
+        text = ",".join(str(v) for v in value) if isinstance(value, tuple) else value
+        print(f"# config {args.command}.{dest}={text}", file=sys.stderr)
+    return args.command, resolved
 
 
 def _load_data(v):
@@ -283,31 +269,27 @@ def _emit_table(table, v) -> None:
 
 
 def _sweep_spec(v, **extra) -> ExperimentSpec:
-    return ExperimentSpec(
-        generator=v["generator"], n=v["n"], p=v["p"], m=v["m"], r=v["r"],
-        rho_x=v["rho_x"], rho_e=v["rho_e"], noise=v["noise"],
-        methods=tuple(v["methods"]), reps=v["reps"], alpha=v["alpha"],
-        seed=v["seed"], threads=v["threads"], **extra)
+    """The ExperimentSpec of the resolved settings that name its fields, plus ``extra``."""
+    return ExperimentSpec(**{f.name: v[f.name] for f in fields(ExperimentSpec) if f.name in v},
+                          **extra)
 
 
 def _cmd_simulate(v) -> int:
-    spec = _sweep_spec(v, eta_grid=v["eta_grid"], grow=v["grow"])
-    _emit_table(typeI_sweep(spec), v)
+    _emit_table(typeI_sweep(_sweep_spec(v)), v)
     return 0
+
+
+# signal kind -> the options that complete its tagged tuple
+_SIGNAL_ARGS = {"spikes": ("spike_ratios",), "diagonal": ("signal_rank",),
+                "single": (), "dense": ()}
 
 
 def _cmd_power(v) -> int:
     kind = v["signal_kind"]
-    if kind == "spikes":
-        signal = ("spikes", v["spike_ratios"])
-    elif kind == "diagonal":
-        signal = ("diagonal", v["signal_rank"])
-    elif kind in ("single", "dense"):
-        signal = (kind,)
-    else:
+    if kind not in _SIGNAL_ARGS:
         raise DomainError(f"unknown signal kind {kind!r}")
-    spec = _sweep_spec(v, signal=signal, signal_grid=v["signal_grid"])
-    _emit_table(power_sweep(spec), v)
+    signal = (kind, *(v[dest] for dest in _SIGNAL_ARGS[kind]))
+    _emit_table(power_sweep(_sweep_spec(v, signal=signal)), v)
     return 0
 
 
@@ -336,11 +318,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(name)s: %(message)s")
-    args = _build_parser().parse_args(argv)
     try:
-        resolved = _resolve(args)
+        command, resolved = _resolve(argv)
         with single_thread_blas():
-            return _COMMANDS[args.command](resolved)
+            return _COMMANDS[command](resolved)
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -347,8 +347,9 @@ def typeI_sweep(spec: ExperimentSpec) -> ResultTable:
     """
     if spec.signal[0] != "null":
         raise DomainError("typeI_sweep requires a null signal")
+    cells = list(_null_cells(spec))  # a bad grid raises before the first cell runs
     rows = []
-    for cell_id, (cell, dims) in enumerate(_null_cells(spec)):
+    for cell_id, (cell, dims) in enumerate(cells):
         rows += _estimate_cell(spec, cell_id, cell, _drawer(spec, dims))
     return ResultTable(rows)
 
@@ -367,14 +368,16 @@ def power_sweep(spec: ExperimentSpec) -> ResultTable:
     if spec.generator == "canonical" and spec.signal[0] != "spikes":
         raise DomainError("canonical power cells need a ('spikes', ratios) signal")
     dims = Dims(spec.n, spec.p, spec.m, spec.r)
+    # every spike signal is built, and so checked, before the first cell runs
+    signals = [_spike_signal(spec.signal[1], float(s), dims) if spec.generator == "canonical"
+               else None for s in spec.signal_grid]
     rows = []
-    for cell_id, strength in enumerate(spec.signal_grid):
-        if spec.generator != "canonical":
+    for cell_id, (strength, signal) in enumerate(zip(spec.signal_grid, signals)):
+        if signal is None:
             rows += _estimate_cell(spec, cell_id, f"signal={strength:g}",
                                    _drawer(spec, dims, strength=float(strength)))
             continue
         cell = f"trace_ratio={strength:g}"
-        signal = _spike_signal(spec.signal[1], float(strength), dims)
         rows += _estimate_cell(spec, cell_id, cell, _drawer(spec, dims, signal))
         started = time.perf_counter()
         try:

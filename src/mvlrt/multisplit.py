@@ -120,14 +120,10 @@ def _row_space_basis(c_m: np.ndarray):
     rows; the test only depends on the row space, so a full-row-rank basis is
     substituted before fitting.
     """
-    if c_m.size == 0:
-        return None
     _, sv, vt = np.linalg.svd(c_m)
-    if sv.size == 0 or sv[0] <= 0.0:
+    if sv[0] <= 0.0:
         return None
     r_eff = int(np.count_nonzero(sv > RANK_TOL * sv[0]))
-    if r_eff == 0:
-        return None
     return vt[:r_eff]
 
 

@@ -1,16 +1,20 @@
 """Command-line front end: exit codes, output formats, config merging."""
 
 import csv
+import inspect
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from mvlrt.cli import main
+from mvlrt.cli import _SCHEMA, main
 from mvlrt.dataio import save_matrix
+from mvlrt.experiments import ExperimentSpec
 from mvlrt.lrt import TESTS
+from mvlrt.multisplit import MultiSplitConfig, multisplit_test
 from mvlrt.rng import stream
 
 
@@ -167,6 +171,64 @@ def test_config_file_unknown_key(capsys, tmp_path, data_files):
     assert "frobnicator" in err
 
 
+def _config_lines(err):
+    return [line for line in err.splitlines() if line.startswith("# config ")]
+
+
+# each command with every option set as text: ints, floats, comma lists,
+# pca_policy and booleans, parsed the same way from a flag and from a file
+_EVERY_OPTION = {
+    "test": dict(method="t1", convention="error", alpha="0.1", format="json"),
+    "multisplit": dict(j_splits="3", gamma_min="0.2", delta="0.3", split_ratio="0.4",
+                       seed="5", pca_policy="2", alpha="0.1", threads="2",
+                       unsafe_no_split="no"),
+    "simulate": dict(generator="linear", noise="gaussian", n="50", p="6", m="4", r="3",
+                     rho_x="0.3", rho_e="0.2", seed="4", methods="t1,t3", reps="40",
+                     alpha="0.1", threads="2", gnuplot="no", eta_grid="0.3,0.4",
+                     grow="pm"),
+    "power": dict(generator="canonical", noise="gaussian", n="60", p="8", m="4", r="4",
+                  rho_x="0", rho_e="0", seed="5", methods="t1,t2", reps="40",
+                  alpha="0.1", threads="1", gnuplot="off", signal_kind="spikes",
+                  spike_ratios="1,0.5", signal_rank="2", signal_grid="1,2"),
+    "boundary": dict(n="100", p="10", m="2", r="2"),
+}
+
+
+@pytest.mark.parametrize("command", list(_EVERY_OPTION))
+def test_config_file_values_parse_like_flags(capsys, tmp_path, data_files, wide_files,
+                                             command):
+    options = dict(_EVERY_OPTION[command])
+    if command == "test":
+        options.update(x=data_files["x"], y=data_files["y"], c=data_files["c"])
+    if command == "multisplit":
+        options.update(x=wide_files[0], y=wide_files[1])
+    flags = [tok for key, value in options.items()
+             for tok in ("--" + key.replace("_", "-"), value)]
+    cfg = tmp_path / "every.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in options.items()))
+    code, out, err = _run(capsys, [command, *flags])
+    code_file, out_file, err_file = _run(capsys, [command, "--config", str(cfg)])
+    assert code == code_file == 0
+    assert out_file == out and out
+    assert _config_lines(err_file) == _config_lines(err) and _config_lines(err)
+
+
+@pytest.mark.parametrize("command, line, flag", [
+    ("simulate", "n = abc", "--n"),
+    ("power", "gnuplot = maybe", "--gnuplot"),
+    ("simulate", "eta_grid = 0.5,x", "--eta-grid"),
+    ("multisplit", "pca_policy = 1.5", "--pca-policy"),
+    ("multisplit", "unsafe_no_split = perhaps", "--unsafe-no-split"),
+])
+def test_config_file_bad_value_names_the_option(capsys, tmp_path, command, line, flag):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg)])
+    assert exc.value.code == 1
+    assert f"error: argument {flag}:" in capsys.readouterr().err
+
+
 # === multisplit command ===
 
 
@@ -282,6 +344,33 @@ def test_power_command(capsys):
     assert code == 0
     assert "t1_theory" in out
     assert "trace_ratio=0" in out and "trace_ratio=2" in out
+
+
+@pytest.mark.parametrize("generator, kind", [("canonical", "spikes"), ("linear", "diagonal")])
+def test_power_signal_kind_follows_the_generator(capsys, generator, kind):
+    code, out, err = _run(capsys, ["power", "--generator", generator, "--signal-grid", "0,1",
+                                   "--n", "60", "--p", "8", "--m", "4", "--r", "4",
+                                   "--reps", "40"])
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))[1:]
+    assert len(rows) >= 2 and all(row[5] == "ok" for row in rows)
+    assert f"# config power.signal_kind={kind}" in err
+
+
+def test_cli_defaults_match_the_library():
+    """An option that is also a library setting keeps the library's default."""
+    spec = {f.name: f.default for f in fields(ExperimentSpec)}
+    split = {f.name: f.default for f in fields(MultiSplitConfig)}
+    split.update((name, par.default) for name, par in
+                 inspect.signature(multisplit_test).parameters.items()
+                 if par.default is not par.empty)
+    library = {"simulate": spec, "power": spec, "multisplit": split}
+    checked = set()
+    for command, defaults in library.items():
+        for dest in _SCHEMA[command].keys() & defaults.keys():
+            assert _SCHEMA[command][dest][1] == defaults[dest], f"{command}.{dest}"
+            checked.add(dest)
+    assert {"reps", "signal_grid", "eta_grid", "j_splits", "pca_policy", "threads"} <= checked
 
 
 def test_sweep_bad_values_exit_one(capsys):

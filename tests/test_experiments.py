@@ -154,6 +154,20 @@ def test_linear_power_sweep_rejects_a_bad_signal_before_any_draw(monkeypatch, si
     assert calls == []
 
 
+@pytest.mark.parametrize("sweep, spec", [
+    # the eta=0.9 cell asks for r = floor(100 ** 0.9) = 63 > p = 5
+    (typeI_sweep, ExperimentSpec(n=100, p=5, m=3, r=2, eta_grid=(0.2, 0.9), grow="r", reps=5)),
+    # the second trace ratio is negative
+    (power_sweep, ExperimentSpec(n=100, p=50, m=20, r=30, signal=("spikes", (1.0,)),
+                                 signal_grid=(1.0, -1.0), reps=5)),
+], ids=["typeI_eta_grid", "power_spike_grid"])
+def test_sweep_checks_its_whole_grid_before_any_draw(monkeypatch, sweep, spec):
+    calls = _count_streams(monkeypatch)
+    with pytest.raises(DomainError):
+        sweep(spec)
+    assert calls == []
+
+
 # === null sweeps ===
 
 _TINY = dict(generator="canonical", n=60, p=8, m=4, r=4, reps=300, seed=42)
