@@ -154,14 +154,40 @@ def test_hypothesis_ss_matches_explicit_inverse_oracle():
     rng = stream(104)
     X = rng.standard_normal((30, 4))
     Y = rng.standard_normal((30, 3))
-    C = np.eye(4)[:2]
-    ss = hypothesis_ss(DataSet(X, Y), C)
     xtx_inv = np.linalg.inv(X.T @ X)
     bhat = xtx_inv @ X.T @ Y
-    cb = C @ bhat
-    want = cb.T @ np.linalg.inv(C @ xtx_inv @ C.T) @ cb
-    assert np.allclose(ss.s_hyp, want, rtol=1e-8)
-    assert ss.dims == Dims(30, 4, 3, 2)
+    for C in (np.eye(4)[:2],
+              stream(106).standard_normal((2, 4)),  # dense: every column carries the hypothesis
+              np.diag([3.0, -0.5]) @ np.eye(4)[[2, 0]]):  # leading identity, rows permuted, scaled
+        ss = hypothesis_ss(DataSet(X, Y), C)
+        cb = C @ bhat
+        want = cb.T @ np.linalg.inv(C @ xtx_inv @ C.T) @ cb
+        assert np.allclose(ss.s_hyp, want, rtol=1e-8)
+        assert ss.dims == Dims(30, 4, 3, 2)
+
+
+@pytest.mark.parametrize("n, p, m", [(70, 24, 20), (100, 50, 20), (10_000, 50, 10)])
+@pytest.mark.parametrize("general", [False, True], ids=["leading_identity", "general"])
+def test_neg2_log_lrt_matches_two_least_squares_fits(n, p, m, general):
+    """-2 log L_n against n [logdet S_E(reduced) - logdet S_E(full)], where the
+    reduced model under C B = 0 is X N with N a null-space basis of C."""
+    rng = stream(107, n, p)
+    r = 5
+    X = rng.standard_normal((n, p))
+    B = np.zeros((p, m))
+    B[:r] = 0.3 * rng.standard_normal((r, m))  # some signal, so the fits differ
+    Y = X @ B + rng.standard_normal((n, m))
+    C = rng.standard_normal((r, p)) if general else np.eye(p)[:r]
+
+    def resid_logdet(design):
+        resid = Y - design @ np.linalg.lstsq(design, Y, rcond=None)[0]
+        sign, logdet = np.linalg.slogdet(resid.T @ resid)
+        assert sign > 0
+        return logdet
+
+    ref = n * (resid_logdet(X @ scipy.linalg.null_space(C)) - resid_logdet(X))
+    got = neg2_log_lrt(hypothesis_ss(DataSet(X, Y), C))
+    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (got, ref)
 
 
 def test_hypothesis_ss_rejects_mismatched_c():
