@@ -44,7 +44,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _floats(text):
-    return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
+    try:
+        return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of numbers, got {text!r}") from None
 
 
 def _strs(text):

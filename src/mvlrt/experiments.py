@@ -101,6 +101,8 @@ class ExperimentSpec:
             raise DomainError("signal 'spikes' is not defined for the linear generator")
         if kind == "diagonal" and not 1 <= int(self.signal[1]) <= min(self.p, self.m):
             raise DomainError(f"diagonal rank {self.signal[1]} outside [1, {min(self.p, self.m)}]")
+        if not self.methods:
+            raise DomainError("methods must name at least one test")
         for meth in self.methods:
             if meth not in TESTS:
                 raise DomainError(f"unknown method {meth!r}")

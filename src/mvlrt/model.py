@@ -1,10 +1,11 @@
 """Model-level linear algebra for the general linear hypothesis C B = 0.
 
-Everything downstream of the raw data lives here: least squares through a QR
-factorization, the error and hypothesis sums-of-squares pair (S_E, S_X), the
-relative eigenvalues driving the likelihood ratio, the largest-root quantity,
-and direct sampling of the canonical form. No explicit matrix inverse is ever
-formed; solves go through triangular factors.
+Everything downstream of the raw data lives here: the error and hypothesis
+sums-of-squares pair (S_E, S_X), the relative eigenvalues driving the
+likelihood ratio, the largest-root quantity, and direct sampling of the
+canonical form. Every pair fitted from data comes from one QR factorization
+of [X Y] with the hypothesis columns of X last (the extra-sum-of-squares
+identity); no explicit matrix inverse is ever formed.
 
 A SumsOfSquares holds one pair (S_E, S_X) or a stack of B pairs of the same
 dimensions, shape (B, m, m). A stack is checked once and factored by batched
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtrs
 
 from .errors import (
@@ -101,16 +101,24 @@ class DataSet:
 
 
 class HypothesisMatrix:
-    """Contrast matrix C (r x p); must have full row rank r."""
+    """Contrast matrix C (r x p); must have full row rank r.
+
+    The full SVD C = U S V' taken by the rank check is kept as the orthogonal
+    p x p basis ``_basis``: the columns of V, those spanning the null space
+    of C first and the r spanning its row space last. In the rotated design
+    X _basis, C B = 0 says that the coefficients of the last r columns vanish.
+    """
 
     def __init__(self, C):
         C = _check_matrix(C, "C")
-        if C.shape[0] > C.shape[1]:
-            raise HypothesisRankError(f"C is {C.shape[0]}x{C.shape[1]}: more rows than columns")
-        sv = np.linalg.svd(C, compute_uv=False)
+        r = C.shape[0]
+        if r > C.shape[1]:
+            raise HypothesisRankError(f"C is {r}x{C.shape[1]}: more rows than columns")
+        _, sv, vt = np.linalg.svd(C)
         if sv[0] == 0.0 or sv[-1] < RANK_TOL * sv[0]:
-            raise HypothesisRankError(f"C is numerically rank deficient (rank < {C.shape[0]})")
+            raise HypothesisRankError(f"C is numerically rank deficient (rank < {r})")
         self.C = C
+        self._basis = np.roll(vt.T, -r, axis=1)
 
     @property
     def r(self) -> int:
@@ -247,46 +255,45 @@ class SignalMatrix:
 # === fitting and reduction ===
 
 
-def _qr_design(X: np.ndarray):
-    """Reduced QR of the design with a rank check on the R diagonal."""
-    n, p = X.shape
+def _extra_ss(XY: np.ndarray, p: int, q: int):
+    """(S_E, S_X) for the hypothesis that the last q coefficient rows of Y = X B + E
+    vanish, from XY = [X Y] with X its first p columns.
+
+    One QR of XY gives R = [[R_XX, R_XY], [0, R_YY]]: S_E = R_YY' R_YY is
+    the residual Gram matrix of the full fit, and S_X = H' H, with H the q
+    rows of R_XY facing the last q columns of X, is the extra sum of squares
+    those columns explain (Anderson 2003, section 8.3). The R diagonal of
+    the X block is the design's rank check.
+    """
+    n = XY.shape[0]
     if n < p:
         raise SingularDesignError(f"design has n={n} rows but p={p} columns")
-    Q, R = np.linalg.qr(X)
-    diag = np.abs(np.diag(R))
+    R = np.linalg.qr(XY, mode="r")
+    diag = np.abs(np.diag(R)[:p])
     if diag.max() == 0.0 or diag.min() < RANK_TOL * diag.max():
         raise SingularDesignError("design matrix is numerically rank deficient")
-    return Q, R
+    H, R_yy = R[p - q:p, p:], R[p:, p:]
+    return R_yy.T @ R_yy, H.T @ H
 
 
 def hypothesis_ss(data: DataSet, C) -> SumsOfSquares:
     """Error and hypothesis sums of squares for testing C B = 0.
 
-    S_X = (C Bhat)' [C (X'X)^{-1} C']^{-1} (C Bhat), assembled from triangular
-    solves against the QR factor of X and a Cholesky factor of C (X'X)^{-1} C'.
+    S_X = (C Bhat)' [C (X'X)^{-1} C']^{-1} (C Bhat), computed without any
+    inverse: the design is rotated by the orthogonal basis of C's SVD, which
+    puts the row space of C on the last r columns, and _extra_ss takes one
+    QR of the rotated design next to Y.
     """
     if not isinstance(C, HypothesisMatrix):
         C = HypothesisMatrix(C)
     if C.p != data.p:
         raise DomainError(f"C has {C.p} columns but the design has p={data.p}")
-    Q, R = _qr_design(data.X)
-    QtY = Q.T @ data.Y
-    Bhat = solve_triangular(R, QtY, lower=False)
-    resid = data.Y - Q @ QtY
-    s_err = resid.T @ resid
-
-    CB = C.C @ Bhat
-    # G' = R^{-T} C' so that G G' = C (X'X)^{-1} C'
-    Gt = solve_triangular(R, C.C.T, trans="T", lower=False)
-    K = Gt.T @ Gt
-    try:
-        L = np.linalg.cholesky(0.5 * (K + K.T))
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateMatrixError("C (X'X)^{-1} C' is not positive definite") from exc
-    H = solve_triangular(L, CB, lower=True)
-    s_hyp = H.T @ H
-    dims = Dims(data.n, data.p, data.m, C.r)
-    return SumsOfSquares(s_err, s_hyp, dims)
+    XY = np.empty((data.n, data.p + data.m))
+    # the rotated design is written straight into [X Y], never held as a second n x p copy
+    np.matmul(data.X, C._basis, out=XY[:, :data.p])
+    XY[:, data.p:] = data.Y
+    s_err, s_hyp = _extra_ss(XY, data.p, C.r)
+    return SumsOfSquares(s_err, s_hyp, Dims(data.n, data.p, data.m, C.r))
 
 
 def neg2_log_lrt(ss: SumsOfSquares):

@@ -6,13 +6,13 @@ conditional_transform, and its r columns are protected from screening.
 Then each round randomly splits the sample, screens predictors (and
 optionally PCA-reduces responses) on one part, and tests on the other. The
 per-split p-value refers -2 log L_n on the testing part to its exact null
-law, Wilks' Lambda as a product of betas at the split's (n_T, p0, m0, r), so
-it is valid far into the tail. The J per-split p-values are aggregated
-through an adaptive quantile with a correction factor, giving a single p_t
-whose level is controlled for any J: the aggregation compares the smallest
-p-value with a cutoff near alpha * gamma_min / (1 - log gamma_min), and only
-a p-value that is valid at that depth keeps the bound (Meinshausen, Meier &
-Buehlmann 2009). no_split_pvalue is the J = 0 negative control: it screens
+law, Wilks' Lambda as a product of betas at the split's (n_T, p0, m0, q),
+with q the hypothesis columns screening kept, so it is valid far into the
+tail. The J per-split p-values are aggregated through an adaptive quantile
+with a correction factor, giving a single p_t whose level is controlled for
+any J: the aggregation compares the smallest p-value with a cutoff near
+alpha * gamma_min / (1 - log gamma_min), and only a p-value that is valid at
+that depth keeps the bound (Meinshausen, Meier & Buehlmann 2009). no_split_pvalue is the J = 0 negative control: it screens
 and tests on the same rows.
 
 Split j is driven entirely by a seed derived from (config seed, j), so runs
@@ -30,14 +30,7 @@ import numpy as np
 from ._blas import single_thread_blas
 from .distributions import wilks_lrt_tail
 from .errors import DomainError, SplitInfeasibleError
-from .model import (
-    RANK_TOL,
-    DataSet,
-    HypothesisMatrix,
-    SumsOfSquares,
-    hypothesis_ss,
-    neg2_log_lrt,
-)
+from .model import DataSet, Dims, HypothesisMatrix, SumsOfSquares, _extra_ss, neg2_log_lrt
 from .rng import derive_seed, stream
 from .screening import conditional_transform, parallel_analysis, pca_reduce, screen
 
@@ -113,20 +106,6 @@ def split_indices(rng, n: int, ratio: float):
     return np.sort(perm[:n_s]), np.sort(perm[n_s:])
 
 
-def _row_space_basis(c_m: np.ndarray):
-    """Orthonormal-row representative of the row space of c_m, or None if trivial.
-
-    Restricting C to the screened columns can leave redundant or even zero
-    rows; the test only depends on the row space, so a full-row-rank basis is
-    substituted before fitting.
-    """
-    _, sv, vt = np.linalg.svd(c_m)
-    if sv[0] <= 0.0:
-        return None
-    r_eff = int(np.count_nonzero(sv > RANK_TOL * sv[0]))
-    return vt[:r_eff]
-
-
 def split_pvalue(ss: SumsOfSquares) -> float:
     """The testing part's p-value: -2 log L_n against its exact null law."""
     d = ss.dims
@@ -134,7 +113,8 @@ def split_pvalue(ss: SumsOfSquares) -> float:
 
 
 def _prepare_hypothesis(data: DataSet, C):
-    """(X, c_rows, protect): the design and hypothesis rows that every split uses.
+    """(X, r, protect): the design that every split uses, in which the
+    hypothesis says that the coefficients of its first r columns vanish.
 
     A hypothesis already in leading-identity form is used as it is, with no
     protected columns. Any other is rotated by conditional_transform to
@@ -144,12 +124,12 @@ def _prepare_hypothesis(data: DataSet, C):
     if hyp.p != data.p:
         raise DomainError(f"C has p={hyp.p} columns but the design has p={data.p}")
     if hyp.is_leading_identity():
-        return data.X, hyp.C, 0
+        return data.X, hyp.r, 0
     X, _ = conditional_transform(data.X, hyp)
-    return X, np.eye(hyp.r, hyp.p), hyp.r
+    return X, hyp.r, hyp.r
 
 
-def _split_outcome(data: DataSet, X, c_rows, protect, cfg: MultiSplitConfig,
+def _split_outcome(data: DataSet, X, r, protect, cfg: MultiSplitConfig,
                    j: int, unsplit: bool = False) -> SplitOutcome:
     """Split j on a hypothesis prepared by _prepare_hypothesis: split, reduce, test.
 
@@ -164,7 +144,6 @@ def _split_outcome(data: DataSet, X, c_rows, protect, cfg: MultiSplitConfig,
         s_idx, t_idx = split_indices(rng, data.n, cfg.split_ratio)
         label = f"split {j}"
     X_s, Y_s = X[s_idx], data.Y[s_idx]
-    X_t, Y_t = X[t_idx], data.Y[t_idx]
     n_t = len(t_idx)
     m = data.m
     budget = max(int(math.floor(cfg.delta * data.p + 1e-9)), protect)
@@ -193,14 +172,17 @@ def _split_outcome(data: DataSet, X, c_rows, protect, cfg: MultiSplitConfig,
         raise SplitInfeasibleError(
             f"{label}: testing half has n_T={n_t} but needs more than p0 + m0 + 1 = {p0 + m_eff + 1}")
 
-    c_eff = _row_space_basis(c_rows[:, cols])
-    if c_eff is None:
+    q = int(np.searchsorted(cols, r))  # selected hypothesis columns, the first q of cols
+    if q == 0:
         # screening removed every hypothesis column: nothing to test, stay conservative
         p_val = 1.0
     else:
+        Y_t = data.Y[t_idx]
         if reduction is not None:
             Y_t = reduction.transform(Y_t)
-        p_val = split_pvalue(hypothesis_ss(DataSet(X_t[:, cols], Y_t), c_eff))
+        XY = np.hstack([X[np.ix_(t_idx, np.roll(cols, -q))], Y_t])
+        s_err, s_hyp = _extra_ss(XY, p0, q)
+        p_val = split_pvalue(SumsOfSquares(s_err, s_hyp, Dims(n_t, p0, m_eff, q)))
     return SplitOutcome(float(p_val), tuple(int(c) for c in cols), m_eff,
                         derive_seed(cfg.seed, j))
 
@@ -208,9 +190,10 @@ def _split_outcome(data: DataSet, X, c_rows, protect, cfg: MultiSplitConfig,
 def per_split_pvalue(data: DataSet, C, cfg: MultiSplitConfig, j: int) -> SplitOutcome:
     """Run split j end to end: prepare the hypothesis, split, reduce, test.
 
-    After screening, the hypothesis restricted to the selected columns is
-    row-reduced to full rank; if the restriction is empty the split returns
-    p = 1.
+    After screening, the hypothesis says that the coefficients of the q
+    selected columns among its r vanish; one QR of the testing part's
+    [X_rest X_hyp Y] gives the pair (S_E, S_X) at (n_T, p0, m0, q). If
+    screening kept none of those columns (q = 0) the split returns p = 1.
     """
     return _split_outcome(data, *_prepare_hypothesis(data, C), cfg, j)
 

@@ -154,7 +154,8 @@ def conditional_transform(X, C):
 
     With the SVD C = U S V', the orthogonal change of basis D = V puts the
     row space of C on the first r transformed predictors; screening must then
-    protect those columns and may rank only the rest.
+    protect those columns and may rank only the rest. D is the basis the
+    HypothesisMatrix keeps, with its row-space columns moved to the front.
 
     Returns ``(X_tilde, d)`` with X_tilde = X d.
     """
@@ -162,8 +163,7 @@ def conditional_transform(X, C):
     X = _check_matrix(X, "X")
     if X.shape[1] != hyp.p:
         raise DomainError(f"X has {X.shape[1]} columns but C expects p={hyp.p}")
-    _, _, vt = np.linalg.svd(hyp.C, full_matrices=True)
-    d = vt.T
+    d = np.roll(hyp._basis, hyp.r, axis=1)
     return X @ d, d
 
 

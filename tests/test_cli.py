@@ -10,6 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import mvlrt.experiments
 from mvlrt.cli import _SCHEMA, main
 from mvlrt.dataio import save_matrix
 from mvlrt.experiments import ExperimentSpec
@@ -371,6 +372,30 @@ def test_cli_defaults_match_the_library():
             assert _SCHEMA[command][dest][1] == defaults[dest], f"{command}.{dest}"
             checked.add(dest)
     assert {"reps", "signal_grid", "eta_grid", "j_splits", "pca_policy", "threads"} <= checked
+
+
+@pytest.mark.parametrize("flag", ["--eta-grid", "--spike-ratios", "--signal-grid"])
+def test_bad_number_list_names_the_expected_form(capsys, flag):
+    command = "simulate" if flag == "--eta-grid" else "power"
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "0.5,x"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert f"error: argument {flag}: expected a comma list of numbers, got '0.5,x'" in err
+    assert "_floats" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "power"])
+def test_empty_method_list_exits_one(capsys, monkeypatch, command):
+    calls = []
+    orig = mvlrt.experiments.stream
+    monkeypatch.setattr(mvlrt.experiments, "stream",
+                        lambda *path: calls.append(path) or orig(*path))
+    grid = ["--signal-grid", "0,1"] if command == "power" else []
+    code, _, err = _run(capsys, [command, "--methods", "", "--reps", "5", *grid])
+    assert code == 1
+    assert "methods must name at least one test" in err
+    assert calls == []
 
 
 def test_sweep_bad_values_exit_one(capsys):

@@ -145,6 +145,14 @@ def test_spec_checks_the_signal_tag(signal):
         ExperimentSpec(signal=signal)
 
 
+@pytest.mark.parametrize("sweep", [typeI_sweep, power_sweep])
+def test_spec_needs_a_method(monkeypatch, sweep):
+    calls = _count_streams(monkeypatch)
+    with pytest.raises(DomainError, match="at least one test"):
+        sweep(ExperimentSpec(methods=(), signal_grid=(0.0, 1.0), reps=5))
+    assert calls == []
+
+
 @pytest.mark.parametrize("signal", [("diagonal", 99), ("spikes", (1.0,))])
 def test_linear_power_sweep_rejects_a_bad_signal_before_any_draw(monkeypatch, signal):
     calls = _count_streams(monkeypatch)

@@ -397,10 +397,11 @@ def test_canonical_sample_mean_matrix():
     """E[S_X] = r I + M1'M1, checked entrywise."""
     dims = Dims(20, 4, 2, 3)
     sig = SignalMatrix.diagonal_spikes([2.0, 1.0], dims)
-    reps = 100_000
+    reps, block = 100_000, 1_000
     acc = np.zeros((2, 2))
-    for k in range(reps):
-        acc += canonical_form_sample(stream(402, k), sig, dims).s_hyp
+    for start in range(0, reps, block):
+        rngs = [stream(402, k) for k in range(start, start + block)]
+        acc += canonical_form_sample(rngs, sig, dims).s_hyp.sum(axis=0)
     got = acc / reps
     want = dims.r * np.eye(2) + sig.omega()
     # crude uniform bound on the entry standard errors at these sizes

@@ -302,11 +302,31 @@ def test_prepare_hypothesis_passes_leading_identity_through(monkeypatch):
                         lambda *args: calls.append(1))
     data = _wide_null_data(718)
     C = np.hstack([np.eye(2), np.zeros((2, 118))])
-    X, c_rows, protect = mvlrt.multisplit._prepare_hypothesis(data, C)
+    X, r, protect = mvlrt.multisplit._prepare_hypothesis(data, C)
     assert X is data.X
-    assert np.array_equal(c_rows, C)
+    assert r == 2
     assert protect == 0  # nothing rotated, so no column is held back from screening
     assert calls == []
+
+
+def test_multisplit_takes_one_svd_and_one_qr_per_split(monkeypatch):
+    """A general hypothesis is decomposed once; each split is one QR of [X_rest X_hyp Y]."""
+    counts = {"svd": 0, "qr": 0}
+
+    def counting(name):
+        orig = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return orig(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    data = _wide_null_data(719)
+    C = stream(720).standard_normal((2, 120))
+    multisplit_test(data, C, MultiSplitConfig(j_splits=6, seed=3))
+    assert counts == {"svd": 1, "qr": 6}
 
 
 def test_multisplit_rejects_thread_count_below_one():
