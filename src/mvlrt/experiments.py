@@ -6,14 +6,16 @@ per requested method, and returns a ResultTable of rows
 produce a labeled row with no numbers instead of crashing the sweep; a bad
 setting raises before any replicate runs.
 
-Reproducibility contract: replicate k of cell c draws from a generator keyed
-by (seed, c, k), and all four sweeps aggregate by integer counting in one
-loop (``_count``), so a rerun produces byte-identical tables. The
-calibration and power sweeps count in blocks of 32 consecutive replicates
-(``_BLOCK``): a block stacks its replicates' sums of squares, each still drawn
-from its own generator, and applies each test's formula to the stack once.
-A pair in a stack gets the bits it would get alone, so the block size
-changes no output. There is no probe pair: the first block of a cell decides
+Reproducibility contract: every draw comes from a generator keyed by
+integers, and all four sweeps aggregate by integer counting in one loop
+(``_count``), so a rerun produces byte-identical tables. The calibration and
+power sweeps count in blocks of 32 consecutive replicates (``_BLOCK``) and
+apply each test's formula to a block's stack once. Canonical block b of cell
+c is one ``canonical_form_sample`` draw from the generator keyed by
+(seed, c, b), so those tables are pinned to the block size. Every other
+replicate k of cell c draws from the generator keyed by (seed, c, k); a pair
+in a stack gets the bits it would get alone, so the block size changes no
+linear table. There is no probe pair: the first block of a cell decides
 which methods are feasible there. Blocks and replicates run in order in the
 calling thread with BLAS on one thread (see ``_blas``); the ``threads``
 setting is validated but does not change the work or the output.
@@ -49,7 +51,8 @@ NOISE_KINDS = ("gaussian", "multinomial", "t3", "t5")
 SIGNAL_KINDS = ("null", "spikes", "diagonal", "single", "dense")
 
 #: replicates per block of the calibration and power sweeps; a larger block
-#: holds more memory and saves little more time
+#: holds more memory and saves little more time. Canonical streams are keyed
+#: by block, so the canonical tables are pinned to this value
 _BLOCK = 32
 
 
@@ -245,19 +248,26 @@ def _spike_signal(ratios, target: float, dims: Dims) -> SignalMatrix:
 
 
 def _drawer(spec: ExperimentSpec, dims: Dims, signal=None, strength: float = 0.0):
-    """draw(rngs) -> the stack of one replicate's sums of squares per generator:
-    sampled directly under ``signal`` (canonical), or from Y = X B + E at
-    coefficient size ``strength`` with the hypothesis [I_r 0] B = 0 (linear),
-    where each replicate still fits one QR."""
+    """draw(cell_id, b, reps) -> the stack of sums of squares of block b of a
+    cell, one pair per replicate in the range ``reps``.
+
+    Canonical: one stack of len(reps) pairs sampled under ``signal`` from
+    the generator keyed by (seed, cell_id, b). Linear: replicate k draws
+    Y = X B + E at coefficient size ``strength`` from the generator keyed by
+    (seed, cell_id, k) and fits the hypothesis [I_r 0] B = 0 with one QR.
+    """
     if spec.generator == "canonical":
-        return lambda rngs: canonical_form_sample(rngs, signal, dims)
+        return lambda cell_id, b, reps: canonical_form_sample(
+            stream(spec.seed, cell_id, b), signal, dims, size=len(reps))
     cell_spec = replace(spec, p=dims.p, m=dims.m, r=dims.r)
     hyp = HypothesisMatrix(np.eye(dims.r, dims.p))
 
-    def draw(rngs):
-        pairs = [hypothesis_ss(gen_linear_model(rng, cell_spec, strength), hyp) for rng in rngs]
-        return SumsOfSquares(np.stack([ss.s_err for ss in pairs]),
-                             np.stack([ss.s_hyp for ss in pairs]), dims)
+    def draw(cell_id, b, reps):
+        pairs = [hypothesis_ss(gen_linear_model(stream(spec.seed, cell_id, k), cell_spec,
+                                                strength), hyp) for k in reps]
+        # each pair was checked and symmetrized by hypothesis_ss
+        return SumsOfSquares._of(np.stack([ss.s_err for ss in pairs]),
+                                 np.stack([ss.s_hyp for ss in pairs]), dims)
 
     return draw
 
@@ -305,8 +315,7 @@ def _estimate_cell(spec: ExperimentSpec, cell_id: int, cell: str, draw) -> list:
     started = time.perf_counter()
 
     def block(b):
-        reps = range(b * _BLOCK, min((b + 1) * _BLOCK, spec.reps))
-        return draw([stream(spec.seed, cell_id, rep) for rep in reps])
+        return draw(cell_id, b, range(b * _BLOCK, min((b + 1) * _BLOCK, spec.reps)))
 
     try:
         first = block(0)

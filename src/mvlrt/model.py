@@ -12,6 +12,10 @@ dimensions, shape (B, m, m). A stack is checked once and factored by batched
 Cholesky and eigvalsh calls, with the two triangular solves made per pair;
 each pair of it gets the bits it would get alone. The readers return a float
 (or an m-vector) for a pair and an array with a leading axis B for a stack.
+
+The canonical sampler draws a stack from one generator, S_E = T T' by the
+Bartlett decomposition of the Wishart law, and keeps the triangular T as the
+Cholesky factor of S_E: a sampled pair needs one Cholesky (of S_E + S_X).
 """
 
 from __future__ import annotations
@@ -185,6 +189,17 @@ class SumsOfSquares:
         self.s_hyp = 0.5 * (s_hyp + _transpose(s_hyp))
         self.dims = dims
 
+    @classmethod
+    def _of(cls, s_err, s_hyp, dims: Dims, chol_err=None) -> "SumsOfSquares":
+        """A pair or stack without __init__'s checks and re-symmetrizing, only for
+        arrays of the right shape that are finite and symmetric by construction;
+        ``chol_err``, if given, is stored as S_E's lower Cholesky factor."""
+        ss = cls.__new__(cls)
+        ss.s_err, ss.s_hyp, ss.dims = s_err, s_hyp, dims
+        if chol_err is not None:
+            ss._chol_err = chol_err
+        return ss
+
     @cached_property
     def _chol_err(self) -> np.ndarray:
         if not self.dims.lrt_defined:
@@ -330,33 +345,40 @@ def theta_max(ss: SumsOfSquares, convention: str = "johnstone"):
     raise DomainError(f"unknown largest-root convention {convention!r}")
 
 
-def canonical_form_sample(rng, signal, dims: Dims) -> SumsOfSquares:
-    """Sample (S_E, S_X) directly in canonical form.
+def canonical_form_sample(rng, signal, dims: Dims, size=None) -> SumsOfSquares:
+    """Sample (S_E, S_X) directly in canonical form: one pair, or a stack of ``size``.
 
-    Y1 (r x m) has independent rows with means given by the signal matrix and
-    identity covariance; Y2 ((n-p) x m) is pure noise. Returns
-    S_X = Y1'Y1, S_E = Y2'Y2. The null hypothesis corresponds to signal 0.
-    ``rng`` is one generator, which gives one pair, or a sequence of them,
-    which gives a stack with one pair per generator; each draws Y1 and then
-    Y2, so pair k of a stack equals the pair drawn from generator k alone.
+    S_X = Y1'Y1, where Y1 (r x m) has independent rows with means given by
+    the signal matrix and identity covariance; the null is signal 0.
+    S_E ~ Wishart_m(I, n - p) is T T' by the Bartlett decomposition (Smith &
+    Hocking 1972, AS 53): T is lower triangular, T_ii^2 ~ chi2(n - p - i) for
+    i = 0 .. m-1, N(0, 1) below the diagonal, and is stored as S_E's factor.
+
+    All draws come from ``rng`` in this order, with B = 1 when size is None:
+    Y1 as one (B, r, m) array, then the below-diagonal entries of each T as
+    a (B, m(m-1)/2) array (row by row), then the diagonal chi-squares as a
+    (B, m) array. So a pair is pair 0 of a stack of size 1 from the same stream.
     """
     if not dims.lrt_defined:
         raise RegimeError(f"canonical form needs n > p + m, got {dims}")
+    if size is not None and (int(size) != size or size < 1):
+        raise DomainError(f"size must be a positive integer, got {size!r}")
     if signal is None:
         M1 = np.zeros((dims.r, dims.m))
     else:
         M1 = signal.M1 if isinstance(signal, SignalMatrix) else np.asarray(signal, dtype=float)
     if M1.shape != (dims.r, dims.m):
         raise DomainError(f"signal shape {M1.shape} does not match (r, m)=({dims.r}, {dims.m})")
-    one = isinstance(rng, np.random.Generator)
-    rngs = [rng] if one else list(rng)
-    Y1 = np.empty((len(rngs), dims.r, dims.m))
-    Y2 = np.empty((len(rngs), dims.n - dims.p, dims.m))
-    for gen, y1, y2 in zip(rngs, Y1, Y2):
-        gen.standard_normal(out=y1)
-        gen.standard_normal(out=y2)
+    B, m = 1 if size is None else int(size), dims.m
+    Y1 = rng.standard_normal((B, dims.r, m))
     Y1 += M1
-    s_err, s_hyp = _transpose(Y2) @ Y2, _transpose(Y1) @ Y1
-    if one:
-        return SumsOfSquares(s_err[0], s_hyp[0], dims)
-    return SumsOfSquares(s_err, s_hyp, dims)
+    T = np.zeros((B, m, m))
+    rows, cols = np.tril_indices(m, -1)
+    T[:, rows, cols] = rng.standard_normal((B, rows.size))
+    diag = np.arange(m)
+    T[:, diag, diag] = np.sqrt(rng.chisquare(dims.n - dims.p - diag, size=(B, m)))
+    # numpy forms a product A A' by one syrk and mirrors it, so both are exactly symmetric
+    s_err, s_hyp = T @ _transpose(T), _transpose(Y1) @ Y1
+    if size is None:
+        return SumsOfSquares._of(s_err[0], s_hyp[0], dims, chol_err=T[0])
+    return SumsOfSquares._of(s_err, s_hyp, dims, chol_err=T)

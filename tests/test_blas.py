@@ -106,9 +106,9 @@ def test_typeI_sweep_pins_then_restores(two_threads, monkeypatch):
     inside = set()
     orig = mvlrt.experiments.canonical_form_sample
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         inside.add(thread_counts())
-        return orig(*args)
+        return orig(*args, **kwargs)
 
     monkeypatch.setattr(mvlrt.experiments, "canonical_form_sample", spy)
     typeI_sweep(ExperimentSpec(n=40, p=5, m=3, r=2, reps=20, seed=3, threads=2))

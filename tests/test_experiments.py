@@ -249,14 +249,23 @@ def test_linear_generator_sweep_agrees_with_canonical_calibration():
 _ALL = tuple(TESTS)
 
 
-def _loop_rates(draw, spec, cell_id=0):
-    """Rejection rate of each method from one TESTS call per replicate and method."""
+def _loop_rates(pairs, spec):
+    """Rejection rate of each method from one TESTS call per pair and method."""
     hits = dict.fromkeys(spec.methods, 0)
-    for k in range(spec.reps):
-        ss = draw(stream(spec.seed, cell_id, k))
+    for ss in pairs:
         for meth in spec.methods:
             hits[meth] += TESTS[meth](ss).p_value <= spec.alpha
     return {meth: h / spec.reps for meth, h in hits.items()}
+
+
+def _block_pairs(seed, cell_id, signal, dims, reps, block=32):
+    """Each canonical pair of a cell, drawn a block at a time from stream(seed, cell_id, b)
+    and rebuilt on its own, with its own Bartlett factor as the Cholesky factor of S_E."""
+    for b, start in enumerate(range(0, reps, block)):
+        ss = canonical_form_sample(stream(seed, cell_id, b), signal, dims,
+                                   size=min(block, reps - start))
+        for s_err, s_hyp, T in zip(ss.s_err, ss.s_hyp, ss._chol_err):
+            yield SumsOfSquares._of(s_err, s_hyp, dims, chol_err=T)
 
 
 def _table_rates(table, cell):
@@ -267,7 +276,7 @@ def _table_rates(table, cell):
 def test_blocks_count_as_a_per_replicate_loop_canonical_null():
     spec = ExperimentSpec(n=60, p=8, m=4, r=4, methods=_ALL, reps=77, seed=31)
     dims = Dims(60, 8, 4, 4)
-    want = _loop_rates(lambda rng: canonical_form_sample(rng, None, dims), spec)
+    want = _loop_rates(_block_pairs(spec.seed, 0, None, dims, spec.reps), spec)
     assert _table_rates(typeI_sweep(spec), "n=60 p=8 m=4 r=4") == want
 
 
@@ -278,7 +287,7 @@ def test_blocks_count_as_a_per_replicate_loop_canonical_spikes():
     table = power_sweep(spec)
     for cell_id, target in enumerate(spec.signal_grid):
         signal = _spike_signal((1.0, 0.5), target, dims)
-        want = _loop_rates(lambda rng: canonical_form_sample(rng, signal, dims), spec, cell_id)
+        want = _loop_rates(_block_pairs(spec.seed, cell_id, signal, dims, spec.reps), spec)
         assert _table_rates(table, f"trace_ratio={target:g}") == want
 
 
@@ -286,7 +295,9 @@ def test_blocks_count_as_a_per_replicate_loop_linear():
     spec = ExperimentSpec(generator="linear", n=60, p=8, m=4, r=3, rho_x=0.3,
                           methods=_ALL, reps=77, seed=33)
     hyp = HypothesisMatrix(np.eye(3, 8))
-    want = _loop_rates(lambda rng: hypothesis_ss(gen_linear_model(rng, spec), hyp), spec)
+    pairs = (hypothesis_ss(gen_linear_model(stream(spec.seed, 0, k), spec), hyp)
+             for k in range(spec.reps))
+    want = _loop_rates(pairs, spec)
     assert _table_rates(typeI_sweep(spec), "n=60 p=8 m=4 r=3") == want
 
 
@@ -295,7 +306,8 @@ def test_sweeps_build_each_replicate_stream_once(monkeypatch):
     typeI_sweep(ExperimentSpec(n=60, eta_grid=(0.5, 0.6), methods=_ALL, reps=64, seed=35))
     power_sweep(ExperimentSpec(generator="linear", n=60, p=8, m=4, r=4, signal=("single",),
                                signal_grid=(0.0, 1.0), methods=("t1",), reps=40, seed=36))
-    assert calls == ([(35, c, k) for c in range(2) for k in range(64)]
+    # one stream per canonical block of 32, one per linear replicate
+    assert calls == ([(35, c, b) for c in range(2) for b in range(2)]
                      + [(36, c, k) for c in range(2) for k in range(40)])
 
 
@@ -306,33 +318,36 @@ def test_first_block_drops_only_the_methods_it_breaks():
     dims = Dims(60, 8, 4, 4)
     drawn = []
 
-    def draw(rngs):
-        ss = canonical_form_sample(rngs, None, dims)
-        drawn.append(rngs)
+    def draw(cell_id, b, reps):
+        ss = canonical_form_sample(stream(37, cell_id, b), None, dims, size=len(reps))
+        drawn.append(b)
         if len(drawn) > 1:
             return ss
         s_hyp = ss.s_hyp.copy()
         s_hyp[3] = 0.0
-        return SumsOfSquares(ss.s_err, s_hyp, dims)
+        return SumsOfSquares._of(ss.s_err, s_hyp, dims, chol_err=ss._chol_err)
 
     rows = {row.method: row for row in _estimate_cell(spec, 0, "cell", draw)}
+    assert drawn == [0, 1, 2]
     for meth in ("t2", "t3"):
         assert rows[meth].rate is None
         assert rows[meth].status == "infeasible: largest root theta=0.0 has no logit"
     hits = 0
-    for k in range(spec.reps):
-        ss = canonical_form_sample(stream(37, 0, k), None, dims)
+    for k, ss in enumerate(_block_pairs(37, 0, None, dims, spec.reps)):
         if k == 3:
-            ss = SumsOfSquares(ss.s_err, np.zeros((4, 4)), dims)
+            ss = SumsOfSquares._of(ss.s_err, np.zeros((4, 4)), dims, chol_err=ss._chol_err)
         hits += TESTS["t1"](ss).p_value <= spec.alpha
     assert rows["t1"].status == "ok" and rows["t1"].rate == hits / spec.reps
 
 
 @pytest.mark.parametrize("block", [1, 5, 77, 1000])
 def test_block_size_changes_no_table(monkeypatch, block):
-    spec = ExperimentSpec(n=60, eta_grid=(0.5, 0.6), methods=_ALL, reps=77, seed=34)
-    power = ExperimentSpec(n=60, p=20, m=8, r=10, signal=("spikes", (1.0,)),
-                           signal_grid=(1.0,), methods=_ALL, reps=77, seed=34)
+    """Linear replicates own their streams, so the block size changes no linear
+    table; canonical streams are keyed by block and pinned to _BLOCK."""
+    spec = ExperimentSpec(generator="linear", n=60, p=8, m=4, r=4, rho_x=0.3,
+                          methods=_ALL, reps=77, seed=34)
+    power = ExperimentSpec(generator="linear", n=60, p=8, m=4, r=3, signal=("diagonal", 2),
+                           signal_grid=(0.3,), methods=_ALL, reps=77, seed=34)
     want = typeI_sweep(spec).csv_text() + power_sweep(power).csv_text()
     monkeypatch.setattr(mvlrt.experiments, "_BLOCK", block)
     assert typeI_sweep(spec).csv_text() + power_sweep(power).csv_text() == want

@@ -240,14 +240,21 @@ def test_method_table_maps_names_to_tests():
 
 
 def test_five_tests_share_one_factorization(monkeypatch):
-    ss = canonical_form_sample(stream(61), None, DIMS_DESK)
+    rng = stream(61)
+    data = DataSet(rng.standard_normal((100, 50)), rng.standard_normal((100, 20)))
+    fitted = hypothesis_ss(data, np.eye(30, 50))
+    sampled = canonical_form_sample(rng, None, DIMS_DESK)
     chol = _count_calls(monkeypatch, "cholesky")
     eig = _count_calls(monkeypatch, "eigvalsh")
-    for test in TESTS.values():
-        test(ss)
-    # one factor of S_E, one of S_E + S_X, one eigenproblem for the roots
-    assert len(chol) == 2
-    assert len(eig) == 1
+    # a fitted pair: one factor of S_E, one of S_E + S_X, one eigenproblem for the roots;
+    # a sampled pair carries its Bartlett factor of S_E, so only S_E + S_X is factored
+    for ss, factors in ((fitted, 2), (sampled, 1)):
+        chol.clear()
+        eig.clear()
+        for test in TESTS.values():
+            test(ss)
+        assert len(chol) == factors
+        assert len(eig) == 1
 
 
 def test_rel_eigenvalues_copy_leaves_stored_roots_alone(monkeypatch):
@@ -264,8 +271,10 @@ def test_rel_eigenvalues_copy_leaves_stored_roots_alone(monkeypatch):
 
 
 def _stack(pairs):
-    return SumsOfSquares(np.stack([ss.s_err for ss in pairs]),
-                         np.stack([ss.s_hyp for ss in pairs]), pairs[0].dims)
+    """The pairs as one stack that keeps each pair's Cholesky factor of S_E."""
+    return SumsOfSquares._of(np.stack([ss.s_err for ss in pairs]),
+                             np.stack([ss.s_hyp for ss in pairs]), pairs[0].dims,
+                             chol_err=np.stack([ss._chol_err for ss in pairs]))
 
 
 def test_stack_rejections_count_the_pair_tests():

@@ -274,25 +274,50 @@ def test_failed_factorization_raises_on_every_call():
 
 
 def _stack(pairs):
-    return SumsOfSquares(np.stack([ss.s_err for ss in pairs]),
-                         np.stack([ss.s_hyp for ss in pairs]), pairs[0].dims)
+    """The pairs as one stack that keeps each pair's Cholesky factor of S_E."""
+    return SumsOfSquares._of(np.stack([ss.s_err for ss in pairs]),
+                             np.stack([ss.s_hyp for ss in pairs]), pairs[0].dims,
+                             chol_err=np.stack([ss._chol_err for ss in pairs]))
 
 
-def test_canonical_stack_is_the_pairs_drawn_one_at_a_time():
+def test_canonical_pair_is_pair_zero_of_a_stack_of_one():
     dims = Dims(40, 6, 5, 3)
     signal = SignalMatrix.diagonal_spikes([2.0, 1.0], dims)
-    stack = canonical_form_sample([stream(410, k) for k in range(7)], signal, dims)
-    assert stack.s_err.shape == stack.s_hyp.shape == (7, 5, 5)
-    for k in range(7):
-        one = canonical_form_sample(stream(410, k), signal, dims)
-        assert np.array_equal(stack.s_err[k], one.s_err)
-        assert np.array_equal(stack.s_hyp[k], one.s_hyp)
+    one = canonical_form_sample(stream(410), signal, dims)
+    stack = canonical_form_sample(stream(410), signal, dims, size=1)
+    assert one.s_err.shape == one.s_hyp.shape == (5, 5)
+    assert stack.s_err.shape == stack.s_hyp.shape == (1, 5, 5)
+    assert np.array_equal(one.s_err, stack.s_err[0])
+    assert np.array_equal(one.s_hyp, stack.s_hyp[0])
+    assert np.array_equal(one._chol_err, stack._chol_err[0])
+
+
+@pytest.mark.parametrize("dims", [Dims(40, 6, 5, 3), Dims(100, 50, 20, 30), Dims(9, 2, 1, 2)])
+def test_canonical_stack_follows_the_documented_draw_order(dims):
+    """Y1, then the below-diagonal normals, then the diagonal chi-squares, all
+    from the one generator; S_E = T T' is exactly symmetric and T is its factor."""
+    B, m = 6, dims.m
+    signal = np.full((dims.r, m), 0.5)
+    ss = canonical_form_sample(stream(412), signal, dims, size=B)
+    rng = stream(412)
+    Y1 = rng.standard_normal((B, dims.r, m)) + signal
+    below = rng.standard_normal((B, m * (m - 1) // 2))
+    chi2 = rng.chisquare(dims.n - dims.p - np.arange(m), size=(B, m))
+    for k in range(B):
+        T = np.diag(np.sqrt(chi2[k]))
+        T[np.tril_indices(m, -1)] = below[k]
+        assert np.array_equal(ss._chol_err[k], T)
+        assert np.array_equal(ss.s_err[k], T @ T.T)
+        assert np.array_equal(ss.s_hyp[k], Y1[k].T @ Y1[k])
+    for a in (ss.s_err, ss.s_hyp):
+        assert np.array_equal(a, np.swapaxes(a, -1, -2))
+    assert np.allclose(np.linalg.cholesky(ss.s_err), ss._chol_err, rtol=1e-12, atol=1e-12)
 
 
 def test_stack_readers_give_each_pair_its_own_bits():
     dims = Dims(100, 50, 20, 30)
     pairs = [_random_ss(stream(411, k), dims) for k in range(9)]
-    stack = _stack(pairs)
+    stack = _stack(pairs)  # built from the pairs' own Bartlett factors
     assert np.array_equal(neg2_log_lrt(stack), [neg2_log_lrt(ss) for ss in pairs])
     assert np.array_equal(rel_eigenvalues(stack), [rel_eigenvalues(ss) for ss in pairs])
     for convention in ("johnstone", "error"):
@@ -375,6 +400,9 @@ def test_canonical_sample_reproducible_and_shapes():
         canonical_form_sample(stream(0), np.zeros((2, 2)), dims)
     with pytest.raises(RegimeError):
         canonical_form_sample(stream(0), None, Dims(7, 5, 3, 4))
+    for size in (0, -3, 2.5):
+        with pytest.raises(DomainError):
+            canonical_form_sample(stream(0), None, dims, size=size)
 
 
 def test_canonical_sample_trace_means():
@@ -399,13 +427,29 @@ def test_canonical_sample_mean_matrix():
     sig = SignalMatrix.diagonal_spikes([2.0, 1.0], dims)
     reps, block = 100_000, 1_000
     acc = np.zeros((2, 2))
-    for start in range(0, reps, block):
-        rngs = [stream(402, k) for k in range(start, start + block)]
-        acc += canonical_form_sample(rngs, sig, dims).s_hyp.sum(axis=0)
+    for b in range(reps // block):
+        acc += canonical_form_sample(stream(402, b), sig, dims, size=block).s_hyp.sum(axis=0)
     got = acc / reps
     want = dims.r * np.eye(2) + sig.omega()
     # crude uniform bound on the entry standard errors at these sizes
     assert np.abs(got - want).max() <= 4.0 * 0.06
+
+
+def test_canonical_error_matrix_has_wishart_moments():
+    """S_E ~ Wishart_m(I, q), q = n - p: E S_E = q I, Var S_ii = 2q, Var S_ij = q."""
+    dims = Dims(20, 4, 3, 2)
+    q, m = dims.n - dims.p, dims.m
+    reps, block = 20_000, 1_000
+    s_err = np.concatenate([canonical_form_sample(stream(405, b), None, dims, size=block).s_err
+                            for b in range(reps // block)])
+    diag = s_err[:, np.arange(m), np.arange(m)]
+    off = s_err[:, [0, 0, 1], [1, 2, 2]]
+    # S_ii ~ chi2_q: fourth central moment 12 q^2 + 48 q; S_ij is a sum of q
+    # products of independent normals: fourth moment 3 q^2 + 6 q
+    for x, mean, var, mu4 in ((diag, q, 2.0 * q, 12.0 * q * q + 48.0 * q),
+                              (off, 0.0, q, 3.0 * q * q + 6.0 * q)):
+        assert np.abs(x.mean(axis=0) - mean).max() <= 4.0 * math.sqrt(var / reps)
+        assert np.abs(x.var(axis=0) - var).max() <= 4.0 * math.sqrt((mu4 - var ** 2) / reps)
 
 
 def test_null_law_matches_beta_product():
