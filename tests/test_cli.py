@@ -128,6 +128,15 @@ def test_parse_error_exits_one(capsys, tmp_path, data_files):
     assert "bad.csv:3" in err
 
 
+def test_undecodable_file_exits_one_naming_it(capsys, tmp_path, data_files):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"a,b\n1,2\n3,\xff\n")
+    code, _, err = _run(capsys, ["test", "--x", str(bad), "--y",
+                                 data_files["y"]])
+    assert code == 1
+    assert f"error: {bad}:3: not UTF-8 text (byte 0xff)" in err
+
+
 def test_usage_errors_exit_one(data_files):
     with pytest.raises(SystemExit) as exc:
         main(["test", "--x", data_files["x"], "--no-such-flag"])
