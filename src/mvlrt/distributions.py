@@ -14,6 +14,10 @@ Wilks' Lambda tail and the sampler take floats.
 The Tracy-Widom CDF is realized as an embedded table (``data/tw1_cdf.csv``,
 regenerated by ``scripts/make_tw1_table.py``) with monotone cubic
 interpolation inside the grid and asymptotically shaped tails outside it.
+The interpolant is PCHIP (Fritsch & Carlson 1980, with scipy's one-sided
+three-point end rule), computed in numpy so that importing the package does
+not load ``scipy.interpolate``; it gives the same bits as scipy's
+``PchipInterpolator``.
 The table is read once, as shipped; its invariants (grid over [-12, 10] at
 spacing 0.02, monotone F, both tails reached) are checked by the test suite,
 not at load time.
@@ -26,7 +30,6 @@ from functools import lru_cache
 from importlib import resources
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import gammaincc, gammainccinv, gammaln, ndtr, ndtri, psi, zeta
 
 from .errors import DomainError
@@ -84,13 +87,49 @@ def chi_sq_upper_quantile(alpha: float, df: int) -> float:
     return float(2.0 * gammainccinv(0.5 * df, alpha))
 
 
+def _pchip_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """PCHIP coefficients ``(c0, c1, c2, c3)``, one row per interval, as scipy builds them.
+
+    Knot slopes: Fritsch & Carlson's weighted harmonic mean of the two secants,
+    0 where they change sign or either is 0; Moler's one-sided rule at the ends.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.zeros_like(y)
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+    e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    e[np.sign(e) != np.sign(m0)] = 0.0
+    big = (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
+    d[[0, -1]] = np.where(big, 3.0 * m0, e)
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]), axis=1)
+
+
+def _pchip_eval(x: np.ndarray, c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The piecewise cubic at a, in the operation order of scipy's ``PPoly``."""
+    # the interval searchsorted(x, a, "right") - 1, clamped to [0, len(x) - 2]
+    i = np.searchsorted(x[1:-1], a, "right")
+    z = a - x[i]
+    ci = c[i]
+    zz = z * z
+    return ((ci[..., 3] + ci[..., 2] * z) + ci[..., 1] * zz) + ci[..., 0] * (zz * z)
+
+
 @lru_cache(maxsize=1)
 def _embedded_table():
-    """The grid s, the CDF values F and their monotone cubic interpolant."""
+    """The grid s, the CDF values F and their PCHIP coefficients (Fritsch &
+    Carlson 1980, scipy's end rule), computed in numpy with the bits of scipy's
+    ``PchipInterpolator``; one row per interval, so ``_pchip_eval`` gathers
+    all four with one index."""
     ref = resources.files("mvlrt").joinpath("data/tw1_cdf.csv")
     with resources.as_file(ref) as path:
         s, F = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
-    return s, F, PchipInterpolator(s, F, extrapolate=False)
+    return s, F, _pchip_coeffs(s, F)
 
 
 def _tw1_tail(s: float) -> float:
@@ -111,8 +150,8 @@ _tw1_tails = np.frompyfunc(_tw1_tail, 1, 1)
 def tw1_cdf(s):
     """CDF of the Tracy-Widom law of order 1 (embedded table), element-wise."""
     a = _finite(s, "tw1_cdf: s")
-    grid, _, interp = _embedded_table()
-    out = np.array(np.clip(interp(a), 0.0, 1.0))
+    grid, _, coeffs = _embedded_table()
+    out = np.array(np.clip(_pchip_eval(grid, coeffs, a), 0.0, 1.0))
     tails = (a <= grid[0]) | (a >= grid[-1])
     if tails.any():
         out[tails] = _tw1_tails(a[tails])

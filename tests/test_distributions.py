@@ -10,10 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 from scipy.stats import beta as beta_law
 
 from mvlrt.distributions import (
     _embedded_table,
+    _pchip_coeffs,
+    _pchip_eval,
     chi_sq_tail,
     chi_sq_upper_quantile,
     sample_beta,
@@ -144,6 +147,57 @@ def test_tw1_table_invariants():
     i10 = np.searchsorted(s, -10.0, side="right") - 1
     assert F[i10] < 1e-8
     assert F[-1] > 1.0 - 1e-8
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_tw1_interpolant_has_the_bits_of_scipy_pchip():
+    """The numpy PCHIP equals scipy's PchipInterpolator bit for bit on the shipped
+    table: at 100,000 draws over the grid, at every knot and at the doubles on
+    either side of each knot (beyond the grid ends both extend the end cubics)."""
+    s, F, c = _embedded_table()
+    oracle = PchipInterpolator(s, F)
+    draws = np.random.default_rng(14).uniform(s[0], s[-1], 100_000)
+    pts = np.concatenate([draws, s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf)])
+    assert np.array_equal(_bits(_pchip_eval(s, c, pts)), _bits(oracle(pts)))
+    inside = (draws > s[0]) & (draws < s[-1])
+    assert np.array_equal(_bits(tw1_cdf(draws[inside])),
+                          _bits(np.clip(oracle(draws[inside]), 0.0, 1.0)))
+
+
+# every secant slope of the shipped table is positive, so these two tables reach
+# the branches it does not: a flat secant, a change of sign, and both end rules
+_SYNTHETIC = [
+    # secants 1, 4, 0, -2, 3, -10, 1: left end slope set to 0 (its estimate has
+    # the wrong sign), right end slope clipped to 3 times its secant
+    (np.arange(8.0), np.array([0.0, 1.0, 5.0, 5.0, 3.0, 6.0, -4.0, -3.0])),
+    # uneven spacing; the end estimates keep their values
+    (np.array([-1.0, -0.5, 1.0, 1.2, 4.0, 4.5, 6.5]),
+     np.array([2.0, 1.0, 1.0, 3.5, -1.0, 0.0, 3.0])),
+]
+
+
+@pytest.mark.parametrize("x, y", _SYNTHETIC)
+def test_pchip_matches_scipy_on_synthetic_tables(x, y):
+    oracle = PchipInterpolator(x, y)
+    c = _pchip_coeffs(x, y)
+    assert np.array_equal(_bits(c.T), _bits(oracle.c))
+    pts = np.concatenate([np.random.default_rng(1).uniform(x[0] - 1, x[-1] + 1, 20_000),
+                          x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+    assert np.array_equal(_bits(_pchip_eval(x, c, pts)), _bits(oracle(pts)))
+
+
+def test_synthetic_tables_reach_every_branch():
+    for x, y in _SYNTHETIC:
+        m = np.diff(y) / np.diff(x)
+        assert (m == 0).any() and (np.sign(m[1:]) * np.sign(m[:-1]) < 0).any()
+    x, y = _SYNTHETIC[0]
+    m = np.diff(y) / np.diff(x)
+    slope = PchipInterpolator(x, y).derivative()
+    assert m[0] != 0.0 and slope(x[0]) == 0.0
+    assert slope(x[-1]) == pytest.approx(3.0 * m[-1])
 
 
 def test_tw1_interpolant_monotone_between_grid_points():

@@ -7,6 +7,8 @@ import importlib.util
 import io
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 
@@ -33,6 +35,20 @@ def test_all_is_the_workflow_and_resolves():
     # the benchmark's setup step runs `import mvlrt; mvlrt.tw1_cdf(0.0)`
     assert 0.0 < mvlrt.tw1_cdf(0.0) < 1.0
     assert set(mvlrt.TESTS) == {"chi2", "bartlett", "t1", "t2", "t3"}
+
+
+def test_setup_step_loads_only_the_scipy_subpackages_it_needs():
+    """The benchmark's setup step imports scipy.special and scipy.linalg and none
+    of the heavy scipy subpackages: the Tracy-Widom interpolant is numpy's."""
+    code = ("import sys, mvlrt; mvlrt.tw1_cdf(0.0); "
+            "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert {"scipy.special", "scipy.linalg"} <= loaded
+    heavy = {"scipy.interpolate", "scipy.optimize", "scipy.sparse", "scipy.spatial",
+             "scipy.integrate", "scipy.stats", "scipy.fft"}
+    assert not heavy & loaded
 
 
 def test_readme_quick_start_runs():
