@@ -185,6 +185,11 @@ def tw1_upper_quantile(alpha: float) -> float:
 _CENTER_SD = 0.02
 
 
+def _k1(shapes, signs, s: float) -> float:
+    """K'(s) = -sum(signs * psi(shapes - s)), the mean of the tilted law at s."""
+    return -float(signs @ psi(shapes - s))
+
+
 def _lr_tail(shapes, signs, s: float, y: float) -> float:
     """Second-order Lugannani-Rice upper tail at saddlepoint s of the point y.
 
@@ -230,26 +235,15 @@ def wilks_lrt_tail(x: float, n: int, p: int, m: int, r: int) -> float:
         return 1.0
     if r < m:
         m, r, df = r, m, df + r - m
-    a = 0.5 * (df - np.arange(m, dtype=float))
-    shapes = np.concatenate([a, a + 0.5 * r])
-    signs = np.concatenate([np.ones(m), -np.ones(m)])
-
-    def k1(s):
-        return -float(signs @ psi(shapes - s))
-
-    # near the mean u and w both vanish and their reciprocals cancel:
-    # interpolate linearly between the saddlepoints at s = -h and s = +h
-    h = _CENTER_SD / math.sqrt(float(signs @ zeta(2, shapes)))
-    y_lo, y_hi = k1(-h), k1(h)
+    shapes, signs, a_min, h, y_lo, y_hi, p_lo, p_hi = _wilks_terms(df, m, r)
     if y_lo <= y <= y_hi:
-        p_lo, p_hi = _lr_tail(shapes, signs, -h, y_lo), _lr_tail(shapes, signs, h, y_hi)
         return p_lo + (p_hi - p_lo) * (y - y_lo) / (y_hi - y_lo)
     # K'(s) = y has one root below the pole at a_min; 1/K' is nearly linear in
     # s at both ends, so Newton runs on it, safeguarded by the bracket
-    lo, hi = (h, a[-1]) if y > y_hi else (-math.inf, -h)
+    lo, hi = (h, a_min) if y > y_hi else (-math.inf, -h)
     s = lo if y > y_hi else hi
     for _ in range(100):
-        g = k1(s)
+        g = _k1(shapes, signs, s)
         if abs(g - y) <= 1e-12 * y:
             break
         if g > y:
@@ -261,6 +255,26 @@ def wilks_lrt_tail(x: float, n: int, p: int, m: int, r: int) -> float:
             step = 0.5 * (lo + hi) if math.isfinite(lo) else 2.0 * s - 1.0
         s = step
     return min(1.0, max(0.0, _lr_tail(shapes, signs, s, y)))
+
+
+@lru_cache(maxsize=1024)
+def _wilks_terms(df: int, m: int, r: int):
+    """The parts of wilks_lrt_tail that depend only on the law, with m <= r.
+
+    The shapes and signs of the cumulant generating function, the smallest
+    shape a_min (its pole), and the center window: its half-width h, the
+    points y_lo = K'(-h) and y_hi = K'(h), and the tails at both ends. Near
+    the mean the saddlepoint terms u and w both vanish and their reciprocals
+    cancel, so the tail is interpolated linearly between -h and +h there.
+    """
+    a = 0.5 * (df - np.arange(m, dtype=float))
+    shapes = np.concatenate([a, a + 0.5 * r])
+    signs = np.concatenate([np.ones(m), -np.ones(m)])
+    shapes.flags.writeable = signs.flags.writeable = False
+    h = _CENTER_SD / math.sqrt(float(signs @ zeta(2, shapes)))
+    y_lo, y_hi = _k1(shapes, signs, -h), _k1(shapes, signs, h)
+    p_lo, p_hi = _lr_tail(shapes, signs, -h, y_lo), _lr_tail(shapes, signs, h, y_hi)
+    return shapes, signs, float(a[-1]), h, y_lo, y_hi, p_lo, p_hi
 
 
 def sample_beta(rng: np.random.Generator, a: float, b: float, size=None):

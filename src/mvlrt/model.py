@@ -104,13 +104,26 @@ class DataSet:
         return f"DataSet(n={self.n}, p={self.p}, m={self.m})"
 
 
+def _svd_basis(C: np.ndarray) -> np.ndarray:
+    """V of the full SVD C = U S V', its last r columns spanning the row space
+    of C; HypothesisRankError if C is numerically rank deficient."""
+    r = C.shape[0]
+    _, sv, vt = np.linalg.svd(C)
+    if sv[0] == 0.0 or sv[-1] < RANK_TOL * sv[0]:
+        raise HypothesisRankError(f"C is numerically rank deficient (rank < {r})")
+    return np.roll(vt.T, -r, axis=1)
+
+
 class HypothesisMatrix:
     """Contrast matrix C (r x p); must have full row rank r.
 
-    The full SVD C = U S V' taken by the rank check is kept as the orthogonal
-    p x p basis ``_basis``: the columns of V, those spanning the null space
-    of C first and the r spanning its row space last. In the rotated design
-    X _basis, C B = 0 says that the coefficients of the last r columns vanish.
+    The orthogonal p x p basis ``_basis`` is V of the full SVD C = U S V':
+    the columns spanning the null space of C first and the r spanning its
+    row space last. In the rotated design X _basis, C B = 0 says that the
+    coefficients of the last r columns vanish. A general C takes that SVD at
+    construction, as its rank check, and keeps the basis. A leading-identity
+    C, [I_r 0], has full row rank by its form, so it takes no SVD until
+    ``_basis`` is first read; the multi-split procedure never reads it.
     """
 
     def __init__(self, C):
@@ -118,11 +131,17 @@ class HypothesisMatrix:
         r = C.shape[0]
         if r > C.shape[1]:
             raise HypothesisRankError(f"C is {r}x{C.shape[1]}: more rows than columns")
-        _, sv, vt = np.linalg.svd(C)
-        if sv[0] == 0.0 or sv[-1] < RANK_TOL * sv[0]:
-            raise HypothesisRankError(f"C is numerically rank deficient (rank < {r})")
         self.C = C
-        self._basis = np.roll(vt.T, -r, axis=1)
+        # [I_r 0] within 1e-12 per entry, checked with one r x p copy of C
+        dev = C.copy()
+        dev[np.arange(r), np.arange(r)] -= 1.0
+        self._leading_identity = bool(np.abs(dev, out=dev).max() <= 1e-12)
+        if not self._leading_identity:
+            self._basis = _svd_basis(C)  # the SVD is the rank check of a general C
+
+    @cached_property
+    def _basis(self) -> np.ndarray:
+        return _svd_basis(self.C)
 
     @property
     def r(self) -> int:
@@ -134,10 +153,7 @@ class HypothesisMatrix:
 
     def is_leading_identity(self) -> bool:
         """True when C is [I_r, 0] to within 1e-12 per entry, the already-canonical layout."""
-        r, p = self.C.shape
-        target = np.zeros((r, p))
-        target[:, :r] = np.eye(r)
-        return bool(np.allclose(self.C, target, rtol=0.0, atol=1e-12))
+        return self._leading_identity
 
     def __repr__(self):
         return f"HypothesisMatrix(r={self.r}, p={self.p})"

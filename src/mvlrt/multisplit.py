@@ -17,7 +17,12 @@ and tests on the same rows.
 
 Split j is driven entirely by a seed derived from (config seed, j), so runs
 are bit-reproducible. The splits run one after another in the calling
-thread, with BLAS on one thread (see ``_blas``).
+thread, with BLAS on one thread (see ``_blas``). A split runs on the
+private helpers of ``screening``, not on its public functions, because its
+arrays are slices of the checked data set: it checks none of them again,
+forms one response covariance for parallel analysis and PCA, and builds its
+(S_E, S_X) pair with ``SumsOfSquares._of``. A leading-identity hypothesis is
+used as it is, with no SVD of C.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .distributions import wilks_lrt_tail
 from .errors import DomainError, SplitInfeasibleError
 from .model import DataSet, Dims, HypothesisMatrix, SumsOfSquares, _extra_ss, neg2_log_lrt
 from .rng import derive_seed, stream
-from .screening import conditional_transform, parallel_analysis, pca_reduce, screen
+from .screening import _budget, _centered_cov, _loadings, _pa_rank, _ranked, conditional_transform
 
 GAMMA_MIN_FLOOR = 1e-4
 
@@ -146,27 +151,27 @@ def _split_outcome(data: DataSet, X, r, protect, cfg: MultiSplitConfig,
     X_s, Y_s = X[s_idx], data.Y[s_idx]
     n_t = len(t_idx)
     m = data.m
-    budget = max(int(math.floor(cfg.delta * data.p + 1e-9)), protect)
+    budget = _budget(cfg.delta, data.p, protect)
 
-    reduction = None
+    w_hat = None
     m_eff = m
     if cfg.pca_policy is not None:
         cap = min(n_t - budget - 2, len(s_idx) - 1, m)
         if cap < 1:
             raise SplitInfeasibleError(
                 f"{label}: no room for responses with n_T={n_t}, p0={budget}, m={m}")
+        cov = _centered_cov(Y_s)
         if cfg.pca_policy == "parallel_analysis":
-            m_eff = parallel_analysis(rng, Y_s, cap=cap)
+            m_eff = _pa_rank(rng, Y_s, cap, cov)
         else:
             m_eff = int(cfg.pca_policy)
             if m_eff > cap:
                 raise SplitInfeasibleError(
                     f"{label}: fixed m0={m_eff} exceeds the feasible cap {cap}")
-        reduction = pca_reduce(Y_s, m_eff)
-        Y_s = reduction.transform(Y_s)
+        w_hat, _ = _loadings(cov, m_eff)
+        Y_s = Y_s @ w_hat
 
-    result = screen(X_s, Y_s, cfg.delta, protect=protect)
-    cols = np.sort(np.asarray(result.selected, dtype=int))
+    cols = np.sort(_ranked(X_s, Y_s, budget, protect)[0])
     p0 = cols.size
     if n_t <= p0 + m_eff + 1:
         raise SplitInfeasibleError(
@@ -178,13 +183,13 @@ def _split_outcome(data: DataSet, X, r, protect, cfg: MultiSplitConfig,
         p_val = 1.0
     else:
         Y_t = data.Y[t_idx]
-        if reduction is not None:
-            Y_t = reduction.transform(Y_t)
+        if w_hat is not None:
+            Y_t = Y_t @ w_hat
         XY = np.hstack([X[np.ix_(t_idx, np.roll(cols, -q))], Y_t])
+        # _extra_ss forms both matrices as A' A by syrk: finite and exactly symmetric
         s_err, s_hyp = _extra_ss(XY, p0, q)
-        p_val = split_pvalue(SumsOfSquares(s_err, s_hyp, Dims(n_t, p0, m_eff, q)))
-    return SplitOutcome(float(p_val), tuple(int(c) for c in cols), m_eff,
-                        derive_seed(cfg.seed, j))
+        p_val = split_pvalue(SumsOfSquares._of(s_err, s_hyp, Dims(n_t, p0, m_eff, q)))
+    return SplitOutcome(float(p_val), tuple(cols.tolist()), m_eff, derive_seed(cfg.seed, j))
 
 
 def per_split_pvalue(data: DataSet, C, cfg: MultiSplitConfig, j: int) -> SplitOutcome:

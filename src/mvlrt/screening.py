@@ -9,6 +9,16 @@ split only. conditional_transform is the one step that sees the whole
 design: an orthogonal change of basis, made once before any split, that
 turns a general hypothesis C B = 0 into the leading-identity form
 [I_r 0] B~ = 0, so the hypothesis columns can be protected from screening.
+
+Each step is one private helper on arrays that are already checked:
+_budget and _ranked (screening), _centered_cov, _pa_rank (parallel
+analysis) and _loadings (PCA). The public functions check their input and
+call them; a split calls them directly on slices of its checked data set,
+forms the centered covariance of its responses once for both parallel
+analysis and the loadings, and keeps the selected indices as an int array.
+Parallel analysis draws all PA_COPIES permuted copies with one
+rng.permuted call, which shuffles them in the order, and to the bits, of
+PA_COPIES calls on one copy each.
 """
 
 from __future__ import annotations
@@ -88,7 +98,7 @@ def _response_basis(Y: np.ndarray) -> np.ndarray:
     columns; with m >= n-1 the basis simply spans the whole centered space.
     """
     Yc = Y - Y.mean(axis=0)
-    q, rr, _ = scipy.linalg.qr(Yc, mode="economic", pivoting=True)
+    q, rr, _ = scipy.linalg.qr(Yc, mode="economic", pivoting=True, check_finite=False)
     diag = np.abs(np.diag(rr))
     if diag.size == 0 or diag[0] <= 0.0:
         raise DomainError("centered Y has rank zero")
@@ -115,6 +125,32 @@ def _column_scores(X: np.ndarray, basis: np.ndarray):
     return scores, degenerate
 
 
+def _budget(delta: float, p: int, protect: int) -> int:
+    """How many of p columns screening keeps: floor(delta * p), widened to ``protect``."""
+    if not 0.0 < delta <= 1.0:
+        raise DomainError(f"delta must lie in (0, 1], got {delta!r}")
+    # the nudge keeps floor() honest when delta * p is an integer in exact arithmetic
+    k = int(math.floor(delta * p + 1e-9))
+    if k < 1:
+        raise DomainError(f"floor(delta * p) = {k}: nothing would be selected")
+    if not 0 <= protect <= p:
+        raise DomainError(f"protect must lie in [0, {p}], got {protect}")
+    return max(k, protect)
+
+
+def _ranked(XS: np.ndarray, YS: np.ndarray, k: int, protect: int):
+    """(selected, scores, degenerate) for checked XS and YS with matching rows.
+
+    ``selected`` is an int array of k column indices, the first ``protect``
+    columns, then the best-ranked others, best first.
+    """
+    scores, degenerate = _column_scores(XS, _response_basis(YS))
+    # last key sorts first: higher score, then non-degenerate, then smaller index
+    order = np.lexsort((np.arange(XS.shape[1]), degenerate, -scores))
+    ranked = order[order >= protect]
+    return np.concatenate([np.arange(protect), ranked[:k - protect]]), scores, degenerate
+
+
 def screen(XS, YS, delta: float, protect: int = 0) -> ScreenResult:
     """Keep the floor(delta * p) predictor columns most correlated with YS.
 
@@ -128,23 +164,9 @@ def screen(XS, YS, delta: float, protect: int = 0) -> ScreenResult:
     YS = _check_matrix(YS, "YS")
     if XS.shape[0] != YS.shape[0]:
         raise DomainError(f"XS has {XS.shape[0]} rows but YS has {YS.shape[0]}")
-    if not 0.0 < delta <= 1.0:
-        raise DomainError(f"delta must lie in (0, 1], got {delta!r}")
-    p = XS.shape[1]
-    # the nudge keeps floor() honest when delta * p is an integer in exact arithmetic
-    k = int(math.floor(delta * p + 1e-9))
-    if k < 1:
-        raise DomainError(f"floor(delta * p) = {k}: nothing would be selected")
-    if not 0 <= protect <= p:
-        raise DomainError(f"protect must lie in [0, {p}], got {protect}")
-    k = max(k, protect)
-
-    scores, degenerate = _column_scores(XS, _response_basis(YS))
-    # last key sorts first: higher score, then non-degenerate, then smaller index
-    order = np.lexsort((np.arange(p), degenerate, -scores))
-    ranked = order[order >= protect].tolist()
-    chosen = list(range(protect)) + ranked[:k - protect]
-    return ScreenResult(tuple(chosen),
+    k = _budget(delta, XS.shape[1], protect)
+    selected, scores, degenerate = _ranked(XS, YS, k, protect)
+    return ScreenResult(tuple(selected.tolist()),
                         tuple(float(w) for w in scores),
                         tuple(bool(d) for d in degenerate))
 
@@ -167,33 +189,35 @@ def conditional_transform(X, C):
     return X @ d, d
 
 
-def parallel_analysis(rng, YS, cap=None) -> int:
-    """Pick a response-PCA rank by comparison with column-permuted noise.
+def _centered_cov(Y: np.ndarray) -> np.ndarray:
+    """Sample covariance of the columns of Y (divisor n - 1)."""
+    Yc = Y - Y.mean(axis=0)
+    return Yc.T @ Yc / (Y.shape[0] - 1)
 
-    m0 is the length of the leading run of sample covariance eigenvalues of
-    YS that exceed the PA_QUANTILE order-statistic quantile of the matching
-    eigenvalue across PA_COPIES independently column-permuted copies.
-    Permutation kills cross-column structure while preserving marginals, so
-    eigenvalues that survive the comparison indicate real factors; the run
-    stops at the first failure so stray exceedances deep in the spectrum
-    cannot inflate the rank. The result is floored at 1 and, when ``cap`` is
-    given, truncated to it so the testing half stays large enough.
-    """
-    YS = _check_matrix(YS, "YS")
+
+def _pa_rank(rng, YS: np.ndarray, cap=None, cov=None) -> int:
+    """parallel_analysis on a checked YS; ``cov``, if given, is _centered_cov(YS)."""
     n_s, m = YS.shape
     if n_s < 3:
         raise DomainError(f"parallel analysis needs n_S >= 3, got {n_s}")
     if cap is not None and cap < 1:
         raise DomainError(f"cap must be >= 1, got {cap}")
-
-    Yc = YS - YS.mean(axis=0)
-    eigs = np.linalg.eigvalsh(Yc.T @ Yc / (n_s - 1))[::-1]
+    if cov is None:
+        cov = _centered_cov(YS)
+    eigs = np.linalg.eigvalsh(cov)[::-1]
+    # every copy in one draw: the rows of each column of each copy are shuffled
+    # in the order of PA_COPIES calls rng.permuted(YS, axis=0), with the same
+    # bits. The copies sit in one C-ordered buffer: permuting a broadcast view
+    # instead returns another memory layout, and its products differ in bits.
+    Z = np.empty((PA_COPIES, n_s, m))
+    Z[...] = YS
+    rng.permuted(Z, axis=1, out=Z)
+    Z -= Z.mean(axis=1, keepdims=True)
     null_cov = np.empty((PA_COPIES, m, m))
-    for b in range(PA_COPIES):
-        Zc = rng.permuted(YS, axis=0)
-        Zc = Zc - Zc.mean(axis=0)
+    for Zc, out in zip(Z, null_cov):
         # one product per copy: a stacked matmul skips the syrk path and can change bits
-        null_cov[b] = Zc.T @ Zc / (n_s - 1)
+        np.matmul(Zc.T, Zc, out=out)
+    null_cov /= n_s - 1
     null_eigs = np.linalg.eigvalsh(null_cov)[:, ::-1]
     rank_idx = min(PA_COPIES, max(1, math.ceil(PA_QUANTILE * PA_COPIES))) - 1
     thresholds = np.sort(null_eigs, axis=0)[rank_idx]
@@ -211,6 +235,34 @@ def parallel_analysis(rng, YS, cap=None) -> int:
     return m0
 
 
+def parallel_analysis(rng, YS, cap=None) -> int:
+    """Pick a response-PCA rank by comparison with column-permuted noise.
+
+    m0 is the length of the leading run of sample covariance eigenvalues of
+    YS that exceed the PA_QUANTILE order-statistic quantile of the matching
+    eigenvalue across PA_COPIES independently column-permuted copies.
+    Permutation kills cross-column structure while preserving marginals, so
+    eigenvalues that survive the comparison indicate real factors; the run
+    stops at the first failure so stray exceedances deep in the spectrum
+    cannot inflate the rank. The result is floored at 1 and, when ``cap`` is
+    given, truncated to it so the testing half stays large enough.
+    """
+    return _pa_rank(rng, _check_matrix(YS, "YS"), cap)
+
+
+def _loadings(cov: np.ndarray, m0: int):
+    """(W_hat, spectrum): the top-m0 eigenvectors of a covariance, sign-fixed, as a
+    C-ordered m x m0 array, and all its eigenvalues, descending and floored at 0."""
+    vals, vecs = np.linalg.eigh(cov)
+    vals = np.maximum(vals[::-1], 0.0)
+    vecs = vecs[:, ::-1]
+    for j in range(m0):
+        lead = np.argmax(np.abs(vecs[:, j]))
+        if vecs[lead, j] < 0.0:
+            vecs[:, j] = -vecs[:, j]
+    return vecs[:, :m0].copy(), vals
+
+
 def pca_reduce(YS, m0: int) -> PcaReduction:
     """Top-m0 principal component loadings of the responses.
 
@@ -225,12 +277,4 @@ def pca_reduce(YS, m0: int) -> PcaReduction:
         raise DomainError(f"need n_S >= 2 rows, got {n_s}")
     if not 1 <= m0 <= min(n_s - 1, m):
         raise DomainError(f"m0={m0} outside [1, min(n_S - 1, m)] = [1, {min(n_s - 1, m)}]")
-    Yc = YS - YS.mean(axis=0)
-    vals, vecs = np.linalg.eigh(Yc.T @ Yc / (n_s - 1))
-    vals = np.maximum(vals[::-1], 0.0)
-    vecs = vecs[:, ::-1]
-    for j in range(m0):
-        lead = np.argmax(np.abs(vecs[:, j]))
-        if vecs[lead, j] < 0.0:
-            vecs[:, j] = -vecs[:, j]
-    return PcaReduction(vecs[:, :m0].copy(), vals)
+    return PcaReduction(*_loadings(_centered_cov(YS), m0))

@@ -6,6 +6,7 @@ Cholesky production paths are tested by a genuinely different route.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from mvlrt.model import (
     HypothesisMatrix,
     SignalMatrix,
     SumsOfSquares,
+    _extra_ss,
     canonical_form_sample,
     hypothesis_ss,
     neg2_log_lrt,
@@ -73,6 +75,61 @@ def test_hypothesis_matrix_rank_check():
         HypothesisMatrix(np.ones((3, 2)))  # more rows than columns
     assert HypothesisMatrix(np.eye(5)[:3]).is_leading_identity()
     assert not HypothesisMatrix(np.eye(5)[::-1][:3]).is_leading_identity()
+
+
+def test_leading_identity_check_matches_the_dense_target():
+    rng = stream(30)
+    for r, p in ((1, 1), (2, 5), (3, 3), (4, 9)):
+        target = np.zeros((r, p))
+        target[:, :r] = np.eye(r)
+        for scale in (0.0, 5e-13, 1e-12, 2e-12, 1e-6):
+            for _ in range(5):
+                C = target + scale * rng.uniform(-1.0, 1.0, (r, p))
+                expected = bool(np.allclose(C, target, rtol=0.0, atol=1e-12))
+                assert HypothesisMatrix(C).is_leading_identity() == expected
+
+
+def test_leading_identity_builds_no_basis():
+    C = np.hstack([np.eye(2), np.zeros((2, 3998))])
+    tracemalloc.start()
+    try:
+        hyp = HypothesisMatrix(C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hyp.is_leading_identity()
+    assert "_basis" not in vars(hyp)
+    assert peak < 1_000_000, f"traced peak {peak} bytes"
+
+
+@pytest.mark.parametrize("C", [np.eye(6)[:2], np.eye(4),
+                               stream(31).standard_normal((2, 6))],
+                         ids=["leading", "square_identity", "general"])
+def test_basis_is_the_full_svd_whenever_it_is_built(C):
+    hyp = HypothesisMatrix(C)
+    _, _, vt = np.linalg.svd(C)
+    expected = np.roll(vt.T, -C.shape[0], axis=1)
+    assert np.array_equal(hyp._basis, expected)
+    assert hyp._basis is hyp._basis  # built once
+
+
+def test_split_pair_is_exactly_symmetric():
+    """The split path builds its pair with SumsOfSquares._of, skipping the
+    re-symmetrizing of __init__: _extra_ss forms both matrices by syrk."""
+    for k, (n_t, p0, q, m0) in enumerate([(70, 24, 24, 20), (70, 30, 2, 5), (28, 10, 3, 1),
+                                         (100, 50, 1, 20), (40, 1, 1, 7), (200, 120, 60, 40)]):
+        rng = stream(32, k)
+        XY = rng.standard_normal((n_t, p0 + m0))
+        XY[:, p0:] += XY[:, :p0] @ rng.standard_normal((p0, m0))
+        s_err, s_hyp = _extra_ss(XY, p0, q)
+        for S in (s_err, s_hyp):
+            assert np.array_equal(S, S.T)
+        dims = Dims(n_t, p0, m0, q)
+        checked = SumsOfSquares(s_err, s_hyp, dims)
+        fast = SumsOfSquares._of(s_err, s_hyp, dims)
+        assert checked.s_err.tobytes() == fast.s_err.tobytes()
+        assert checked.s_hyp.tobytes() == fast.s_hyp.tobytes()
+        assert neg2_log_lrt(checked) == neg2_log_lrt(fast)
 
 
 def test_sums_of_squares_validation():

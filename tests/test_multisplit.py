@@ -8,7 +8,14 @@ from scipy.stats import kstest
 
 from mvlrt.distributions import wilks_lrt_tail
 from mvlrt.errors import DomainError, SplitInfeasibleError
-from mvlrt.model import DataSet, Dims, canonical_form_sample, hypothesis_ss, neg2_log_lrt
+from mvlrt.model import (
+    DataSet,
+    Dims,
+    HypothesisMatrix,
+    canonical_form_sample,
+    hypothesis_ss,
+    neg2_log_lrt,
+)
 from mvlrt.multisplit import (
     MultiSplitConfig,
     adaptive_pt,
@@ -327,6 +334,17 @@ def test_multisplit_takes_one_svd_and_one_qr_per_split(monkeypatch):
     C = stream(720).standard_normal((2, 120))
     multisplit_test(data, C, MultiSplitConfig(j_splits=6, seed=3))
     assert counts == {"svd": 1, "qr": 6}
+
+
+def test_multisplit_on_leading_identity_builds_no_basis():
+    """[I_2 0] at p = 4,000 is used as it is: no SVD of C, no p x p basis."""
+    rng = stream(721)
+    data = DataSet(rng.standard_normal((40, 4000)), rng.standard_normal((40, 3)))
+    hyp = HypothesisMatrix(np.hstack([np.eye(2), np.zeros((2, 3998))]))
+    cfg = MultiSplitConfig(j_splits=3, seed=4, delta=0.002, pca_policy="parallel_analysis")
+    res = multisplit_test(data, hyp, cfg)
+    assert "_basis" not in vars(hyp)
+    assert res.outcomes == tuple(per_split_pvalue(data, hyp, cfg, j) for j in range(3))
 
 
 def test_multisplit_rejects_thread_count_below_one():

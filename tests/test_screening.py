@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from mvlrt.errors import DomainError
+from mvlrt.model import RANK_TOL
 from mvlrt.rng import stream
 from mvlrt.screening import (
+    PA_COPIES,
+    PA_QUANTILE,
     PcaReduction,
+    _centered_cov,
+    _pa_rank,
     conditional_transform,
     parallel_analysis,
     pca_reduce,
@@ -252,6 +257,88 @@ def test_parallel_analysis_validation():
         parallel_analysis(rng, Y[:2])
     with pytest.raises(DomainError):
         parallel_analysis(rng, Y, cap=0)
+
+
+def _pa_oracle(rng, YS, cap=None):
+    """Reference for _pa_rank: one rng.permuted call, centering and product per copy."""
+    n_s, m = YS.shape
+    Yc = YS - YS.mean(axis=0)
+    eigs = np.linalg.eigvalsh(Yc.T @ Yc / (n_s - 1))[::-1]
+    null_cov = np.empty((PA_COPIES, m, m))
+    for b in range(PA_COPIES):
+        Zc = rng.permuted(YS, axis=0)
+        Zc = Zc - Zc.mean(axis=0)
+        null_cov[b] = Zc.T @ Zc / (n_s - 1)
+    null_eigs = np.linalg.eigvalsh(null_cov)[:, ::-1]
+    rank_idx = min(PA_COPIES, max(1, math.ceil(PA_QUANTILE * PA_COPIES))) - 1
+    thresholds = np.sort(null_eigs, axis=0)[rank_idx]
+    floor_val = RANK_TOL * max(float(eigs[0]), 0.0)
+    m0 = 0
+    for lam, th in zip(eigs, thresholds):
+        if lam <= th or lam <= floor_val:
+            break
+        m0 += 1
+    m0 = max(m0, 1)
+    return m0 if cap is None else min(m0, int(cap))
+
+
+def test_batched_parallel_analysis_matches_per_copy_oracle(monkeypatch):
+    """One permuted draw of every copy gives the per-copy loop's rank, the same
+    eigenvalue inputs bit for bit, and leaves the generator where 19 calls would."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        seen.append(np.array(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    kinds = {"wide": 0, "constant": 0, "cap_binds": 0}
+    for k in range(1000):
+        g = stream(630, k)
+        n_s = int(g.integers(3, 31))
+        m = int(g.integers(1, 25))
+        n_factors = int(g.integers(0, 5))
+        Y = g.standard_normal((n_s, m))
+        if n_factors:
+            Y += g.standard_normal((n_s, n_factors)) @ (4.0 * g.standard_normal((n_factors, m)))
+        if k % 4 == 0:
+            Y[:, int(g.integers(m))] = 1.5  # a constant column
+        Y *= 10.0 ** g.uniform(-3, 3)
+        cap = None if k % 3 == 0 else int(g.integers(1, 3))
+        want_rng, got_rng = stream(631, k), stream(631, k)
+        seen.clear()
+        want = _pa_oracle(want_rng, Y, cap)
+        oracle_inputs = list(seen)
+        seen.clear()
+        cov = _centered_cov(Y) if k % 2 else None
+        got = _pa_rank(got_rng, Y, cap, cov)
+        assert got == want, f"input {k}: n_S={n_s} m={m} cap={cap}"
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, oracle_inputs, strict=True))
+        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+        kinds["wide"] += m >= n_s
+        kinds["constant"] += k % 4 == 0
+        kinds["cap_binds"] += cap is not None and _pa_oracle(stream(631, k), Y) > cap
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_public_steps_refuse_non_finite_input():
+    rng = stream(632)
+    X = rng.standard_normal((10, 4))
+    Y = rng.standard_normal((10, 3))
+    for bad in (np.nan, np.inf, -np.inf):
+        Yb = Y.copy()
+        Yb[3, 1] = bad
+        Xb = X.copy()
+        Xb[2, 0] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            parallel_analysis(stream(633), Yb)
+        with pytest.raises(DomainError, match="non-finite"):
+            pca_reduce(Yb, 2)
+        with pytest.raises(DomainError, match="non-finite"):
+            screen(X, Yb, delta=0.5)
+        with pytest.raises(DomainError, match="non-finite"):
+            screen(Xb, Y, delta=0.5)
 
 
 def test_pca_reduce_geometry():
