@@ -184,6 +184,11 @@ def tw1_upper_quantile(alpha: float) -> float:
 #: the mean where the saddlepoint terms cancel and the tail is interpolated
 _CENTER_SD = 0.02
 
+#: the largest rounding error of K(s), about eps times the sum of its |lgamma|
+#: terms, at which the saddlepoint is still used: the smaller tail then has a
+#: relative error of about that size, below the approximation's own few percent
+_K_ROUNDING_MAX, _EPS = 1e-2, float(np.finfo(float).eps)
+
 
 def _k1(shapes, signs, s: float) -> float:
     """K'(s) = -sum(signs * psi(shapes - s)), the mean of the tilted law at s."""
@@ -196,9 +201,13 @@ def _lr_tail(shapes, signs, s: float, y: float) -> float:
     Daniels (1987); Butler (2007), eq. 2.48. The cumulant generating function
     K(s) = sum(signs * (lgamma(shapes - s) - lgamma(shapes))) has derivatives
     K^(k)(s) = (k-1)! sum(signs * zeta(k, shapes - s)) for k >= 2.
+    FloatingPointError when the rounding of K(s) passes _K_ROUNDING_MAX.
     """
     z = shapes - s
-    k0 = float(signs @ (gammaln(z) - gammaln(shapes)))
+    lgz = gammaln(z)
+    if _EPS * float(np.abs(lgz).sum()) > _K_ROUNDING_MAX:
+        raise FloatingPointError("K(s) is lost to rounding")
+    k0 = float(signs @ (lgz - gammaln(shapes)))
     k2 = float(signs @ zeta(2, z))
     l3 = 2.0 * float(signs @ zeta(3, z)) / k2 ** 1.5
     l4 = 6.0 * float(signs @ zeta(4, z)) / k2 ** 2
@@ -242,19 +251,26 @@ def wilks_lrt_tail(x: float, n: int, p: int, m: int, r: int) -> float:
     # s at both ends, so Newton runs on it, safeguarded by the bracket
     lo, hi = (h, a_min) if y > y_hi else (-math.inf, -h)
     s = lo if y > y_hi else hi
-    for _ in range(100):
-        g = _k1(shapes, signs, s)
-        if abs(g - y) <= 1e-12 * y:
-            break
-        if g > y:
-            hi = s
-        else:
-            lo = s
-        step = s + g * (1.0 - g / y) / float(signs @ zeta(2, shapes - s))
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi) if math.isfinite(lo) else 2.0 * s - 1.0
-        s = step
-    return min(1.0, max(0.0, _lr_tail(shapes, signs, s, y)))
+    # far out at either end the saddlepoint divides by zero, leaves the domain
+    # of its terms or loses K(s) to rounding; the tail is then its limit there
+    try:
+        for _ in range(100):
+            g = _k1(shapes, signs, s)
+            if abs(g - y) <= 1e-12 * y:
+                break
+            if g > y:
+                hi = s
+            else:
+                lo = s
+            step = s + g * (1.0 - g / y) / float(signs @ zeta(2, shapes - s))
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi) if math.isfinite(lo) else 2.0 * s - 1.0
+            if step == s:
+                break  # a fixed point: every later iteration would repeat this one
+            s = step
+        return min(1.0, max(0.0, _lr_tail(shapes, signs, s, y)))
+    except (ArithmeticError, ValueError):
+        return 0.0 if y > y_hi else 1.0
 
 
 @lru_cache(maxsize=1024)

@@ -6,19 +6,20 @@ per requested method, and returns a ResultTable of rows
 produce a labeled row with no numbers instead of crashing the sweep; a bad
 setting raises before any replicate runs.
 
-Reproducibility contract: every draw comes from a generator keyed by
-integers, and all four sweeps aggregate by integer counting in one loop
-(``_count``), so a rerun produces byte-identical tables. The calibration and
-power sweeps count in blocks of 32 consecutive replicates (``_BLOCK``) and
-apply each test's formula to a block's stack once. Canonical block b of cell
-c is one ``canonical_form_sample`` draw from the generator keyed by
-(seed, c, b), so those tables are pinned to the block size. Every other
-replicate k of cell c draws from the generator keyed by (seed, c, k); a pair
-in a stack gets the bits it would get alone, so the block size changes no
-linear table. There is no probe pair: the first block of a cell decides
-which methods are feasible there. Blocks and replicates run in order in the
-calling thread with BLAS on one thread (see ``_blas``); the ``threads``
-setting is validated but does not change the work or the output.
+The calibration and power sweeps count in blocks of 32 consecutive
+replicates (``_BLOCK``) and apply each test's formula to a block's stack
+once. Canonical block b of cell c is one ``canonical_form_sample`` draw from
+the generator keyed by (seed, c, b), so those tables are pinned to the block
+size. Every other replicate k of cell c draws from the generator keyed by
+(seed, c, k), so the block size changes no linear table. There is no probe
+pair: the first block of a cell decides which methods are feasible there.
+Blocks and replicates run in order in the calling thread with BLAS on one
+thread (see ``_blas``); the ``threads`` setting is validated but does not
+change the work or the output.
+
+Reproducibility: every draw comes from a generator keyed by integers, and
+every sweep sums integer hit counts in order, so a rerun produces
+byte-identical tables; runtimes stay out of the CSV for that reason.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .model import (
     HypothesisMatrix,
     SignalMatrix,
     SumsOfSquares,
+    _check_integer,
     canonical_form_sample,
     hypothesis_ss,
 )
@@ -109,8 +111,7 @@ class ExperimentSpec:
         for meth in self.methods:
             if meth not in TESTS:
                 raise DomainError(f"unknown method {meth!r}")
-        if self.reps < 1:
-            raise DomainError(f"reps must be >= 1, got {self.reps}")
+        _check_integer("reps", self.reps)
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0,1), got {self.alpha!r}")
         if self.threads < 1:
@@ -137,12 +138,8 @@ class ResultRow:
 
 
 class ResultTable:
-    """Ordered collection of sweep rows with CSV emission.
-
-    Wall-clock runtimes stay on the row objects and out of the CSV: emitted
-    tables must be byte-identical across reruns and thread counts, and timing
-    is the one field that never is.
-    """
+    """Ordered collection of sweep rows with CSV emission; wall-clock runtimes
+    stay on the row objects and out of the CSV."""
 
     HEADER = ["cell", "method", "rate", "mc_std_error", "reps", "status"]
 
@@ -272,19 +269,6 @@ def _drawer(spec: ExperimentSpec, dims: Dims, signal=None, strength: float = 0.0
     return draw
 
 
-def _count(units: int, hits_of):
-    """Sum hits_of(i) over units i = 0 .. units-1 of one cell, in order.
-
-    A unit is a replicate or a block of them. ``hits_of`` returns a count or
-    an array of counts (one per row of the cell); the totals are integers,
-    so a rerun reproduces them exactly.
-    """
-    total = 0
-    for i in range(units):
-        total += hits_of(i)
-    return total
-
-
 def _rows(labels, hits, reps: int, started: float) -> list:
     """One row per (cell, method) label: rate hits / reps and its binomial standard error."""
     elapsed = time.perf_counter() - started
@@ -330,8 +314,8 @@ def _estimate_cell(spec: ExperimentSpec, cell_id: int, cell: str, draw) -> list:
             rows += _infeasible([(cell, meth)], spec.reps, started, exc)
     del first  # hold one block at a time, not two
     if live:
-        later = -(-spec.reps // _BLOCK) - 1
-        hits = np.array(hits) + _count(later, lambda b: _rejections(block(b + 1), live, spec.alpha))
+        hits = np.array(hits) + sum(_rejections(block(b), live, spec.alpha)
+                                    for b in range(1, -(-spec.reps // _BLOCK)))
         rows += _rows([(cell, meth) for meth in live], hits, spec.reps, started)
     rows.sort(key=lambda row: spec.methods.index(row.method))
     return rows
@@ -435,7 +419,7 @@ def multisplit_sweep(spec: ExperimentSpec, j_grid=(0, 50, 200), delta: float = 0
             return multisplit_test(data, hyp, cfg, alpha=spec.alpha).reject
 
         try:
-            rows += _rows(labels, [_count(spec.reps, hit)], spec.reps, started)
+            rows += _rows(labels, [sum(hit(rep) for rep in range(spec.reps))], spec.reps, started)
         except MvlrtError as exc:
             rows += _infeasible(labels, spec.reps, started, exc)
     return ResultTable(rows)
@@ -456,8 +440,10 @@ def gamma_sensitivity(j_splits: int = 200, rho_grid=(0.0, 0.5, 1.0),
     be >= 1; replicates run in the calling thread and the table does not
     depend on it.
     """
-    if j_splits < 1 or reps < 1 or threads < 1:
-        raise DomainError("j_splits, reps and threads must be >= 1")
+    _check_integer("j_splits", j_splits)
+    _check_integer("reps", reps)
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {alpha!r}")
     for g in gamma_grid:
@@ -479,5 +465,5 @@ def gamma_sensitivity(j_splits: int = 200, rho_grid=(0.0, 0.5, 1.0),
             return np.mean(pv[None, :] <= alpha * gammas[:, None], axis=1) >= gammas
 
         labels = [(f"rho={rho:g} gamma={g:g}", "psi_level") for g in gammas]
-        rows += _rows(labels, _count(reps, hits_of), reps, started)
+        rows += _rows(labels, sum(hits_of(rep) for rep in range(reps)), reps, started)
     return ResultTable(rows)

@@ -3,23 +3,28 @@
 Everything downstream of the raw data lives here: the error and hypothesis
 sums-of-squares pair (S_E, S_X), the relative eigenvalues driving the
 likelihood ratio, the largest-root quantity, and direct sampling of the
-canonical form. Every pair fitted from data comes from one QR factorization
-of [X Y] with the hypothesis columns of X last (the extra-sum-of-squares
+canonical form. A HypothesisMatrix lays a design out with its hypothesis on
+the first r columns, and every pair fitted from data is one QR of that
+design next to Y, with those columns moved last (the extra-sum-of-squares
 identity); no explicit matrix inverse is ever formed.
 
 A SumsOfSquares holds one pair (S_E, S_X) or a stack of B pairs of the same
 dimensions, shape (B, m, m). A stack is checked once and factored by batched
-Cholesky and eigvalsh calls, with the two triangular solves made per pair;
-each pair of it gets the bits it would get alone. The readers return a float
-(or an m-vector) for a pair and an array with a leading axis B for a stack.
+Cholesky and eigvalsh calls, with the two triangular solves made per pair.
+The readers return a float (or an m-vector) for a pair and an array with a
+leading axis B for a stack.
 
 The canonical sampler draws a stack from one generator, S_E = T T' by the
 Bartlett decomposition of the Wishart law, and keeps the triangular T as the
 Cholesky factor of S_E: a sampled pair needs one Cholesky (of S_E + S_X).
+
+Reproducibility: each pair of a stack gets the bits it would get alone, and
+a sampled pair is pair 0 of a stack of size 1 drawn from the same stream.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,6 +82,12 @@ def _check_matrix(a, name: str, stack: bool = False) -> np.ndarray:
     return a
 
 
+def _check_integer(name: str, v) -> None:
+    """DomainError unless v is an integer >= 1; a float such as 3.0 is not."""
+    if not isinstance(v, numbers.Integral) or v < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {v!r}")
+
+
 class DataSet:
     """Paired design matrix X (n x p) and response matrix Y (n x m)."""
 
@@ -104,26 +115,16 @@ class DataSet:
         return f"DataSet(n={self.n}, p={self.p}, m={self.m})"
 
 
-def _svd_basis(C: np.ndarray) -> np.ndarray:
-    """V of the full SVD C = U S V', its last r columns spanning the row space
-    of C; HypothesisRankError if C is numerically rank deficient."""
-    r = C.shape[0]
-    _, sv, vt = np.linalg.svd(C)
-    if sv[0] == 0.0 or sv[-1] < RANK_TOL * sv[0]:
-        raise HypothesisRankError(f"C is numerically rank deficient (rank < {r})")
-    return np.roll(vt.T, -r, axis=1)
-
-
 class HypothesisMatrix:
     """Contrast matrix C (r x p); must have full row rank r.
 
-    The orthogonal p x p basis ``_basis`` is V of the full SVD C = U S V':
-    the columns spanning the null space of C first and the r spanning its
-    row space last. In the rotated design X _basis, C B = 0 says that the
-    coefficients of the last r columns vanish. A general C takes that SVD at
-    construction, as its rank check, and keeps the basis. A leading-identity
-    C, [I_r 0], has full row rank by its form, so it takes no SVD until
-    ``_basis`` is first read; the multi-split procedure never reads it.
+    ``design(X)`` returns the design with the hypothesis on its first r
+    columns, in which C B = 0 says that their coefficients vanish. For a
+    leading-identity C, [I_r 0], that is X itself: C has full row rank by
+    its form, and neither an SVD nor a rotation is made. Any other C takes
+    the full SVD C = U S V' at construction, as its rank check, and keeps
+    ``rotation`` = V, whose first r columns span the row space of C; its
+    design is X V.
     """
 
     def __init__(self, C):
@@ -135,13 +136,16 @@ class HypothesisMatrix:
         # [I_r 0] within 1e-12 per entry, checked with one r x p copy of C
         dev = C.copy()
         dev[np.arange(r), np.arange(r)] -= 1.0
-        self._leading_identity = bool(np.abs(dev, out=dev).max() <= 1e-12)
-        if not self._leading_identity:
-            self._basis = _svd_basis(C)  # the SVD is the rank check of a general C
+        self.rotation = None
+        if np.abs(dev, out=dev).max() > 1e-12:
+            _, sv, vt = np.linalg.svd(C)
+            if sv[0] == 0.0 or sv[-1] < RANK_TOL * sv[0]:
+                raise HypothesisRankError(f"C is numerically rank deficient (rank < {r})")
+            self.rotation = vt.T
 
-    @cached_property
-    def _basis(self) -> np.ndarray:
-        return _svd_basis(self.C)
+    def design(self, X: np.ndarray) -> np.ndarray:
+        """X with the hypothesis on its first r columns: X itself, or X V."""
+        return X if self.rotation is None else X @ self.rotation
 
     @property
     def r(self) -> int:
@@ -153,7 +157,7 @@ class HypothesisMatrix:
 
     def is_leading_identity(self) -> bool:
         """True when C is [I_r, 0] to within 1e-12 per entry, the already-canonical layout."""
-        return self._leading_identity
+        return self.rotation is None
 
     def __repr__(self):
         return f"HypothesisMatrix(r={self.r}, p={self.p})"
@@ -286,20 +290,21 @@ class SignalMatrix:
 # === fitting and reduction ===
 
 
-def _extra_ss(XY: np.ndarray, p: int, q: int):
-    """(S_E, S_X) for the hypothesis that the last q coefficient rows of Y = X B + E
-    vanish, from XY = [X Y] with X its first p columns.
+def _extra_ss(X: np.ndarray, Y: np.ndarray, q: int):
+    """(S_E, S_X) for the hypothesis that the first q coefficient rows of
+    Y = X B + E vanish.
 
-    One QR of XY gives R = [[R_XX, R_XY], [0, R_YY]]: S_E = R_YY' R_YY is
-    the residual Gram matrix of the full fit, and S_X = H' H, with H the q
-    rows of R_XY facing the last q columns of X, is the extra sum of squares
-    those columns explain (Anderson 2003, section 8.3). The R diagonal of
-    the X block is the design's rank check.
+    One QR of [X_rest X_hyp Y], the q hypothesis columns moved last, gives
+    R = [[R_XX, R_XY], [0, R_YY]]: S_E = R_YY' R_YY is the residual Gram
+    matrix of the full fit, and S_X = H' H, with H the q rows of R_XY facing
+    the hypothesis columns, is the extra sum of squares those columns explain
+    (Anderson 2003, section 8.3). The R diagonal of the X block is the
+    design's rank check.
     """
-    n = XY.shape[0]
+    n, p = X.shape
     if n < p:
         raise SingularDesignError(f"design has n={n} rows but p={p} columns")
-    R = np.linalg.qr(XY, mode="r")
+    R = np.linalg.qr(np.hstack([X[:, q:], X[:, :q], Y]), mode="r")
     diag = np.abs(np.diag(R)[:p])
     if diag.max() == 0.0 or diag.min() < RANK_TOL * diag.max():
         raise SingularDesignError("design matrix is numerically rank deficient")
@@ -311,19 +316,14 @@ def hypothesis_ss(data: DataSet, C) -> SumsOfSquares:
     """Error and hypothesis sums of squares for testing C B = 0.
 
     S_X = (C Bhat)' [C (X'X)^{-1} C']^{-1} (C Bhat), computed without any
-    inverse: the design is rotated by the orthogonal basis of C's SVD, which
-    puts the row space of C on the last r columns, and _extra_ss takes one
-    QR of the rotated design next to Y.
+    inverse: _extra_ss takes one QR of the design C.design(X), whose first r
+    columns carry the hypothesis, next to Y.
     """
     if not isinstance(C, HypothesisMatrix):
         C = HypothesisMatrix(C)
     if C.p != data.p:
         raise DomainError(f"C has {C.p} columns but the design has p={data.p}")
-    XY = np.empty((data.n, data.p + data.m))
-    # the rotated design is written straight into [X Y], never held as a second n x p copy
-    np.matmul(data.X, C._basis, out=XY[:, :data.p])
-    XY[:, data.p:] = data.Y
-    s_err, s_hyp = _extra_ss(XY, data.p, C.r)
+    s_err, s_hyp = _extra_ss(C.design(data.X), data.Y, C.r)
     return SumsOfSquares(s_err, s_hyp, Dims(data.n, data.p, data.m, C.r))
 
 
@@ -373,7 +373,7 @@ def canonical_form_sample(rng, signal, dims: Dims, size=None) -> SumsOfSquares:
     All draws come from ``rng`` in this order, with B = 1 when size is None:
     Y1 as one (B, r, m) array, then the below-diagonal entries of each T as
     a (B, m(m-1)/2) array (row by row), then the diagonal chi-squares as a
-    (B, m) array. So a pair is pair 0 of a stack of size 1 from the same stream.
+    (B, m) array.
     """
     if not dims.lrt_defined:
         raise RegimeError(f"canonical form needs n > p + m, got {dims}")

@@ -2,9 +2,11 @@
 
 When n < p + m the full-data test does not exist. A general hypothesis is
 first rotated once, on the whole design, to the leading-identity form by
-conditional_transform, and its r columns are protected from screening.
-Then each round randomly splits the sample, screens predictors (and
-optionally PCA-reduces responses) on one part, and tests on the other. The
+conditional_transform, and its r columns are protected from screening; a
+leading-identity hypothesis is used as it is, with no SVD of C. Then each
+round randomly splits the sample, screens predictors (and optionally
+PCA-reduces responses) on one part, and tests on the other: its kept
+columns, hypothesis first, go to the one QR of ``model._extra_ss``. The
 per-split p-value refers -2 log L_n on the testing part to its exact null
 law, Wilks' Lambda as a product of betas at the split's (n_T, p0, m0, q),
 with q the hypothesis columns screening kept, so it is valid far into the
@@ -12,17 +14,19 @@ tail. The J per-split p-values are aggregated through an adaptive quantile
 with a correction factor, giving a single p_t whose level is controlled for
 any J: the aggregation compares the smallest p-value with a cutoff near
 alpha * gamma_min / (1 - log gamma_min), and only a p-value that is valid at
-that depth keeps the bound (Meinshausen, Meier & Buehlmann 2009). no_split_pvalue is the J = 0 negative control: it screens
-and tests on the same rows.
+that depth keeps the bound (Meinshausen, Meier & Buehlmann 2009).
+no_split_pvalue is the J = 0 negative control: it screens and tests on the
+same rows.
 
-Split j is driven entirely by a seed derived from (config seed, j), so runs
-are bit-reproducible. The splits run one after another in the calling
-thread, with BLAS on one thread (see ``_blas``). A split runs on the
-private helpers of ``screening``, not on its public functions, because its
-arrays are slices of the checked data set: it checks none of them again,
-forms one response covariance for parallel analysis and PCA, and builds its
-(S_E, S_X) pair with ``SumsOfSquares._of``. A leading-identity hypothesis is
-used as it is, with no SVD of C.
+The splits run one after another in the calling thread, with BLAS on one
+thread (see ``_blas``). A split runs on the private helpers of
+``screening``, not on its public functions, because its arrays are slices
+of the checked data set: it checks none of them again, forms one response
+covariance for parallel analysis and PCA, and builds its (S_E, S_X) pair
+with ``SumsOfSquares._of``.
+
+Reproducibility: split j is driven entirely by a seed derived from
+(config seed, j), so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ import numpy as np
 from ._blas import single_thread_blas
 from .distributions import wilks_lrt_tail
 from .errors import DomainError, SplitInfeasibleError
-from .model import DataSet, Dims, HypothesisMatrix, SumsOfSquares, _extra_ss, neg2_log_lrt
+from .model import (DataSet, Dims, HypothesisMatrix, SumsOfSquares, _check_integer, _extra_ss,
+                    neg2_log_lrt)
 from .rng import derive_seed, stream
 from .screening import _budget, _centered_cov, _loadings, _pa_rank, _ranked, conditional_transform
 
@@ -60,8 +65,7 @@ class MultiSplitConfig:
     pca_policy: object = None
 
     def __post_init__(self):
-        if self.j_splits < 1:
-            raise DomainError(f"j_splits must be >= 1, got {self.j_splits}")
+        _check_integer("j_splits", self.j_splits)
         if self.gamma_min is not None and not 0.0 < self.gamma_min < 1.0:
             raise DomainError(f"gamma_min must lie in (0, 1), got {self.gamma_min!r}")
         if not 0.0 < self.delta <= 1.0:
@@ -185,9 +189,8 @@ def _split_outcome(data: DataSet, X, r, protect, cfg: MultiSplitConfig,
         Y_t = data.Y[t_idx]
         if w_hat is not None:
             Y_t = Y_t @ w_hat
-        XY = np.hstack([X[np.ix_(t_idx, np.roll(cols, -q))], Y_t])
         # _extra_ss forms both matrices as A' A by syrk: finite and exactly symmetric
-        s_err, s_hyp = _extra_ss(XY, p0, q)
+        s_err, s_hyp = _extra_ss(X[np.ix_(t_idx, cols)], Y_t, q)
         p_val = split_pvalue(SumsOfSquares._of(s_err, s_hyp, Dims(n_t, p0, m_eff, q)))
     return SplitOutcome(float(p_val), tuple(cols.tolist()), m_eff, derive_seed(cfg.seed, j))
 

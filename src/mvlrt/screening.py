@@ -3,12 +3,13 @@
 screen ranks predictor columns by their canonical correlation with the
 responses, the largest correlation between a column and any combination of
 response columns, and keeps the best floor(delta * p); parallel_analysis
-sizes and pca_reduce fits a PCA step that shrinks a wide response matrix.
-The multi-split procedure runs these three on the screening part of each
-split only. conditional_transform is the one step that sees the whole
-design: an orthogonal change of basis, made once before any split, that
-turns a general hypothesis C B = 0 into the leading-identity form
-[I_r 0] B~ = 0, so the hypothesis columns can be protected from screening.
+sizes and pca_reduce fits a PCA step that shrinks a wide response matrix,
+returning its loadings and eigen spectrum. The multi-split procedure runs
+these three on the screening part of each split only. conditional_transform
+is the one step that sees the whole design: it returns the design laid out
+by HypothesisMatrix.design, made once before any split, in which a general
+hypothesis C B = 0 reads [I_r 0] B~ = 0, so the hypothesis columns can be
+protected from screening.
 
 Each step is one private helper on arrays that are already checked:
 _budget and _ranked (screening), _centered_cov, _pa_rank (parallel
@@ -16,8 +17,9 @@ analysis) and _loadings (PCA). The public functions check their input and
 call them; a split calls them directly on slices of its checked data set,
 forms the centered covariance of its responses once for both parallel
 analysis and the loadings, and keeps the selected indices as an int array.
-Parallel analysis draws all PA_COPIES permuted copies with one
-rng.permuted call, which shuffles them in the order, and to the bits, of
+
+Reproducibility: parallel analysis draws all PA_COPIES permuted copies with
+one rng.permuted call, which shuffles them in the order, and to the bits, of
 PA_COPIES calls on one copy each.
 """
 
@@ -61,34 +63,6 @@ class ScreenResult:
         for w in self.scores:
             if not 0.0 <= w <= 1.0:
                 raise DomainError(f"score {w!r} outside [0, 1]")
-
-
-class PcaReduction:
-    """Orthonormal response loadings W_hat (m x m0) plus the full eigen spectrum."""
-
-    def __init__(self, w_hat, eigen_spectrum):
-        w_hat = _check_matrix(w_hat, "W_hat")
-        if w_hat.shape[1] < 1:
-            raise DomainError("W_hat needs at least one column")
-        gram = w_hat.T @ w_hat
-        if np.abs(gram - np.eye(w_hat.shape[1])).max() > 1e-10:
-            raise DomainError("W_hat columns are not orthonormal to 1e-10")
-        self.w_hat = w_hat
-        self.eigen_spectrum = tuple(float(v) for v in eigen_spectrum)
-
-    @property
-    def m0(self) -> int:
-        return self.w_hat.shape[1]
-
-    def transform(self, Y) -> np.ndarray:
-        """Project responses onto the retained components: Y W_hat."""
-        Y = _check_matrix(Y, "Y")
-        if Y.shape[1] != self.w_hat.shape[0]:
-            raise DomainError(f"Y has {Y.shape[1]} columns, loadings expect {self.w_hat.shape[0]}")
-        return Y @ self.w_hat
-
-    def __repr__(self):
-        return f"PcaReduction(m={self.w_hat.shape[0]}, m0={self.m0})"
 
 
 def _response_basis(Y: np.ndarray) -> np.ndarray:
@@ -176,8 +150,8 @@ def conditional_transform(X, C):
 
     With the SVD C = U S V', the orthogonal change of basis D = V puts the
     row space of C on the first r transformed predictors; screening must then
-    protect those columns and may rank only the rest. D is the basis the
-    HypothesisMatrix keeps, with its row-space columns moved to the front.
+    protect those columns and may rank only the rest. D is the rotation the
+    HypothesisMatrix keeps, or the identity for a leading-identity C.
 
     Returns ``(X_tilde, d)`` with X_tilde = X d.
     """
@@ -185,8 +159,8 @@ def conditional_transform(X, C):
     X = _check_matrix(X, "X")
     if X.shape[1] != hyp.p:
         raise DomainError(f"X has {X.shape[1]} columns but C expects p={hyp.p}")
-    d = np.roll(hyp._basis, hyp.r, axis=1)
-    return X @ d, d
+    d = np.eye(hyp.p) if hyp.rotation is None else hyp.rotation
+    return hyp.design(X), d
 
 
 def _centered_cov(Y: np.ndarray) -> np.ndarray:
@@ -195,15 +169,13 @@ def _centered_cov(Y: np.ndarray) -> np.ndarray:
     return Yc.T @ Yc / (Y.shape[0] - 1)
 
 
-def _pa_rank(rng, YS: np.ndarray, cap=None, cov=None) -> int:
-    """parallel_analysis on a checked YS; ``cov``, if given, is _centered_cov(YS)."""
+def _pa_rank(rng, YS: np.ndarray, cap, cov: np.ndarray) -> int:
+    """parallel_analysis on a checked YS whose _centered_cov is ``cov``."""
     n_s, m = YS.shape
     if n_s < 3:
         raise DomainError(f"parallel analysis needs n_S >= 3, got {n_s}")
     if cap is not None and cap < 1:
         raise DomainError(f"cap must be >= 1, got {cap}")
-    if cov is None:
-        cov = _centered_cov(YS)
     eigs = np.linalg.eigvalsh(cov)[::-1]
     # every copy in one draw: the rows of each column of each copy are shuffled
     # in the order of PA_COPIES calls rng.permuted(YS, axis=0), with the same
@@ -247,7 +219,8 @@ def parallel_analysis(rng, YS, cap=None) -> int:
     cannot inflate the rank. The result is floored at 1 and, when ``cap`` is
     given, truncated to it so the testing half stays large enough.
     """
-    return _pa_rank(rng, _check_matrix(YS, "YS"), cap)
+    YS = _check_matrix(YS, "YS")
+    return _pa_rank(rng, YS, cap, _centered_cov(YS))
 
 
 def _loadings(cov: np.ndarray, m0: int):
@@ -263,11 +236,12 @@ def _loadings(cov: np.ndarray, m0: int):
     return vecs[:, :m0].copy(), vals
 
 
-def pca_reduce(YS, m0: int) -> PcaReduction:
+def pca_reduce(YS, m0: int):
     """Top-m0 principal component loadings of the responses.
 
-    Eigenvectors of the column-centered sample covariance of YS, returned
-    with the full descending eigen spectrum. Column signs are fixed so the
+    Returns ``(w_hat, spectrum)``: the eigenvectors of the column-centered
+    sample covariance of YS as an m x m0 array, and its full eigen spectrum,
+    descending and floored at 0. Column signs are fixed so the
     largest-magnitude entry of each loading is positive, which keeps results
     reproducible across linear-algebra backends.
     """
@@ -277,4 +251,4 @@ def pca_reduce(YS, m0: int) -> PcaReduction:
         raise DomainError(f"need n_S >= 2 rows, got {n_s}")
     if not 1 <= m0 <= min(n_s - 1, m):
         raise DomainError(f"m0={m0} outside [1, min(n_S - 1, m)] = [1, {min(n_s - 1, m)}]")
-    return PcaReduction(*_loadings(_centered_cov(YS), m0))
+    return _loadings(_centered_cov(YS), m0)

@@ -345,3 +345,20 @@ def test_wilks_tail_shape_and_domain():
                 (1.0, n, p, m, 2.5)):
         with pytest.raises(DomainError):
             wilks_lrt_tail(*bad)
+
+
+@pytest.mark.parametrize("dims", [(70, 24, 20, 2), (70, 30, 5, 1), (100, 10, 5, 5),
+                                  (70, 24, 16, 24), (70, 30, 1, 1), (40, 10, 5, 3)])
+def test_wilks_tail_takes_its_limits_where_the_saddlepoint_fails(dims):
+    """Near x = 0 and toward infinity the saddlepoint divides by zero or loses
+    K(s) to rounding; the tail is then 1 or 0, and never increases with x."""
+    xs = np.concatenate([[0.0, 5e-324], np.geomspace(1e-300, 1e300, 20_000)])
+    vals = [wilks_lrt_tail(float(x), *dims) for x in xs]
+    assert all(type(v) is float and 0.0 <= v <= 1.0 for v in vals)
+    assert np.all(np.diff(vals) <= 0.0)
+    assert vals[0] == 1.0 and vals[-1] == 0.0
+
+
+def test_wilks_tail_limits_at_the_reported_points():
+    assert wilks_lrt_tail(9.325873406851312e-14, 70, 30, 1, 1) == 1.0
+    assert wilks_lrt_tail(1e17, 70, 24, 20, 2) == 0.0

@@ -130,6 +130,8 @@ def test_spec_validation():
         ExperimentSpec(methods=("t9",))
     with pytest.raises(DomainError):
         ExperimentSpec(reps=0)
+    with pytest.raises(DomainError, match="reps must be an integer"):
+        ExperimentSpec(reps=40.5)
     with pytest.raises(DomainError):
         ExperimentSpec(eta_grid=(1.5,))
     with pytest.raises(DomainError):
@@ -480,6 +482,10 @@ def test_gamma_sensitivity_checks_the_rho_grid_before_any_draw(monkeypatch):
 def test_gamma_sensitivity_validation():
     with pytest.raises(DomainError):
         gamma_sensitivity(j_splits=0)
+    with pytest.raises(DomainError, match="j_splits must be an integer"):
+        gamma_sensitivity(j_splits=2.5, reps=10)
+    with pytest.raises(DomainError, match="reps must be an integer"):
+        gamma_sensitivity(j_splits=20, reps=40.5)
     with pytest.raises(DomainError):
         gamma_sensitivity(gamma_grid=(0.0,), reps=10)
     with pytest.raises(DomainError):

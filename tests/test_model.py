@@ -89,7 +89,21 @@ def test_leading_identity_check_matches_the_dense_target():
                 assert HypothesisMatrix(C).is_leading_identity() == expected
 
 
-def test_leading_identity_builds_no_basis():
+def _count_svd(monkeypatch):
+    """A list that gets one entry per np.linalg.svd call from now on."""
+    calls = []
+    orig = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_leading_identity_builds_no_basis(monkeypatch):
+    svd_calls = _count_svd(monkeypatch)
     C = np.hstack([np.eye(2), np.zeros((2, 3998))])
     tracemalloc.start()
     try:
@@ -98,19 +112,38 @@ def test_leading_identity_builds_no_basis():
     finally:
         tracemalloc.stop()
     assert hyp.is_leading_identity()
-    assert "_basis" not in vars(hyp)
+    assert svd_calls == []
+    assert hyp.rotation is None
+    X = np.ones((3, 4000))
+    assert hyp.design(X) is X
     assert peak < 1_000_000, f"traced peak {peak} bytes"
+
+
+def test_hypothesis_ss_on_leading_identity_takes_no_svd(monkeypatch):
+    svd_calls = _count_svd(monkeypatch)
+    rng = stream(33)
+    data = DataSet(rng.standard_normal((30, 6)), rng.standard_normal((30, 3)))
+    hypothesis_ss(data, np.eye(6)[:2])
+    hypothesis_ss(data, HypothesisMatrix(np.eye(6)))
+    assert svd_calls == []
 
 
 @pytest.mark.parametrize("C", [np.eye(6)[:2], np.eye(4),
                                stream(31).standard_normal((2, 6))],
                          ids=["leading", "square_identity", "general"])
 def test_basis_is_the_full_svd_whenever_it_is_built(C):
+    """A general C keeps V of its full SVD, row space first; [I_r 0] keeps none."""
     hyp = HypothesisMatrix(C)
+    X = stream(34).standard_normal((9, C.shape[1]))
     _, _, vt = np.linalg.svd(C)
-    expected = np.roll(vt.T, -C.shape[0], axis=1)
-    assert np.array_equal(hyp._basis, expected)
-    assert hyp._basis is hyp._basis  # built once
+    if hyp.is_leading_identity():
+        assert hyp.rotation is None
+        assert hyp.design(X) is X
+        assert np.array_equal(vt, np.eye(C.shape[1]))  # the rotation it skips is the identity
+    else:
+        assert np.array_equal(hyp.rotation, vt.T)
+        assert hyp.design(X).tobytes() == (X @ vt.T).tobytes()
+        assert np.abs(C @ hyp.rotation[:, C.shape[0]:]).max() < 1e-12  # null space last
 
 
 def test_split_pair_is_exactly_symmetric():
@@ -121,7 +154,7 @@ def test_split_pair_is_exactly_symmetric():
         rng = stream(32, k)
         XY = rng.standard_normal((n_t, p0 + m0))
         XY[:, p0:] += XY[:, :p0] @ rng.standard_normal((p0, m0))
-        s_err, s_hyp = _extra_ss(XY, p0, q)
+        s_err, s_hyp = _extra_ss(XY[:, :p0], XY[:, p0:], q)
         for S in (s_err, s_hyp):
             assert np.array_equal(S, S.T)
         dims = Dims(n_t, p0, m0, q)

@@ -138,6 +138,8 @@ def test_config_gamma_min_default():
 def test_config_validation():
     with pytest.raises(DomainError):
         MultiSplitConfig(j_splits=0)
+    with pytest.raises(DomainError, match="j_splits must be an integer"):
+        MultiSplitConfig(j_splits=2.5)
     with pytest.raises(DomainError):
         MultiSplitConfig(gamma_min=1.0)
     with pytest.raises(DomainError):
@@ -336,14 +338,18 @@ def test_multisplit_takes_one_svd_and_one_qr_per_split(monkeypatch):
     assert counts == {"svd": 1, "qr": 6}
 
 
-def test_multisplit_on_leading_identity_builds_no_basis():
+def test_multisplit_on_leading_identity_builds_no_basis(monkeypatch):
     """[I_2 0] at p = 4,000 is used as it is: no SVD of C, no p x p basis."""
+    svd_calls = []
+    orig = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd_calls.append(1) or orig(*a, **k))
     rng = stream(721)
     data = DataSet(rng.standard_normal((40, 4000)), rng.standard_normal((40, 3)))
     hyp = HypothesisMatrix(np.hstack([np.eye(2), np.zeros((2, 3998))]))
     cfg = MultiSplitConfig(j_splits=3, seed=4, delta=0.002, pca_policy="parallel_analysis")
     res = multisplit_test(data, hyp, cfg)
-    assert "_basis" not in vars(hyp)
+    assert svd_calls == []
+    assert hyp.rotation is None
     assert res.outcomes == tuple(per_split_pvalue(data, hyp, cfg, j) for j in range(3))
 
 
