@@ -22,7 +22,7 @@ import numpy as np
 
 from ._blas import single_thread_blas
 from .dataio import load_matrix, write_rows
-from .errors import DataFormatError, DomainError, RegimeError
+from .errors import DataFormatError, DomainError, RegimeError, check_integer, check_level
 from .experiments import ExperimentSpec, power_sweep, typeI_sweep
 from .lrt import TESTS, boundary_check
 from .model import CONVENTIONS, DataSet, Dims, HypothesisMatrix, hypothesis_ss
@@ -193,8 +193,7 @@ def _cmd_test(v) -> int:
         raise DomainError(f"unknown largest-root convention {v['convention']!r}")
     if v["format"] not in ("text", "json"):
         raise DomainError(f"unknown format {v['format']!r}")
-    if not 0.0 < v["alpha"] < 1.0:
-        raise DomainError(f"alpha must lie in (0,1), got {v['alpha']!r}")
+    check_level("alpha", v["alpha"])
     data, hyp = _load_data(v)
     ss = hypothesis_ss(data, hyp)
     # only the largest-root tests read the convention
@@ -219,17 +218,14 @@ def _cmd_test(v) -> int:
 
 def _cmd_multisplit(v) -> int:
     data, hyp = _load_data(v)
-    if v["j_splits"] < 0:
-        raise DomainError(f"j_splits must be >= 0, got {v['j_splits']}")
+    check_integer("j_splits", v["j_splits"], low=0)
     cfg = MultiSplitConfig(
         j_splits=max(v["j_splits"], 1), gamma_min=v["gamma_min"],
         delta=v["delta"], split_ratio=v["split_ratio"], seed=v["seed"],
         pca_policy=v["pca_policy"])
     # the J = 0 control skips multisplit_test, so both paths are checked here
-    if not 0.0 < v["alpha"] < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {v['alpha']!r}")
-    if v["threads"] < 1:
-        raise DomainError(f"threads must be >= 1, got {v['threads']}")
+    check_level("alpha", v["alpha"])
+    check_integer("threads", v["threads"])
     if v["j_splits"] == 0:
         if not v["unsafe_no_split"]:
             raise DomainError(

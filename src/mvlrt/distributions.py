@@ -32,7 +32,7 @@ from importlib import resources
 import numpy as np
 from scipy.special import gammaincc, gammainccinv, gammaln, ndtr, ndtri, psi, zeta
 
-from .errors import DomainError
+from .errors import DomainError, check_integer, check_level
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -60,16 +60,14 @@ def std_normal_tail(x):
 
 def std_normal_upper_quantile(alpha: float) -> float:
     """The z with P(Z > z) = alpha, for alpha in (0, 1)."""
-    if not (0.0 < alpha < 1.0) or not math.isfinite(alpha):
-        raise DomainError(f"std_normal_upper_quantile: alpha must lie in (0,1), got {alpha!r}")
+    check_level("std_normal_upper_quantile: alpha", alpha)
     return float(-ndtri(alpha))
 
 
 def chi_sq_tail(x, df: int):
     """Upper tail P(chi2_df > x), element-wise; the regularized upper incomplete gamma."""
     a = _finite(x, "chi_sq_tail: x")
-    if int(df) != df or df < 1:
-        raise DomainError(f"chi_sq_tail: df must be a positive integer, got {df!r}")
+    check_integer("chi_sq_tail: df", df)
     out = np.where(a <= 0.0, 1.0, gammaincc(0.5 * df, 0.5 * a))
     return out if a.ndim else float(out)
 
@@ -80,10 +78,8 @@ def chi_sq_upper_quantile(alpha: float, df: int) -> float:
     Computed through the inverse regularized incomplete gamma function:
     the returned x satisfies P(chi2_df > x) = alpha.
     """
-    if not (0.0 < alpha < 1.0) or not math.isfinite(alpha):
-        raise DomainError(f"chi_sq_upper_quantile: alpha must lie in (0,1), got {alpha!r}")
-    if int(df) != df or df < 1:
-        raise DomainError(f"chi_sq_upper_quantile: df must be a positive integer, got {df!r}")
+    check_level("chi_sq_upper_quantile: alpha", alpha)
+    check_integer("chi_sq_upper_quantile: df", df)
     return float(2.0 * gammainccinv(0.5 * df, alpha))
 
 
@@ -160,8 +156,7 @@ def tw1_cdf(s):
 
 def tw1_upper_quantile(alpha: float) -> float:
     """Upper alpha-quantile of the Tracy-Widom law of order 1, by bisection on tw1_cdf."""
-    if not (0.0 < alpha < 1.0) or not math.isfinite(alpha):
-        raise DomainError(f"tw1_upper_quantile: alpha must lie in (0,1), got {alpha!r}")
+    check_level("tw1_upper_quantile: alpha", alpha)
     target = 1.0 - alpha
     grid = _embedded_table()[0]
     lo, hi = float(grid[0]), float(grid[-1])
@@ -234,8 +229,7 @@ def wilks_lrt_tail(x: float, n: int, p: int, m: int, r: int) -> float:
     if not math.isfinite(x):
         raise DomainError(f"wilks_lrt_tail: x must be finite, got {x!r}")
     for name, v in (("n", n), ("p", p), ("m", m), ("r", r)):
-        if int(v) != v or v < 1:
-            raise DomainError(f"wilks_lrt_tail: {name} must be a positive integer, got {v!r}")
+        check_integer(f"wilks_lrt_tail: {name}", v)
     df = n - p
     if df < m:
         raise DomainError(f"wilks_lrt_tail needs n - p >= m, got n={n}, p={p}, m={m}")

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._blas import single_thread_blas
-from .errors import DomainError, MvlrtError, RegimeError
+from .errors import DomainError, MvlrtError, RegimeError, check_integer, check_level
 from .lrt import TESTS, PowerSpec, _rejections, theoretical_power
 from .model import (
     DataSet,
@@ -41,9 +41,8 @@ from .model import (
     HypothesisMatrix,
     SignalMatrix,
     SumsOfSquares,
-    _check_integer,
+    _extra_ss,
     canonical_form_sample,
-    hypothesis_ss,
 )
 from .multisplit import MultiSplitConfig, multisplit_test, no_split_pvalue
 from .rng import derive_seed, stream
@@ -104,24 +103,24 @@ class ExperimentSpec:
             raise DomainError(f"unknown signal spec {self.signal!r}")
         if kind == "spikes" and self.generator == "linear":
             raise DomainError("signal 'spikes' is not defined for the linear generator")
-        if kind == "diagonal" and not 1 <= int(self.signal[1]) <= min(self.p, self.m):
-            raise DomainError(f"diagonal rank {self.signal[1]} outside [1, {min(self.p, self.m)}]")
+        for name in ("n", "p", "m", "r", "reps", "threads"):
+            check_integer(name, getattr(self, name))
+        check_integer("seed", self.seed, low=None)
+        if kind == "diagonal":
+            check_integer("diagonal rank", self.signal[1])
+            if self.signal[1] > min(self.p, self.m):
+                raise DomainError(f"diagonal rank {self.signal[1]} outside [1, {min(self.p, self.m)}]")
         if not self.methods:
             raise DomainError("methods must name at least one test")
         for meth in self.methods:
             if meth not in TESTS:
                 raise DomainError(f"unknown method {meth!r}")
-        _check_integer("reps", self.reps)
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0,1), got {self.alpha!r}")
-        if self.threads < 1:
-            raise DomainError(f"threads must be >= 1, got {self.threads}")
+        check_level("alpha", self.alpha)
         for rho in (self.rho_x, self.rho_e):
             if not -1.0 < rho < 1.0:
                 raise DomainError(f"AR(1) parameter must lie in (-1,1), got {rho!r}")
         for eta in self.eta_grid:
-            if not 0.0 < eta < 1.0:
-                raise DomainError(f"eta must lie in (0,1), got {eta!r}")
+            check_level("eta", eta)
         if self.grow and any(ch not in "pmr" for ch in self.grow):
             raise DomainError(f"grow must name a subset of 'pmr', got {self.grow!r}")
 
@@ -207,7 +206,7 @@ def _build_b(rng, spec: ExperimentSpec, p: int, m: int, strength: float) -> np.n
     if kind == "null" or strength == 0.0:
         return b
     if kind == "diagonal":
-        np.fill_diagonal(b[:int(spec.signal[1])], strength)
+        np.fill_diagonal(b[:spec.signal[1]], strength)
     elif kind == "single":
         b[0, 0] = strength
     elif kind == "dense":
@@ -257,14 +256,12 @@ def _drawer(spec: ExperimentSpec, dims: Dims, signal=None, strength: float = 0.0
         return lambda cell_id, b, reps: canonical_form_sample(
             stream(spec.seed, cell_id, b), signal, dims, size=len(reps))
     cell_spec = replace(spec, p=dims.p, m=dims.m, r=dims.r)
-    hyp = HypothesisMatrix(np.eye(dims.r, dims.p))
 
     def draw(cell_id, b, reps):
-        pairs = [hypothesis_ss(gen_linear_model(stream(spec.seed, cell_id, k), cell_spec,
-                                                strength), hyp) for k in reps]
-        # each pair was checked and symmetrized by hypothesis_ss
-        return SumsOfSquares._of(np.stack([ss.s_err for ss in pairs]),
-                                 np.stack([ss.s_hyp for ss in pairs]), dims)
+        data = (gen_linear_model(stream(spec.seed, cell_id, k), cell_spec, strength) for k in reps)
+        # _extra_ss forms both matrices as A' A by syrk: finite and exactly symmetric
+        s_err, s_hyp = zip(*(_extra_ss(d.X, d.Y, dims.r) for d in data))
+        return SumsOfSquares._of(np.stack(s_err), np.stack(s_hyp), dims)
 
     return draw
 
@@ -401,8 +398,7 @@ def multisplit_sweep(spec: ExperimentSpec, j_grid=(0, 50, 200), delta: float = 0
     if spec.generator != "linear":
         raise DomainError("multisplit_sweep requires the linear generator")
     for j in j_grid:
-        if j < 0:
-            raise DomainError(f"split count must be >= 0, got {j}")
+        check_integer("split count", j, low=0)
     hyp = HypothesisMatrix(np.eye(spec.r, spec.p))
     base = MultiSplitConfig(gamma_min=gamma_min, delta=delta, split_ratio=split_ratio,
                             pca_policy=pca_policy)
@@ -440,12 +436,10 @@ def gamma_sensitivity(j_splits: int = 200, rho_grid=(0.0, 0.5, 1.0),
     be >= 1; replicates run in the calling thread and the table does not
     depend on it.
     """
-    _check_integer("j_splits", j_splits)
-    _check_integer("reps", reps)
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0,1), got {alpha!r}")
+    for name, v in (("j_splits", j_splits), ("reps", reps), ("threads", threads)):
+        check_integer(name, v)
+    check_integer("seed", seed, low=None)
+    check_level("alpha", alpha)
     for g in gamma_grid:
         if not 0.0 < g <= 1.0:
             raise DomainError(f"gamma values must lie in (0,1], got {g!r}")

@@ -31,7 +31,7 @@ from .distributions import (
     std_normal_upper_quantile,
     tw1_cdf,
 )
-from .errors import DegenerateRootError, DomainError, RegimeError
+from .errors import DegenerateRootError, DomainError, RegimeError, check_level
 from .model import Dims, SumsOfSquares, neg2_log_lrt, theta_max
 
 
@@ -111,12 +111,8 @@ class PowerSpec:
         for d in self.deltas:
             if not (d > 0.0 and math.isfinite(d)):
                 raise DomainError(f"deltas must be positive finite, got {d!r}")
-        for name in ("rho_p", "rho_r", "rho_m"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise DomainError(f"{name} must lie in (0,1), got {v!r}")
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"alpha must lie in (0,1), got {self.alpha!r}")
+        for name in ("rho_p", "rho_r", "rho_m", "alpha"):
+            check_level(name, getattr(self, name))
 
 
 def mu_sigma(dims: Dims):

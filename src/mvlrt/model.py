@@ -24,7 +24,6 @@ a sampled pair is pair 0 of a stack of size 1 drawn from the same stream.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,6 +36,7 @@ from .errors import (
     HypothesisRankError,
     RegimeError,
     SingularDesignError,
+    check_integer,
 )
 
 #: singular values (or R diagonals) below RANK_TOL times the largest are rank loss
@@ -60,9 +60,7 @@ class Dims:
 
     def __post_init__(self):
         for name in ("n", "p", "m", "r"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise DomainError(f"Dims.{name} must be a positive integer, got {v!r}")
+            check_integer(f"Dims.{name}", getattr(self, name))
         if self.r > self.p:
             raise DomainError(f"Dims: hypothesis rank r={self.r} exceeds p={self.p}")
 
@@ -80,12 +78,6 @@ def _check_matrix(a, name: str, stack: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise DomainError(f"{name} contains non-finite entries")
     return a
-
-
-def _check_integer(name: str, v) -> None:
-    """DomainError unless v is an integer >= 1; a float such as 3.0 is not."""
-    if not isinstance(v, numbers.Integral) or v < 1:
-        raise DomainError(f"{name} must be an integer >= 1, got {v!r}")
 
 
 class DataSet:
@@ -312,6 +304,14 @@ def _extra_ss(X: np.ndarray, Y: np.ndarray, q: int):
     return R_yy.T @ R_yy, H.T @ H
 
 
+def _hypothesis(C, p: int) -> HypothesisMatrix:
+    """C as a HypothesisMatrix, checked against a design with p columns."""
+    hyp = C if isinstance(C, HypothesisMatrix) else HypothesisMatrix(C)
+    if hyp.p != p:
+        raise DomainError(f"C has {hyp.p} columns but the design has p={p}")
+    return hyp
+
+
 def hypothesis_ss(data: DataSet, C) -> SumsOfSquares:
     """Error and hypothesis sums of squares for testing C B = 0.
 
@@ -319,10 +319,7 @@ def hypothesis_ss(data: DataSet, C) -> SumsOfSquares:
     inverse: _extra_ss takes one QR of the design C.design(X), whose first r
     columns carry the hypothesis, next to Y.
     """
-    if not isinstance(C, HypothesisMatrix):
-        C = HypothesisMatrix(C)
-    if C.p != data.p:
-        raise DomainError(f"C has {C.p} columns but the design has p={data.p}")
+    C = _hypothesis(C, data.p)
     s_err, s_hyp = _extra_ss(C.design(data.X), data.Y, C.r)
     return SumsOfSquares(s_err, s_hyp, Dims(data.n, data.p, data.m, C.r))
 
@@ -377,15 +374,15 @@ def canonical_form_sample(rng, signal, dims: Dims, size=None) -> SumsOfSquares:
     """
     if not dims.lrt_defined:
         raise RegimeError(f"canonical form needs n > p + m, got {dims}")
-    if size is not None and (int(size) != size or size < 1):
-        raise DomainError(f"size must be a positive integer, got {size!r}")
+    if size is not None:
+        check_integer("size", size)
     if signal is None:
         M1 = np.zeros((dims.r, dims.m))
     else:
-        M1 = signal.M1 if isinstance(signal, SignalMatrix) else np.asarray(signal, dtype=float)
+        M1 = signal.M1 if isinstance(signal, SignalMatrix) else _check_matrix(signal, "signal")
     if M1.shape != (dims.r, dims.m):
         raise DomainError(f"signal shape {M1.shape} does not match (r, m)=({dims.r}, {dims.m})")
-    B, m = 1 if size is None else int(size), dims.m
+    B, m = 1 if size is None else size, dims.m
     Y1 = rng.standard_normal((B, dims.r, m))
     Y1 += M1
     T = np.zeros((B, m, m))

@@ -38,9 +38,8 @@ import numpy as np
 
 from ._blas import single_thread_blas
 from .distributions import wilks_lrt_tail
-from .errors import DomainError, SplitInfeasibleError
-from .model import (DataSet, Dims, HypothesisMatrix, SumsOfSquares, _check_integer, _extra_ss,
-                    neg2_log_lrt)
+from .errors import DomainError, SplitInfeasibleError, check_integer, check_level
+from .model import DataSet, Dims, SumsOfSquares, _extra_ss, _hypothesis, neg2_log_lrt
 from .rng import derive_seed, stream
 from .screening import _budget, _centered_cov, _loadings, _pa_rank, _ranked, conditional_transform
 
@@ -65,18 +64,15 @@ class MultiSplitConfig:
     pca_policy: object = None
 
     def __post_init__(self):
-        _check_integer("j_splits", self.j_splits)
-        if self.gamma_min is not None and not 0.0 < self.gamma_min < 1.0:
-            raise DomainError(f"gamma_min must lie in (0, 1), got {self.gamma_min!r}")
+        check_integer("j_splits", self.j_splits)
+        check_integer("seed", self.seed, low=None)
+        if self.gamma_min is not None:
+            check_level("gamma_min", self.gamma_min)
         if not 0.0 < self.delta <= 1.0:
             raise DomainError(f"delta must lie in (0, 1], got {self.delta!r}")
-        if not 0.0 < self.split_ratio < 1.0:
-            raise DomainError(f"split_ratio must lie in (0, 1), got {self.split_ratio!r}")
-        pol = self.pca_policy
-        if pol is None or pol == "parallel_analysis":
-            return
-        if isinstance(pol, bool) or not isinstance(pol, int) or pol < 1:
-            raise DomainError(f"pca_policy must be None, 'parallel_analysis' or a rank >= 1, got {pol!r}")
+        check_level("split_ratio", self.split_ratio)
+        if self.pca_policy not in (None, "parallel_analysis"):
+            check_integer("pca_policy", self.pca_policy)
 
     @property
     def resolved_gamma_min(self) -> float:
@@ -104,10 +100,8 @@ def split_indices(rng, n: int, ratio: float):
 
     Returns sorted arrays (S, T) with |S| = round(ratio * n).
     """
-    if n < 4:
-        raise DomainError(f"need n >= 4 to split, got {n}")
-    if not 0.0 < ratio < 1.0:
-        raise DomainError(f"ratio must lie in (0, 1), got {ratio!r}")
+    check_integer("n", n, low=4)
+    check_level("ratio", ratio)
     n_s = int(round(ratio * n))
     if n_s < 1 or n - n_s < 1:
         raise DomainError(f"split sizes {n_s} and {n - n_s} are degenerate")
@@ -129,9 +123,7 @@ def _prepare_hypothesis(data: DataSet, C):
     protected columns. Any other is rotated by conditional_transform to
     [I_r 0], and its r rotated columns are protected from screening.
     """
-    hyp = C if isinstance(C, HypothesisMatrix) else HypothesisMatrix(C)
-    if hyp.p != data.p:
-        raise DomainError(f"C has p={hyp.p} columns but the design has p={data.p}")
+    hyp = _hypothesis(C, data.p)
     if hyp.is_leading_identity():
         return data.X, hyp.r, 0
     X, _ = conditional_transform(data.X, hyp)
@@ -229,8 +221,7 @@ def adaptive_pt(pvals, gamma_min: float) -> float:
     pv = np.asarray(pvals, dtype=float)
     if pv.size == 0:
         raise DomainError("adaptive_pt needs at least one p-value")
-    if not 0.0 < gamma_min < 1.0:
-        raise DomainError(f"gamma_min must lie in (0, 1), got {gamma_min!r}")
+    check_level("gamma_min", gamma_min)
     if np.any(~np.isfinite(pv)) or pv.min() < 0.0 or pv.max() > 1.0:
         raise DomainError("p-values must lie in [0, 1]")
     j = pv.size
@@ -281,10 +272,8 @@ def multisplit_test(data: DataSet, C, cfg: MultiSplitConfig,
     raises SplitInfeasibleError naming the split and the offending sizes
     rather than silently skipping it.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
+    check_level("alpha", alpha)
+    check_integer("threads", threads)
     prepared = _prepare_hypothesis(data, C)
     outcomes = [_split_outcome(data, *prepared, cfg, j) for j in range(cfg.j_splits)]
     p_t = adaptive_pt([o.p_value for o in outcomes], cfg.resolved_gamma_min)

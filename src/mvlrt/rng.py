@@ -35,7 +35,7 @@ def derive_seed(seed: int, *path: int) -> int:
     so (seed, 3) and (seed, 4) are unrelated keys, and (seed, i, j) differs
     from (seed, j, i).
     """
-    key = seed & _MASK
+    key = int(seed) & _MASK
     for part in path:
         key = mix64(key ^ mix(part))
     return key

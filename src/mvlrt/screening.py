@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError
-from .model import RANK_TOL, HypothesisMatrix, _check_matrix
+from .errors import DomainError, check_integer
+from .model import RANK_TOL, _check_matrix, _hypothesis
 
 #: parallel analysis: column-permuted copies, and the quantile of their eigenvalues to beat
 PA_COPIES, PA_QUANTILE = 19, 0.95
@@ -138,6 +138,7 @@ def screen(XS, YS, delta: float, protect: int = 0) -> ScreenResult:
     YS = _check_matrix(YS, "YS")
     if XS.shape[0] != YS.shape[0]:
         raise DomainError(f"XS has {XS.shape[0]} rows but YS has {YS.shape[0]}")
+    check_integer("protect", protect, low=0)
     k = _budget(delta, XS.shape[1], protect)
     selected, scores, degenerate = _ranked(XS, YS, k, protect)
     return ScreenResult(tuple(selected.tolist()),
@@ -155,10 +156,8 @@ def conditional_transform(X, C):
 
     Returns ``(X_tilde, d)`` with X_tilde = X d.
     """
-    hyp = C if isinstance(C, HypothesisMatrix) else HypothesisMatrix(C)
     X = _check_matrix(X, "X")
-    if X.shape[1] != hyp.p:
-        raise DomainError(f"X has {X.shape[1]} columns but C expects p={hyp.p}")
+    hyp = _hypothesis(C, X.shape[1])
     d = np.eye(hyp.p) if hyp.rotation is None else hyp.rotation
     return hyp.design(X), d
 
@@ -170,12 +169,10 @@ def _centered_cov(Y: np.ndarray) -> np.ndarray:
 
 
 def _pa_rank(rng, YS: np.ndarray, cap, cov: np.ndarray) -> int:
-    """parallel_analysis on a checked YS whose _centered_cov is ``cov``."""
+    """parallel_analysis on a checked YS and cap, where ``cov`` is YS's _centered_cov."""
     n_s, m = YS.shape
     if n_s < 3:
         raise DomainError(f"parallel analysis needs n_S >= 3, got {n_s}")
-    if cap is not None and cap < 1:
-        raise DomainError(f"cap must be >= 1, got {cap}")
     eigs = np.linalg.eigvalsh(cov)[::-1]
     # every copy in one draw: the rows of each column of each copy are shuffled
     # in the order of PA_COPIES calls rng.permuted(YS, axis=0), with the same
@@ -220,6 +217,8 @@ def parallel_analysis(rng, YS, cap=None) -> int:
     given, truncated to it so the testing half stays large enough.
     """
     YS = _check_matrix(YS, "YS")
+    if cap is not None:
+        check_integer("cap", cap)
     return _pa_rank(rng, YS, cap, _centered_cov(YS))
 
 
@@ -249,6 +248,7 @@ def pca_reduce(YS, m0: int):
     n_s, m = YS.shape
     if n_s < 2:
         raise DomainError(f"need n_S >= 2 rows, got {n_s}")
-    if not 1 <= m0 <= min(n_s - 1, m):
+    check_integer("m0", m0)
+    if m0 > min(n_s - 1, m):
         raise DomainError(f"m0={m0} outside [1, min(n_S - 1, m)] = [1, {min(n_s - 1, m)}]")
     return _loadings(_centered_cov(YS), m0)

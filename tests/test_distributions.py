@@ -84,7 +84,7 @@ def test_normal_domain_errors():
         std_normal_tail(float("nan"))
     with pytest.raises(DomainError):
         std_normal_tail(float("inf"))
-    for bad in (0.0, 1.0, -0.1, 1.5):
+    for bad in (0.0, 1.0, -0.1, 1.5, None, "0.05"):
         with pytest.raises(DomainError):
             std_normal_upper_quantile(bad)
 
@@ -112,12 +112,16 @@ def test_chi2_tail_at_zero_and_round_trip():
 
 
 def test_chi2_domain_errors():
-    for bad_alpha in (0.0, 1.0, -1.0):
+    for bad_alpha in (0.0, 1.0, -1.0, None):
         with pytest.raises(DomainError):
             chi_sq_upper_quantile(bad_alpha, 3)
-    for bad_df in (0, -2, 2.5):
+    for bad_df in (0, -2, 2.5, 3.0, True, None):
         with pytest.raises(DomainError):
             chi_sq_upper_quantile(0.05, bad_df)
+        with pytest.raises(DomainError):
+            chi_sq_tail(3.0, bad_df)
+    assert chi_sq_tail(3.0, np.int64(2)) == chi_sq_tail(3.0, 2)
+    assert chi_sq_upper_quantile(0.05, np.int64(2)) == chi_sq_upper_quantile(0.05, 2)
     with pytest.raises(DomainError):
         chi_sq_tail(float("inf"), 2)
 
@@ -230,8 +234,9 @@ def test_tw1_tail_extrapolation():
     assert tw1_cdf(14.0) <= 1.0
     with pytest.raises(DomainError):
         tw1_cdf(float("nan"))
-    with pytest.raises(DomainError):
-        tw1_upper_quantile(1.5)
+    for bad in (1.5, None):
+        with pytest.raises(DomainError):
+            tw1_upper_quantile(bad)
 
 
 # === element-wise tails ===
@@ -342,9 +347,11 @@ def test_wilks_tail_shape_and_domain():
     assert np.all(np.diff(vals) < 0.0)
     assert vals[0] > 0.5 > vals[-1]
     for bad in ((math.nan, n, p, m, r), (1.0, 30, 20, 11, 2), (1.0, n, p, 0, r),
-                (1.0, n, p, m, 2.5)):
+                (1.0, n, p, m, 2.5), (1.0, n, p, m, 24.0), (1.0, 70.0, p, m, r),
+                (1.0, n, p, True, r), (1.0, n, None, m, r)):
         with pytest.raises(DomainError):
             wilks_lrt_tail(*bad)
+    assert wilks_lrt_tail(700.0, *np.array([n, p, m, r])) == vals[200]
 
 
 @pytest.mark.parametrize("dims", [(70, 24, 20, 2), (70, 30, 5, 1), (100, 10, 5, 5),

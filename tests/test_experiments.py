@@ -138,10 +138,18 @@ def test_spec_validation():
         ExperimentSpec(grow="pq")
     with pytest.raises(DomainError):
         ExperimentSpec(rho_x=1.0)
+    for bad in (dict(r=30.0), dict(n=100.0), dict(p=None), dict(m=True), dict(reps=True),
+                dict(threads=2.5), dict(threads=True), dict(seed=1.5), dict(alpha=None),
+                dict(eta_grid=("0.5",))):
+        with pytest.raises(DomainError):
+            ExperimentSpec(**bad)
+    ints = {k: np.int64(v) for k, v in dict(n=100, p=50, m=20, r=30, reps=5, threads=2).items()}
+    assert typeI_sweep(ExperimentSpec(seed=np.int64(-3), **ints)).csv_text() == \
+        typeI_sweep(ExperimentSpec(seed=-3, n=100, p=50, m=20, r=30, reps=5)).csv_text()
 
 
 @pytest.mark.parametrize("signal", [("spikes",), ("null", 1), ("diagonal",), ("single", 2),
-                                    ("diagonal", 0), ("diagonal", -2)])
+                                    ("diagonal", 0), ("diagonal", -2), ("diagonal", 1.5)])
 def test_spec_checks_the_signal_tag(signal):
     with pytest.raises(DomainError):
         ExperimentSpec(signal=signal)
@@ -420,6 +428,8 @@ def test_multisplit_sweep_validation():
     spec = ExperimentSpec(generator="linear", n=60, p=80, m=5, r=80, reps=2)
     with pytest.raises(DomainError):
         multisplit_sweep(spec, j_grid=(-1,))
+    with pytest.raises(DomainError, match="split count must be an integer"):
+        multisplit_sweep(spec, j_grid=(2.5,))
 
 
 @pytest.mark.parametrize("setting", [dict(delta=2.0), dict(split_ratio=1.5),
@@ -492,6 +502,14 @@ def test_gamma_sensitivity_validation():
         gamma_sensitivity(rho_grid=(1.5,), reps=10)
     with pytest.raises(DomainError):
         gamma_sensitivity(reps=10, threads=0)
+    for bad in (dict(threads=2.5), dict(threads=True), dict(reps=True), dict(seed=1.5),
+                dict(alpha=None)):
+        with pytest.raises(DomainError):
+            gamma_sensitivity(**{"j_splits": 5, "reps": 10, **bad})
+    args = dict(j_splits=5, rho_grid=(0.5,), gamma_grid=(0.5,), reps=10)
+    assert gamma_sensitivity(**args, seed=-2).csv_text() == gamma_sensitivity(
+        **{k: np.int64(v) if isinstance(v, int) else v for k, v in args.items()},
+        seed=np.int64(-2), threads=np.int64(1)).csv_text()
 
 
 # === table plumbing ===

@@ -372,6 +372,9 @@ def test_power_spec_validation():
         PowerSpec((1.0,), 1.5, 0.3, 0.2)
     with pytest.raises(DomainError):
         PowerSpec((1.0,), 0.5, 0.3, 0.2, alpha=0.0)
+    for bad in ((None, 0.3, 0.2, 0.05), (0.5, "0.3", 0.2, 0.05), (0.5, 0.3, 0.2, None)):
+        with pytest.raises(DomainError):
+            PowerSpec((1.0,), *bad)
     with pytest.raises(RegimeError):
         theoretical_power(PowerSpec((1.0,), 0.7, 0.3, 0.4))  # rho_p + rho_m >= 1
 

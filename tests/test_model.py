@@ -52,8 +52,10 @@ def test_dims_invariants():
         Dims(10, 3, 2, 4)  # r > p
     with pytest.raises(DomainError):
         Dims(10, 0, 2, 1)
-    with pytest.raises(DomainError):
-        Dims(10, 2.5, 2, 1)
+    for bad in ((10, 2.5, 2, 1), (100, 50, 20, 30.0), (None, 50, 20, 30), (10, 3, True, 1)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            Dims(*bad)
+    assert Dims(np.int64(100), 50, 20, 30).lrt_defined
 
 
 def test_dataset_validation():
@@ -490,9 +492,12 @@ def test_canonical_sample_reproducible_and_shapes():
         canonical_form_sample(stream(0), np.zeros((2, 2)), dims)
     with pytest.raises(RegimeError):
         canonical_form_sample(stream(0), None, Dims(7, 5, 3, 4))
-    for size in (0, -3, 2.5):
+    for size in (0, -3, 2.5, 2.0, True):
         with pytest.raises(DomainError):
             canonical_form_sample(stream(0), None, dims, size=size)
+    assert canonical_form_sample(stream(0), None, dims, size=np.int64(2)).s_err.shape == (2, 3, 3)
+    with pytest.raises(DomainError, match="signal contains non-finite"):
+        canonical_form_sample(stream(0), np.full((4, 3), np.nan), dims)
 
 
 def test_canonical_sample_trace_means():

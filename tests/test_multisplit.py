@@ -95,6 +95,8 @@ def test_adaptive_pt_validation():
         adaptive_pt([0.5], 0.0)
     with pytest.raises(DomainError):
         adaptive_pt([-0.1], 0.5)
+    with pytest.raises(DomainError):
+        adaptive_pt([0.5], None)
 
 
 # === splitting ===
@@ -122,6 +124,10 @@ def test_split_indices_validation():
         split_indices(stream(0), 10, 0.0)
     with pytest.raises(DomainError):
         split_indices(stream(0), 10, 1.0)
+    for n, ratio in ((10.5, 0.3), (10.0, 0.3), (10, None), (10, "0.3")):
+        with pytest.raises(DomainError):
+            split_indices(stream(0), n, ratio)
+    assert len(split_indices(stream(0), np.int64(10), 0.3)[0]) == 3
 
 
 # === configuration ===
@@ -152,8 +158,14 @@ def test_config_validation():
         MultiSplitConfig(pca_policy=0)
     with pytest.raises(DomainError):
         MultiSplitConfig(pca_policy=True)
+    for bad in (dict(j_splits=True), dict(seed=1.5), dict(seed=None), dict(gamma_min="0.1"),
+                dict(split_ratio=None)):
+        with pytest.raises(DomainError):
+            MultiSplitConfig(**bad)
     MultiSplitConfig(pca_policy=3)
     MultiSplitConfig(pca_policy="parallel_analysis")
+    MultiSplitConfig(j_splits=np.int64(3), seed=np.int64(-4), pca_policy=np.int64(2))
+    MultiSplitConfig(seed=-4)
 
 
 # === per-split pipeline ===
@@ -354,8 +366,10 @@ def test_multisplit_on_leading_identity_builds_no_basis(monkeypatch):
 
 
 def test_multisplit_rejects_thread_count_below_one():
-    with pytest.raises(DomainError):
-        multisplit_test(_wide_null_data(717), np.eye(120), MultiSplitConfig(j_splits=1), threads=0)
+    for threads in (0, 2.5, True):
+        with pytest.raises(DomainError, match="threads must be an integer"):
+            multisplit_test(_wide_null_data(717), np.eye(120), MultiSplitConfig(j_splits=1),
+                            threads=threads)
 
 
 def test_multisplit_single_split_composition():
@@ -382,5 +396,6 @@ def test_multisplit_result_tables():
 
 def test_multisplit_alpha_validation():
     data = _wide_null_data(715)
-    with pytest.raises(DomainError):
-        multisplit_test(data, np.eye(120), MultiSplitConfig(j_splits=1), alpha=0.0)
+    for alpha in (0.0, None):
+        with pytest.raises(DomainError):
+            multisplit_test(data, np.eye(120), MultiSplitConfig(j_splits=1), alpha=alpha)

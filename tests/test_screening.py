@@ -171,6 +171,10 @@ def test_screen_validation():
         screen(X, Y, delta=0.2)  # floor(0.8) = 0 selected
     with pytest.raises(DomainError):
         screen(X, Y, delta=0.5, protect=5)
+    for protect in (1.5, 1.0, None):
+        with pytest.raises(DomainError, match="protect must be an integer"):
+            screen(X, Y, delta=0.5, protect=protect)
+    assert screen(X, Y, delta=0.5, protect=np.int64(1)).selected[0] == 0
 
 
 # === hypothesis-aligned basis change ===
@@ -256,6 +260,10 @@ def test_parallel_analysis_validation():
         parallel_analysis(rng, Y[:2])
     with pytest.raises(DomainError):
         parallel_analysis(rng, Y, cap=0)
+    for cap in (2.5, 2.0, True):
+        with pytest.raises(DomainError, match="cap must be an integer"):
+            parallel_analysis(rng, Y, cap=cap)
+    assert parallel_analysis(stream(618), Y, cap=np.int64(1)) == 1
 
 
 def _pa_oracle(rng, YS, cap=None):
@@ -373,3 +381,7 @@ def test_pca_reduce_validation():
         pca_reduce(Y, 5)  # > m
     with pytest.raises(DomainError):
         pca_reduce(rng.standard_normal((3, 8)), 3)  # > n_S - 1
+    for m0 in (2.0, 1.5, True):
+        with pytest.raises(DomainError, match="m0 must be an integer"):
+            pca_reduce(Y, m0)
+    assert pca_reduce(Y, np.int64(2))[0].shape == (4, 2)
