@@ -8,6 +8,10 @@ win over file values, file values win over defaults. Each run echoes its
 fully resolved configuration to stderr so any output is reproducible from
 the log alone.
 
+The library returns results as data and this module alone formats them
+(key=value lines by _print_pairs, JSON, the audit CSV): a string as it is,
+any other value by repr, so a float reads back to the same bits.
+
 Exit status: 0 on success, 2 when a statistic is undefined in the requested
 dimension regime, 1 for malformed input, bad configuration, or IO failure.
 """
@@ -26,7 +30,7 @@ from .errors import DataFormatError, DomainError, RegimeError, check_integer, ch
 from .experiments import ExperimentSpec, power_sweep, typeI_sweep
 from .lrt import TESTS, boundary_check
 from .model import CONVENTIONS, DataSet, Dims, HypothesisMatrix, hypothesis_ss
-from .multisplit import MultiSplitConfig, MultiSplitResult, multisplit_test, no_split_pvalue
+from .multisplit import MultiSplitConfig, multisplit_test, no_split_pvalue
 
 log = logging.getLogger("mvlrt.cli")
 
@@ -177,6 +181,12 @@ def _resolve(argv):
     return args.command, resolved
 
 
+def _print_pairs(pairs) -> None:
+    """One key=value line per pair: a string as it is, anything else by repr."""
+    for key, value in pairs:
+        print(f"{key}={value if isinstance(value, str) else repr(value)}")
+
+
 def _load_data(v):
     for key in ("x", "y"):
         if v[key] is None:
@@ -199,20 +209,14 @@ def _cmd_test(v) -> int:
     # only the largest-root tests read the convention
     kwargs = {"convention": v["convention"]} if v["method"] in ("t2", "t3") else {}
     report = TESTS[v["method"]](ss, **kwargs)
-    reject = int(report.p_value <= v["alpha"])
+    head = [("method", report.method), ("statistic", report.statistic),
+            ("p_value", report.p_value)]
+    diagnostics = sorted(report.diagnostics.items())
+    tail = [("alpha", v["alpha"]), ("reject", int(report.p_value <= v["alpha"]))]
     if v["format"] == "json":
-        print(json.dumps({
-            "method": report.method,
-            "statistic": report.statistic,
-            "p_value": report.p_value,
-            "diagnostics": dict(sorted(report.diagnostics.items())),
-            "alpha": v["alpha"],
-            "reject": reject,
-        }, sort_keys=False))
+        print(json.dumps(dict(head + [("diagnostics", dict(diagnostics))] + tail)))
     else:
-        print(report.key_value_text())
-        print(f"alpha={v['alpha']!r}")
-        print(f"reject={reject}")
+        _print_pairs(head + diagnostics + tail)
     return 0
 
 
@@ -231,27 +235,22 @@ def _cmd_multisplit(v) -> int:
             raise DomainError(
                 "J=0 screens and tests on the same data and does not control "
                 "the type-I error; pass --unsafe-no-split to run it anyway")
-        outcome = no_split_pvalue(data, hyp, cfg)
-        result = MultiSplitResult(outcome.p_value, v["alpha"],
-                                  outcome.p_value <= v["alpha"],
-                                  cfg.resolved_gamma_min, (outcome,))
-        print(f"p_t={result.p_t!r}")
-        print(f"alpha={result.alpha!r}")
-        print(f"reject={int(result.reject)}")
-        print("j_splits=0")
-        print("mode=unsafe_no_split")
+        outcomes = (no_split_pvalue(data, hyp, cfg),)
+        p_t = outcomes[0].p_value
+        # the control is seeded by derive_seed(seed, -1), not as split 0
+        labels, extra = ["unsplit"], [("j_splits", 0), ("mode", "unsafe_no_split")]
     else:
-        result = multisplit_test(data, hyp, cfg, alpha=v["alpha"],
-                                 threads=v["threads"])
-        print(result.summary_text())
+        result = multisplit_test(data, hyp, cfg, alpha=v["alpha"], threads=v["threads"])
+        outcomes, p_t = result.outcomes, result.p_t
+        labels = range(len(outcomes))
+        extra = [("gamma_min", result.gamma_min), ("j_splits", len(outcomes))]
+    reject = int(p_t <= v["alpha"])
+    _print_pairs([("p_t", p_t), ("alpha", v["alpha"]), ("reject", reject), *extra])
     if v["out"]:
-        rows = result.csv_rows()
-        if v["j_splits"] == 0:
-            # the control is seeded by derive_seed(seed, -1), not as split 0
-            rows[0][0] = "unsplit"
-        summary = ["summary", "", repr(result.p_t), repr(result.alpha),
-                   int(result.reject)]
-        write_rows(v["out"], result.csv_header(), rows + [summary])
+        rows = [[j, o.split_seed, repr(o.p_value), o.m0, len(o.selected)]
+                for j, o in zip(labels, outcomes)]
+        summary = ["summary", "", repr(p_t), repr(v["alpha"]), reject]
+        write_rows(v["out"], ["j", "split_seed", "p_value", "m0", "n_selected"], rows + [summary])
     return 0
 
 
@@ -298,11 +297,11 @@ def _cmd_boundary(v) -> int:
         if v[key] is None:
             raise DomainError(f"--{key} is required")
     diag = boundary_check(Dims(v["n"], v["p"], v["m"], v["r"]))
-    print(f"chi2_metric={diag.chi2_metric!r}")
-    print(f"chi2_verdict={diag.verdict(diag.chi2_metric)}")
-    print(f"bartlett_metric={diag.bartlett_metric!r}")
-    print(f"bartlett_verdict={diag.verdict(diag.bartlett_metric)}")
-    print(f"lrt_defined={int(diag.lrt_defined)}")
+    _print_pairs([("chi2_metric", diag.chi2_metric),
+                  ("chi2_verdict", diag.verdict(diag.chi2_metric)),
+                  ("bartlett_metric", diag.bartlett_metric),
+                  ("bartlett_verdict", diag.verdict(diag.bartlett_metric)),
+                  ("lrt_defined", int(diag.lrt_defined))])
     return 0
 
 

@@ -32,7 +32,7 @@ from importlib import resources
 import numpy as np
 from scipy.special import gammaincc, gammainccinv, gammaln, ndtr, ndtri, psi, zeta
 
-from .errors import DomainError, check_integer, check_level
+from .errors import DomainError, check_integer, check_level, check_real
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -226,8 +226,7 @@ def wilks_lrt_tail(x: float, n: int, p: int, m: int, r: int) -> float:
     percent far into the tail, where a normal or chi-square reference for the
     same statistic is off by orders of magnitude. Needs n - p >= m.
     """
-    if not math.isfinite(x):
-        raise DomainError(f"wilks_lrt_tail: x must be finite, got {x!r}")
+    check_real("wilks_lrt_tail: x", x)
     for name, v in (("n", n), ("p", p), ("m", m), ("r", r)):
         check_integer(f"wilks_lrt_tail: {name}", v)
     df = n - p
@@ -289,8 +288,8 @@ def _wilks_terms(df: int, m: int, r: int):
 
 def sample_beta(rng: np.random.Generator, a: float, b: float, size=None):
     """Draw Beta(a, b) variates from two gamma draws on the given stream."""
-    if not (a > 0.0 and b > 0.0) or not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"sample_beta: shapes must be positive finite, got a={a!r}, b={b!r}")
+    check_real("sample_beta: a", a, 0.0)
+    check_real("sample_beta: b", b, 0.0)
     g1 = rng.standard_gamma(a, size=size)
     g2 = rng.standard_gamma(b, size=size)
     out = g1 / (g1 + g2)

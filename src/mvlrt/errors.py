@@ -1,4 +1,4 @@
-"""Exception hierarchy and the two rules for malformed arguments.
+"""Exception hierarchy and the rules for malformed arguments.
 
 Two families matter downstream: RegimeError and its children mean the
 requested quantity is statistically undefined for the given dimensions or
@@ -7,10 +7,12 @@ caller passed something malformed (CLI exit code 1).
 
 The rules decide what a malformed argument is, each in one place:
 check_integer for counts (a Python or numpy integer, never a float or a bool,
-at least a lower bound) and check_level for levels (a real number, not a
-bool, inside the open interval (0, 1)). Both raise DomainError.
+at least a lower bound) and check_real for real settings (a real number, not
+a bool, inside an interval whose ends are given); check_level is its case
+for levels, the open interval (0, 1). All raise DomainError.
 """
 
+import math
 import numbers
 
 
@@ -58,7 +60,15 @@ def check_integer(name: str, v, low=1) -> None:
         raise DomainError(f"{name} must be an integer{bound}, got {v!r}")
 
 
+def check_real(name: str, v, low=-math.inf, high=math.inf, ends="()") -> None:
+    """DomainError unless v is a real number, not a bool, between low and high;
+    ``ends`` marks each end open, "(" or ")", or closed, "[" or "]". NaN fails."""
+    if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+            or not (low < v if ends[0] == "(" else low <= v)
+            or not (v < high if ends[1] == ")" else v <= high)):
+        raise DomainError(f"{name} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}, got {v!r}")
+
+
 def check_level(name: str, v) -> None:
-    """DomainError unless v is a real number, not a bool, in the open interval (0, 1)."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 < v < 1.0:
-        raise DomainError(f"{name} must lie in (0, 1), got {v!r}")
+    """check_real on the open interval (0, 1)."""
+    check_real(name, v, 0.0, 1.0)

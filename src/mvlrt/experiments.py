@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._blas import single_thread_blas
-from .errors import DomainError, MvlrtError, RegimeError, check_integer, check_level
+from .errors import DomainError, MvlrtError, RegimeError, check_integer, check_level, check_real
 from .lrt import TESTS, PowerSpec, _rejections, theoretical_power
 from .model import (
     DataSet,
@@ -116,9 +116,10 @@ class ExperimentSpec:
             if meth not in TESTS:
                 raise DomainError(f"unknown method {meth!r}")
         check_level("alpha", self.alpha)
-        for rho in (self.rho_x, self.rho_e):
-            if not -1.0 < rho < 1.0:
-                raise DomainError(f"AR(1) parameter must lie in (-1,1), got {rho!r}")
+        for name in ("rho_x", "rho_e"):
+            check_real(name, getattr(self, name), -1.0, 1.0)
+        for strength in self.signal_grid:
+            check_real("signal strength", strength)
         for eta in self.eta_grid:
             check_level("eta", eta)
         if self.grow and any(ch not in "pmr" for ch in self.grow):
@@ -237,8 +238,7 @@ def _spike_signal(ratios, target: float, dims: Dims) -> SignalMatrix:
     ratios = np.asarray(ratios, dtype=float)
     if ratios.size == 0 or np.any(ratios <= 0.0):
         raise DomainError("spike ratios must be positive")
-    if target < 0.0:
-        raise DomainError(f"tr(Omega)/m target must be >= 0, got {target!r}")
+    check_real("tr(Omega)/m target", target, 0.0, ends="[)")
     scale = math.sqrt(target * dims.m / float(np.sum(ratios ** 2)))
     return SignalMatrix.diagonal_spikes(ratios * scale, dims)
 
@@ -441,11 +441,9 @@ def gamma_sensitivity(j_splits: int = 200, rho_grid=(0.0, 0.5, 1.0),
     check_integer("seed", seed, low=None)
     check_level("alpha", alpha)
     for g in gamma_grid:
-        if not 0.0 < g <= 1.0:
-            raise DomainError(f"gamma values must lie in (0,1], got {g!r}")
+        check_real("gamma", g, 0.0, 1.0, "(]")
     for rho in rho_grid:
-        if not 0.0 <= rho <= 1.0:
-            raise DomainError(f"equicorrelation must lie in [0,1], got {rho!r}")
+        check_real("equicorrelation", rho, 0.0, 1.0, "[]")
     gammas = np.asarray(gamma_grid, dtype=float)
     rows = []
     for cell_id, rho in enumerate(rho_grid):

@@ -31,7 +31,7 @@ from .distributions import (
     std_normal_upper_quantile,
     tw1_cdf,
 )
-from .errors import DegenerateRootError, DomainError, RegimeError, check_level
+from .errors import DegenerateRootError, DomainError, RegimeError, check_level, check_real
 from .model import Dims, SumsOfSquares, neg2_log_lrt, theta_max
 
 
@@ -47,25 +47,10 @@ class TestReport:
     def __post_init__(self):
         if self.method not in TESTS:
             raise DomainError(f"unknown method tag {self.method!r}")
-        if not (0.0 <= self.p_value <= 1.0):
-            raise DomainError(f"p_value {self.p_value!r} outside [0,1]")
-        if not math.isfinite(self.statistic):
-            raise DomainError("statistic must be finite")
+        check_real("p_value", self.p_value, 0.0, 1.0, "[]")
+        check_real("statistic", self.statistic)
         for k, v in self.diagnostics.items():
-            if not math.isfinite(v):
-                raise DomainError(f"diagnostic {k}={v!r} is not finite")
-
-    def _items(self):
-        yield "method", self.method
-        yield "statistic", self.statistic
-        yield "p_value", self.p_value
-        for k in sorted(self.diagnostics):
-            yield k, self.diagnostics[k]
-
-    def key_value_text(self) -> str:
-        """Flat key=value block, one pair per line."""
-        return "\n".join(f"{k}={v!r}" if not isinstance(v, str) else f"{k}={v}"
-                         for k, v in self._items())
+            check_real(f"diagnostic {k}", v)
 
 
 def _report(method: str, statistic, p_value, diagnostics: dict) -> TestReport:
@@ -107,10 +92,10 @@ class PowerSpec:
     alpha: float = 0.05
 
     def __post_init__(self):
-        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
-        for d in self.deltas:
-            if not (d > 0.0 and math.isfinite(d)):
-                raise DomainError(f"deltas must be positive finite, got {d!r}")
+        deltas = tuple(self.deltas)
+        for d in deltas:
+            check_real("deltas", d, 0.0)
+        object.__setattr__(self, "deltas", tuple(map(float, deltas)))
         for name in ("rho_p", "rho_r", "rho_m", "alpha"):
             check_level(name, getattr(self, name))
 

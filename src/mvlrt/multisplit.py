@@ -38,7 +38,7 @@ import numpy as np
 
 from ._blas import single_thread_blas
 from .distributions import wilks_lrt_tail
-from .errors import DomainError, SplitInfeasibleError, check_integer, check_level
+from .errors import DomainError, SplitInfeasibleError, check_integer, check_level, check_real
 from .model import DataSet, Dims, SumsOfSquares, _extra_ss, _hypothesis, neg2_log_lrt
 from .rng import derive_seed, stream
 from .screening import _budget, _centered_cov, _loadings, _pa_rank, _ranked, conditional_transform
@@ -68,8 +68,7 @@ class MultiSplitConfig:
         check_integer("seed", self.seed, low=None)
         if self.gamma_min is not None:
             check_level("gamma_min", self.gamma_min)
-        if not 0.0 < self.delta <= 1.0:
-            raise DomainError(f"delta must lie in (0, 1], got {self.delta!r}")
+        check_real("delta", self.delta, 0.0, 1.0, "(]")
         check_level("split_ratio", self.split_ratio)
         if self.pca_policy not in (None, "parallel_analysis"):
             check_integer("pca_policy", self.pca_policy)
@@ -91,8 +90,7 @@ class SplitOutcome:
     split_seed: int
 
     def __post_init__(self):
-        if not 0.0 <= self.p_value <= 1.0:
-            raise DomainError(f"p_value {self.p_value!r} outside [0, 1]")
+        check_real("p_value", self.p_value, 0.0, 1.0, "[]")
 
 
 def split_indices(rng, n: int, ratio: float):
@@ -244,21 +242,6 @@ class MultiSplitResult:
     reject: bool
     gamma_min: float
     outcomes: tuple
-
-    def csv_header(self) -> list:
-        return ["j", "split_seed", "p_value", "m0", "n_selected"]
-
-    def csv_rows(self) -> list:
-        return [[j, o.split_seed, repr(o.p_value), o.m0, len(o.selected)]
-                for j, o in enumerate(self.outcomes)]
-
-    def summary_text(self) -> str:
-        lines = [f"p_t={self.p_t!r}",
-                 f"alpha={self.alpha!r}",
-                 f"reject={int(self.reject)}",
-                 f"gamma_min={self.gamma_min!r}",
-                 f"j_splits={len(self.outcomes)}"]
-        return "\n".join(lines)
 
 
 @single_thread_blas()

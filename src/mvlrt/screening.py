@@ -31,11 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_real
 from .model import RANK_TOL, _check_matrix, _hypothesis
 
-#: parallel analysis: column-permuted copies, and the quantile of their eigenvalues to beat
-PA_COPIES, PA_QUANTILE = 19, 0.95
+#: parallel analysis: column-permuted copies; an eigenvalue that beats all 19
+#: copies beats their 95% quantile, the ceil(0.95 * 19) = 19th order statistic
+PA_COPIES = 19
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,7 @@ def _column_scores(X: np.ndarray, basis: np.ndarray):
 
 def _budget(delta: float, p: int, protect: int) -> int:
     """How many of p columns screening keeps: floor(delta * p), widened to ``protect``."""
-    if not 0.0 < delta <= 1.0:
-        raise DomainError(f"delta must lie in (0, 1], got {delta!r}")
+    check_real("delta", delta, 0.0, 1.0, "(]")
     # the nudge keeps floor() honest when delta * p is an integer in exact arithmetic
     k = int(math.floor(delta * p + 1e-9))
     if k < 1:
@@ -188,8 +188,7 @@ def _pa_rank(rng, YS: np.ndarray, cap, cov: np.ndarray) -> int:
         np.matmul(Zc.T, Zc, out=out)
     null_cov /= n_s - 1
     null_eigs = np.linalg.eigvalsh(null_cov)[:, ::-1]
-    rank_idx = min(PA_COPIES, max(1, math.ceil(PA_QUANTILE * PA_COPIES))) - 1
-    thresholds = np.sort(null_eigs, axis=0)[rank_idx]
+    thresholds = null_eigs.max(axis=0)
     # the relative floor keeps rank-deficient spectra (m >= n_S) from letting
     # zero-vs-zero rounding noise count as a factor
     floor_val = RANK_TOL * max(float(eigs[0]), 0.0)
@@ -208,8 +207,8 @@ def parallel_analysis(rng, YS, cap=None) -> int:
     """Pick a response-PCA rank by comparison with column-permuted noise.
 
     m0 is the length of the leading run of sample covariance eigenvalues of
-    YS that exceed the PA_QUANTILE order-statistic quantile of the matching
-    eigenvalue across PA_COPIES independently column-permuted copies.
+    YS that exceed the matching eigenvalue of all PA_COPIES independently
+    column-permuted copies, their 95% quantile.
     Permutation kills cross-column structure while preserving marginals, so
     eigenvalues that survive the comparison indicate real factors; the run
     stops at the first failure so stray exceedances deep in the spectrum

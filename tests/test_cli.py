@@ -96,6 +96,25 @@ def test_test_command_checks_convention_for_every_method(capsys, data_files, met
     assert "unknown largest-root convention 'sideways'" in err
 
 
+@pytest.mark.parametrize("method, convention", [(method, "johnstone") for method in TESTS]
+                         + [("t2", "error"), ("t3", "error")])
+def test_test_command_text_and_json_carry_the_same_pairs(capsys, data_files, method,
+                                                         convention):
+    argv = ["test", "--x", data_files["x"], "--y", data_files["y"], "--c", data_files["c"],
+            "--method", method, "--convention", convention]
+    code, text, _ = _run(capsys, argv)
+    assert code == 0
+    code, out, _ = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    flat = []
+    for key, value in json.loads(out).items():
+        flat += value.items() if key == "diagnostics" else [(key, value)]
+    pairs = [line.split("=", 1) for line in text.splitlines()]
+    assert [key for key, _ in pairs] == [key for key, _ in flat]
+    for (_, shown), (_, value) in zip(pairs, flat):
+        assert shown == value if isinstance(value, str) else float(shown) == value
+
+
 def test_test_command_validation_failures(capsys, data_files):
     code, _, err = _run(capsys, ["test", "--y", data_files["y"]])
     assert code == 1 and "--x is required" in err

@@ -294,7 +294,8 @@ def test_beta_reproducible_and_domain():
     a = sample_beta(stream(5, 1), 2.0, 3.0, size=10)
     b = sample_beta(stream(5, 1), 2.0, 3.0, size=10)
     assert np.array_equal(a, b)
-    for bad in ((0.0, 1.0), (1.0, -2.0), (float("nan"), 1.0)):
+    for bad in ((0.0, 1.0), (1.0, -2.0), (float("nan"), 1.0), (None, 1.0), (1.0, "2.0"),
+                (True, 1.0)):
         with pytest.raises(DomainError):
             sample_beta(stream(0), *bad)
 
@@ -348,7 +349,8 @@ def test_wilks_tail_shape_and_domain():
     assert vals[0] > 0.5 > vals[-1]
     for bad in ((math.nan, n, p, m, r), (1.0, 30, 20, 11, 2), (1.0, n, p, 0, r),
                 (1.0, n, p, m, 2.5), (1.0, n, p, m, 24.0), (1.0, 70.0, p, m, r),
-                (1.0, n, p, True, r), (1.0, n, None, m, r)):
+                (1.0, n, p, True, r), (1.0, n, None, m, r), (None, n, p, m, r),
+                ("1.0", n, p, m, r), (True, n, p, m, r)):
         with pytest.raises(DomainError):
             wilks_lrt_tail(*bad)
     assert wilks_lrt_tail(700.0, *np.array([n, p, m, r])) == vals[200]

@@ -140,7 +140,8 @@ def test_spec_validation():
         ExperimentSpec(rho_x=1.0)
     for bad in (dict(r=30.0), dict(n=100.0), dict(p=None), dict(m=True), dict(reps=True),
                 dict(threads=2.5), dict(threads=True), dict(seed=1.5), dict(alpha=None),
-                dict(eta_grid=("0.5",))):
+                dict(eta_grid=("0.5",)), dict(rho_x=None), dict(rho_e="0.1"),
+                dict(signal_grid=(None,)), dict(signal_grid=(np.nan,))):
         with pytest.raises(DomainError):
             ExperimentSpec(**bad)
     ints = {k: np.int64(v) for k, v in dict(n=100, p=50, m=20, r=30, reps=5, threads=2).items()}
@@ -395,6 +396,8 @@ def test_power_sweep_validation():
         power_sweep(ExperimentSpec(signal=("spikes", (1.0,))))  # empty grid
     with pytest.raises(DomainError):
         power_sweep(ExperimentSpec(signal=("null",), signal_grid=(1.0,)))
+    with pytest.raises(DomainError):
+        power_sweep(ExperimentSpec(signal=("spikes", (1.0,)), signal_grid=(None,)))
 
 
 # === multi-split sweep ===
@@ -503,7 +506,7 @@ def test_gamma_sensitivity_validation():
     with pytest.raises(DomainError):
         gamma_sensitivity(reps=10, threads=0)
     for bad in (dict(threads=2.5), dict(threads=True), dict(reps=True), dict(seed=1.5),
-                dict(alpha=None)):
+                dict(alpha=None), dict(gamma_grid=(None,)), dict(rho_grid=(None,))):
         with pytest.raises(DomainError):
             gamma_sensitivity(**{"j_splits": 5, "reps": 10, **bad})
     args = dict(j_splits=5, rho_grid=(0.5,), gamma_grid=(0.5,), reps=10)

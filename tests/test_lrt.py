@@ -375,6 +375,9 @@ def test_power_spec_validation():
     for bad in ((None, 0.3, 0.2, 0.05), (0.5, "0.3", 0.2, 0.05), (0.5, 0.3, 0.2, None)):
         with pytest.raises(DomainError):
             PowerSpec((1.0,), *bad)
+    for deltas in ((None,), ("1.0",), (True,)):
+        with pytest.raises(DomainError, match="deltas must lie in"):
+            PowerSpec(deltas, 0.5, 0.3, 0.2)
     with pytest.raises(RegimeError):
         theoretical_power(PowerSpec((1.0,), 0.7, 0.3, 0.4))  # rho_p + rho_m >= 1
 
@@ -382,13 +385,14 @@ def test_power_spec_validation():
 # === report container ===
 
 
-def test_report_validation_and_text():
-    rep = Report("t1", 1.5, 0.07, {"mu_n": -3.0})
-    text = rep.key_value_text()
-    assert "method=t1" in text and "mu_n=-3.0" in text
+def test_report_validation():
+    Report("t1", 1.5, 0.07, {"mu_n": -3.0})
     with pytest.raises(DomainError):
         Report("lrt", 0.0, 0.5)
     with pytest.raises(DomainError):
         Report("t1", 0.0, 1.5)
     with pytest.raises(DomainError):
         Report("t1", math.nan, 0.5)
+    for bad in ((None, 0.5, {}), (1.0, "0.5", {}), (1.0, 0.5, {"mu_n": None})):
+        with pytest.raises(DomainError):
+            Report("t1", *bad)

@@ -159,7 +159,7 @@ def test_config_validation():
     with pytest.raises(DomainError):
         MultiSplitConfig(pca_policy=True)
     for bad in (dict(j_splits=True), dict(seed=1.5), dict(seed=None), dict(gamma_min="0.1"),
-                dict(split_ratio=None)):
+                dict(split_ratio=None), dict(delta=None), dict(delta="0.2")):
         with pytest.raises(DomainError):
             MultiSplitConfig(**bad)
     MultiSplitConfig(pca_policy=3)
@@ -381,17 +381,6 @@ def test_multisplit_single_split_composition():
     assert res.gamma_min == 0.5
     assert res.p_t == pytest.approx(adaptive_pt([only.p_value], 0.5))
     assert res.reject == (res.p_t <= res.alpha)
-
-
-def test_multisplit_result_tables():
-    data = _wide_null_data(714)
-    res = multisplit_test(data, np.eye(120), MultiSplitConfig(j_splits=3, seed=6))
-    assert res.csv_header() == ["j", "split_seed", "p_value", "m0", "n_selected"]
-    rows = res.csv_rows()
-    assert [row[0] for row in rows] == [0, 1, 2]
-    assert all(row[4] == 24 for row in rows)
-    assert f"p_t={res.p_t!r}" in res.summary_text()
-    assert "j_splits=3" in res.summary_text()
 
 
 def test_multisplit_alpha_validation():

@@ -10,7 +10,6 @@ from mvlrt.model import RANK_TOL
 from mvlrt.rng import stream
 from mvlrt.screening import (
     PA_COPIES,
-    PA_QUANTILE,
     _centered_cov,
     _pa_rank,
     conditional_transform,
@@ -165,8 +164,9 @@ def test_screen_validation():
         screen(X, Y[:8], delta=0.5)
     with pytest.raises(DomainError):
         screen(X, Y, delta=0.0)
-    with pytest.raises(DomainError):
-        screen(X, Y, delta=1.5)
+    for delta in (1.5, None, "0.5", True):
+        with pytest.raises(DomainError, match="delta must lie in"):
+            screen(X, Y, delta=delta)
     with pytest.raises(DomainError):
         screen(X, Y, delta=0.2)  # floor(0.8) = 0 selected
     with pytest.raises(DomainError):
@@ -277,7 +277,8 @@ def _pa_oracle(rng, YS, cap=None):
         Zc = Zc - Zc.mean(axis=0)
         null_cov[b] = Zc.T @ Zc / (n_s - 1)
     null_eigs = np.linalg.eigvalsh(null_cov)[:, ::-1]
-    rank_idx = min(PA_COPIES, max(1, math.ceil(PA_QUANTILE * PA_COPIES))) - 1
+    # the 95% order-statistic quantile by sort and index, which _pa_rank's max must equal
+    rank_idx = min(PA_COPIES, max(1, math.ceil(0.95 * PA_COPIES))) - 1
     thresholds = np.sort(null_eigs, axis=0)[rank_idx]
     floor_val = RANK_TOL * max(float(eigs[0]), 0.0)
     m0 = 0
