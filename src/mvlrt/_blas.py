@@ -10,20 +10,21 @@ outermost scope exits, also when it exits by an exception.
 The thread count is a process-wide setting of each library, not a
 per-thread one, so all scopes share one depth count: the first to enter
 saves the counts, the last to leave restores them. Libraries are looked up
-on first use, among those already loaded, and cached. Builds that export no
-known setter (MKL, numpy < 2 wheels) make the scope a no-op.
+on first use, in the wheels' library folders, and cached. Each one found is
+opened, and so loaded if it is not yet: the package loads scipy only where a
+call needs it, often inside a scope, and a later ``import scipy.linalg``
+then uses the copy already loaded, so the cache stays valid. Builds that
+export no known setter (MKL, numpy < 2 wheels) make the scope a no-op.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
+import importlib.util
 import os
 import threading
 from contextlib import contextmanager
-
-import numpy
-import scipy
 
 # (getter, setter) exported by numpy's ILP64 build and by scipy's LP64 build
 _SYMBOLS = (
@@ -38,15 +39,18 @@ _saved = ()
 
 
 def _find_libraries() -> list:
-    """(get, set) function pairs of the OpenBLAS copies numpy and scipy loaded."""
+    """(get, set) function pairs of the OpenBLAS copies bundled with numpy and scipy."""
     found = []
-    for pkg in (numpy, scipy):
-        root = os.path.dirname(pkg.__file__)
+    for name in ("numpy", "scipy"):
+        spec = importlib.util.find_spec(name)
+        if spec is None or spec.origin is None:
+            continue
+        root = os.path.dirname(spec.origin)
         # wheels keep bundled libraries in <pkg>.libs (Linux, Windows) or <pkg>/.dylibs (macOS)
         for libdir in (root + ".libs", os.path.join(root, ".dylibs")):
             for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
                 try:
-                    lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+                    lib = ctypes.CDLL(path)
                 except OSError:
                     continue
                 for get_name, set_name in _SYMBOLS:

@@ -15,12 +15,15 @@ The Tracy-Widom CDF is realized as an embedded table (``data/tw1_cdf.csv``,
 regenerated by ``scripts/make_tw1_table.py``) with monotone cubic
 interpolation inside the grid and asymptotically shaped tails outside it.
 The interpolant is PCHIP (Fritsch & Carlson 1980, with scipy's one-sided
-three-point end rule), computed in numpy so that importing the package does
-not load ``scipy.interpolate``; it gives the same bits as scipy's
-``PchipInterpolator``.
+three-point end rule), computed in numpy so that ``tw1_cdf`` needs no scipy;
+it gives the same bits as scipy's ``PchipInterpolator``.
 The table is read once, as shipped; its invariants (grid over [-12, 10] at
 spacing 0.02, monotone F, both tails reached) are checked by the test suite,
 not at load time.
+
+``scipy.special`` is imported on first use, by the first call that needs one
+of its functions (``_special``), not when this module loads: the normal tail,
+the Tracy-Widom law and the sampler never load it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from functools import lru_cache
 from importlib import resources
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv, gammaln, ndtr, ndtri, psi, zeta
 
 from .errors import DomainError, check_integer, check_level, check_real
 
@@ -40,6 +42,14 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 #: libm's erfc as a ufunc, so an array entry gets the bits of the float
 _erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+@lru_cache(maxsize=1)
+def _special():
+    """``scipy.special``, imported on the first call."""
+    import scipy.special
+
+    return scipy.special
 
 
 def _finite(x, what: str) -> np.ndarray:
@@ -61,14 +71,14 @@ def std_normal_tail(x):
 def std_normal_upper_quantile(alpha: float) -> float:
     """The z with P(Z > z) = alpha, for alpha in (0, 1)."""
     check_level("std_normal_upper_quantile: alpha", alpha)
-    return float(-ndtri(alpha))
+    return float(-_special().ndtri(alpha))
 
 
 def chi_sq_tail(x, df: int):
     """Upper tail P(chi2_df > x), element-wise; the regularized upper incomplete gamma."""
     a = _finite(x, "chi_sq_tail: x")
     check_integer("chi_sq_tail: df", df)
-    out = np.where(a <= 0.0, 1.0, gammaincc(0.5 * df, 0.5 * a))
+    out = np.where(a <= 0.0, 1.0, _special().gammaincc(0.5 * df, 0.5 * a))
     return out if a.ndim else float(out)
 
 
@@ -80,7 +90,7 @@ def chi_sq_upper_quantile(alpha: float, df: int) -> float:
     """
     check_level("chi_sq_upper_quantile: alpha", alpha)
     check_integer("chi_sq_upper_quantile: df", df)
-    return float(2.0 * gammainccinv(0.5 * df, alpha))
+    return float(2.0 * _special().gammainccinv(0.5 * df, alpha))
 
 
 def _pchip_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -187,7 +197,7 @@ _K_ROUNDING_MAX, _EPS = 1e-2, float(np.finfo(float).eps)
 
 def _k1(shapes, signs, s: float) -> float:
     """K'(s) = -sum(signs * psi(shapes - s)), the mean of the tilted law at s."""
-    return -float(signs @ psi(shapes - s))
+    return -float(signs @ _special().psi(shapes - s))
 
 
 def _lr_tail(shapes, signs, s: float, y: float) -> float:
@@ -198,19 +208,20 @@ def _lr_tail(shapes, signs, s: float, y: float) -> float:
     K^(k)(s) = (k-1)! sum(signs * zeta(k, shapes - s)) for k >= 2.
     FloatingPointError when the rounding of K(s) passes _K_ROUNDING_MAX.
     """
+    sp = _special()
     z = shapes - s
-    lgz = gammaln(z)
+    lgz = sp.gammaln(z)
     if _EPS * float(np.abs(lgz).sum()) > _K_ROUNDING_MAX:
         raise FloatingPointError("K(s) is lost to rounding")
-    k0 = float(signs @ (lgz - gammaln(shapes)))
-    k2 = float(signs @ zeta(2, z))
-    l3 = 2.0 * float(signs @ zeta(3, z)) / k2 ** 1.5
-    l4 = 6.0 * float(signs @ zeta(4, z)) / k2 ** 2
+    k0 = float(signs @ (lgz - sp.gammaln(shapes)))
+    k2 = float(signs @ sp.zeta(2, z))
+    l3 = 2.0 * float(signs @ sp.zeta(3, z)) / k2 ** 1.5
+    l4 = 6.0 * float(signs @ sp.zeta(4, z)) / k2 ** 2
     w = math.copysign(math.sqrt(max(2.0 * (s * y - k0), 0.0)), s)
     u = s * math.sqrt(k2)
     terms = (1.0 / u - 1.0 / w + (l4 / 8.0 - 5.0 * l3 * l3 / 24.0) / u
              - l3 / (2.0 * u * u) - 1.0 / u ** 3 + 1.0 / w ** 3)
-    return float(ndtr(-w)) + math.exp(-0.5 * w * w) / _SQRT_2PI * terms
+    return float(sp.ndtr(-w)) + math.exp(-0.5 * w * w) / _SQRT_2PI * terms
 
 
 def wilks_lrt_tail(x: float, n: int, p: int, m: int, r: int) -> float:
@@ -255,7 +266,7 @@ def wilks_lrt_tail(x: float, n: int, p: int, m: int, r: int) -> float:
                 hi = s
             else:
                 lo = s
-            step = s + g * (1.0 - g / y) / float(signs @ zeta(2, shapes - s))
+            step = s + g * (1.0 - g / y) / float(signs @ _special().zeta(2, shapes - s))
             if not lo < step < hi:
                 step = 0.5 * (lo + hi) if math.isfinite(lo) else 2.0 * s - 1.0
             if step == s:
@@ -280,7 +291,7 @@ def _wilks_terms(df: int, m: int, r: int):
     shapes = np.concatenate([a, a + 0.5 * r])
     signs = np.concatenate([np.ones(m), -np.ones(m)])
     shapes.flags.writeable = signs.flags.writeable = False
-    h = _CENTER_SD / math.sqrt(float(signs @ zeta(2, shapes)))
+    h = _CENTER_SD / math.sqrt(float(signs @ _special().zeta(2, shapes)))
     y_lo, y_hi = _k1(shapes, signs, -h), _k1(shapes, signs, h)
     p_lo, p_hi = _lr_tail(shapes, signs, -h, y_lo), _lr_tail(shapes, signs, h, y_hi)
     return shapes, signs, float(a[-1]), h, y_lo, y_hi, p_lo, p_hi

@@ -30,9 +30,9 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from ._blas import single_thread_blas
+from .distributions import _special
 from .errors import DomainError, MvlrtError, RegimeError, check_integer, check_level, check_real
 from .lrt import TESTS, PowerSpec, _rejections, theoretical_power
 from .model import (
@@ -101,8 +101,14 @@ class ExperimentSpec:
         kind = self.signal[0] if self.signal else None
         if kind not in SIGNAL_KINDS or len(self.signal) != 1 + (kind in ("spikes", "diagonal")):
             raise DomainError(f"unknown signal spec {self.signal!r}")
-        if kind == "spikes" and self.generator == "linear":
-            raise DomainError("signal 'spikes' is not defined for the linear generator")
+        if kind == "spikes":
+            if self.generator == "linear":
+                raise DomainError("signal 'spikes' is not defined for the linear generator")
+            ratios = np.ravel(np.asarray(self.signal[1], dtype=object))
+            if not ratios.size:
+                raise DomainError("spike ratios must name at least one ratio")
+            for ratio in ratios:
+                check_real("spike ratio", ratio, 0.0)
         for name in ("n", "p", "m", "r", "reps", "threads"):
             check_integer(name, getattr(self, name))
         check_integer("seed", self.seed, low=None)
@@ -236,8 +242,6 @@ def gen_linear_model(rng, spec: ExperimentSpec, strength: float = 0.0) -> DataSe
 def _spike_signal(ratios, target: float, dims: Dims) -> SignalMatrix:
     """Diagonal spikes with relative sizes ``ratios`` scaled to tr(Omega)/m = target."""
     ratios = np.asarray(ratios, dtype=float)
-    if ratios.size == 0 or np.any(ratios <= 0.0):
-        raise DomainError("spike ratios must be positive")
     check_real("tr(Omega)/m target", target, 0.0, ends="[)")
     scale = math.sqrt(target * dims.m / float(np.sum(ratios ** 2)))
     return SignalMatrix.diagonal_spikes(ratios * scale, dims)
@@ -444,6 +448,7 @@ def gamma_sensitivity(j_splits: int = 200, rho_grid=(0.0, 0.5, 1.0),
         check_real("gamma", g, 0.0, 1.0, "(]")
     for rho in rho_grid:
         check_real("equicorrelation", rho, 0.0, 1.0, "[]")
+    ndtr = _special().ndtr
     gammas = np.asarray(gamma_grid, dtype=float)
     rows = []
     for cell_id, rho in enumerate(rho_grid):

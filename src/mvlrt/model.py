@@ -20,6 +20,10 @@ Cholesky factor of S_E: a sampled pair needs one Cholesky (of S_E + S_X).
 
 Reproducibility: each pair of a stack gets the bits it would get alone, and
 a sampled pair is pair 0 of a stack of size 1 drawn from the same stream.
+
+``scipy.linalg`` is imported on first use, by the first relative-eigenvalue
+computation (for its LAPACK dtrtrs), not when this module loads: the fit, the
+likelihood ratio and the sampler need only numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .errors import (
     DegenerateMatrixError,
@@ -160,16 +163,6 @@ def _transpose(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L^{-1} b for one C-ordered lower-triangular L with a positive diagonal.
-
-    This is the LAPACK trtrs call that scipy's solve_triangular makes for
-    such an L, so the bits are the same, without that function's per-call
-    checks, which cost more than the solve on the small matrices of a stack.
-    """
-    return dtrtrs(L.T, b, lower=0, trans=1)[0]
-
-
 def _float_or_array(a):
     """A float for one pair's value, the array itself for a stack's values."""
     return float(a) if np.ndim(a) == 0 else a
@@ -240,12 +233,22 @@ class SumsOfSquares:
 
     @cached_property
     def _rel_eigenvalues(self) -> np.ndarray:
+        # bound once per stack, outside the pair loop, where each import would cost a lookup
+        from scipy.linalg.lapack import dtrtrs
+
+        def solve_lower(L, b):
+            # L^{-1} b for a C-ordered lower-triangular L with a positive diagonal: the
+            # LAPACK trtrs call that scipy's solve_triangular makes for such an L, so the
+            # bits are the same, without that function's per-call checks, which cost
+            # more than the solve on the small matrices of a stack
+            return dtrtrs(L.T, b, lower=0, trans=1)[0]
+
         L = self._chol_err
         m = self.dims.m
         W = np.empty_like(self.s_hyp)
         for Lk, Sk, Wk in zip(L.reshape(-1, m, m), self.s_hyp.reshape(-1, m, m),
                               W.reshape(-1, m, m)):
-            Wk[...] = _solve_lower(Lk, _solve_lower(Lk, Sk).T)
+            Wk[...] = solve_lower(Lk, solve_lower(Lk, Sk).T)
         vals = np.linalg.eigvalsh(0.5 * (W + _transpose(W)))[..., ::-1]
         return np.where(vals < EIG_CLAMP, 0.0, vals)
 

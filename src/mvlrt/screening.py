@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, check_integer, check_real
 from .model import RANK_TOL, _check_matrix, _hypothesis
@@ -72,6 +71,8 @@ def _response_basis(Y: np.ndarray) -> np.ndarray:
     Pivoted QR so rank detection survives collinear or constant response
     columns; with m >= n-1 the basis simply spans the whole centered space.
     """
+    import scipy.linalg
+
     Yc = Y - Y.mean(axis=0)
     q, rr, _ = scipy.linalg.qr(Yc, mode="economic", pivoting=True, check_finite=False)
     diag = np.abs(np.diag(rr))

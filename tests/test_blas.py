@@ -1,5 +1,7 @@
 """One-thread BLAS scope: pins inside, restores on every kind of exit."""
 
+import json
+import subprocess
 import sys
 import threading
 
@@ -114,3 +116,44 @@ def test_typeI_sweep_pins_then_restores(two_threads, monkeypatch):
     typeI_sweep(ExperimentSpec(n=40, p=5, m=3, r=2, reps=20, seed=3, threads=2))
     assert inside == {(1,) * len(two_threads)}
     assert thread_counts() == two_threads
+
+
+def test_scipy_copy_loaded_inside_a_scope_is_pinned_then_restored():
+    """The first scope opens before scipy.linalg is imported; the copy that the
+    import then uses is the one the scope pinned, and its count is restored."""
+    code = """if True:
+        import ctypes, glob, importlib.util, json, os, sys
+        import mvlrt
+        from mvlrt import _blas
+
+        early = [m for m in ("scipy.special", "scipy.linalg") if m in sys.modules]
+        bundled = []
+        for name in ("numpy", "scipy"):
+            root = os.path.dirname(importlib.util.find_spec(name).origin)
+            bundled += glob.glob(root + ".libs/*openblas*") + glob.glob(root + "/.dylibs/*openblas*")
+        for _, put in _blas._libs():
+            put(2)
+        before = _blas.thread_counts()
+        with _blas.single_thread_blas():
+            import scipy.linalg
+
+            inside = _blas.thread_counts()
+            scipy_side = []
+            for path in glob.glob(os.path.dirname(scipy.__file__) + ".libs/*openblas*"):
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+                get = next(getattr(lib, g) for g, _ in _blas._SYMBOLS if hasattr(lib, g))
+                scipy_side.append(get())
+        print(json.dumps(dict(early=early, bundled=len(bundled), before=before,
+                              inside=inside, scipy_side=scipy_side,
+                              after=_blas.thread_counts())))
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    seen = json.loads(proc.stdout)
+    if not seen["before"]:
+        pytest.skip("no bundled OpenBLAS with a known thread setter")
+    assert seen["early"] == []
+    assert len(seen["before"]) == seen["bundled"]
+    assert seen["inside"] == [1] * seen["bundled"]
+    assert seen["scipy_side"] == [1] * len(seen["scipy_side"])
+    assert seen["after"] == seen["before"] == [2] * seen["bundled"]

@@ -141,7 +141,9 @@ def test_spec_validation():
     for bad in (dict(r=30.0), dict(n=100.0), dict(p=None), dict(m=True), dict(reps=True),
                 dict(threads=2.5), dict(threads=True), dict(seed=1.5), dict(alpha=None),
                 dict(eta_grid=("0.5",)), dict(rho_x=None), dict(rho_e="0.1"),
-                dict(signal_grid=(None,)), dict(signal_grid=(np.nan,))):
+                dict(signal_grid=(None,)), dict(signal_grid=(np.nan,)),
+                dict(signal=("spikes", (None,))), dict(signal=("spikes", (np.nan,))),
+                dict(signal=("spikes", ("2",)))):
         with pytest.raises(DomainError):
             ExperimentSpec(**bad)
     ints = {k: np.int64(v) for k, v in dict(n=100, p=50, m=20, r=30, reps=5, threads=2).items()}

@@ -11,6 +11,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import mvlrt
 
@@ -37,18 +38,39 @@ def test_all_is_the_workflow_and_resolves():
     assert set(mvlrt.TESTS) == {"chi2", "bartlett", "t1", "t2", "t3"}
 
 
+_HEAVY = {"scipy.interpolate", "scipy.optimize", "scipy.sparse", "scipy.spatial",
+          "scipy.integrate", "scipy.stats", "scipy.fft"}
+
+
+def _scipy_modules_after(code, *args):
+    """The scipy.* modules a fresh interpreter has loaded after running code."""
+    code += "\nprint(' '.join(m for m in sys.modules if m.startswith('scipy.')))"
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, timeout=60, check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
 def test_setup_step_loads_only_the_scipy_subpackages_it_needs():
-    """The benchmark's setup step imports scipy.special and scipy.linalg and none
-    of the heavy scipy subpackages: the Tracy-Widom interpolant is numpy's."""
-    code = ("import sys, mvlrt; mvlrt.tw1_cdf(0.0); "
-            "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, check=True)
-    loaded = set(proc.stdout.split())
-    assert {"scipy.special", "scipy.linalg"} <= loaded
-    heavy = {"scipy.interpolate", "scipy.optimize", "scipy.sparse", "scipy.spatial",
-             "scipy.integrate", "scipy.stats", "scipy.fft"}
-    assert not heavy & loaded
+    """The benchmark's setup step needs no scipy subpackage and loads none:
+    scipy.special and scipy.linalg are imported by the first call that uses them."""
+    loaded = _scipy_modules_after("import sys, mvlrt; mvlrt.tw1_cdf(0.0)")
+    assert not {"scipy.special", "scipy.linalg"} & loaded
+    assert not _HEAVY & loaded
+
+
+@pytest.mark.parametrize("method, wanted", [("t1", set()), ("t3", {"scipy.linalg"}),
+                                            ("chi2", {"scipy.special"})])
+def test_one_shot_test_command_loads_only_what_its_method_calls(tmp_path, method, wanted):
+    rng = np.random.default_rng(19)
+    x, y = tmp_path / "X.csv", tmp_path / "Y.csv"
+    np.savetxt(x, rng.standard_normal((40, 5)), delimiter=",")
+    np.savetxt(y, rng.standard_normal((40, 3)), delimiter=",")
+    code = ("import sys\nfrom mvlrt.cli import main\n"
+            "assert main(sys.argv[1:]) == 0")
+    loaded = _scipy_modules_after(code, "test", "--x", str(x), "--y", str(y),
+                                  "--method", method)
+    assert {"scipy.special", "scipy.linalg"} & loaded == wanted
+    assert not _HEAVY & loaded
 
 
 def test_readme_quick_start_runs():
