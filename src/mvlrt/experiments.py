@@ -8,14 +8,16 @@ setting raises before any replicate runs.
 
 The calibration and power sweeps count in blocks of 32 consecutive
 replicates (``_BLOCK``) and apply each test's formula to a block's stack
-once. Canonical block b of cell c is one ``canonical_form_sample`` draw from
-the generator keyed by (seed, c, b), so those tables are pinned to the block
-size. Every other replicate k of cell c draws from the generator keyed by
-(seed, c, k), so the block size changes no linear table. There is no probe
-pair: the first block of a cell decides which methods are feasible there.
-Blocks and replicates run in order in the calling thread with BLAS on one
-thread (see ``_blas``); the ``threads`` setting is validated but does not
-change the work or the output.
+once; t2 itself is computed only on the pairs that a Cholesky screen of the
+block leaves near the cut of t2 and t3, which gives the same counts
+(``lrt._rejections``). Canonical block b of cell c is one
+``canonical_form_sample`` draw from the generator keyed by (seed, c, b), so
+those tables are pinned to the block size. Every other replicate k of cell
+c draws from the generator keyed by (seed, c, k), so the block size changes
+no linear table. There is no probe pair: the first block of a cell decides
+which methods are feasible there. Blocks and replicates run in order in the
+calling thread with BLAS on one thread (see ``_blas``); the ``threads``
+setting is validated but does not change the work or the output.
 
 Reproducibility: every draw comes from a generator keyed by integers, and
 every sweep sums integer hit counts in order, so a rerun produces

@@ -11,7 +11,9 @@ one-sided upper tails: every test here rejects for large statistics.
 Each test is one formula, (statistic, p-value, diagnostics) of a
 SumsOfSquares, written over arrays: the test function applies it to one
 pair and returns a TestReport, and the Monte Carlo sweeps apply it to a
-stack of pairs and count rejections (``_rejections``).
+stack of pairs and count rejections (``_rejections``), there computing t2
+only on the pairs that a Cholesky screen leaves near the cut of t2 and t3,
+with the same counts.
 
 boundary_check quantifies how far a dimension quadruple sits from the regime
 where the plain chi-square (or Bartlett-corrected) approximation is trusted.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from .distributions import (
     std_normal_tail,
     std_normal_upper_quantile,
     tw1_cdf,
+    tw1_upper_quantile,
 )
 from .errors import DegenerateRootError, DomainError, RegimeError, check_level, check_real
 from .model import Dims, SumsOfSquares, neg2_log_lrt, theta_max
@@ -237,12 +241,14 @@ def default_f_rule(n: int) -> float:
     return max(math.log(math.log(n)), 2.0)
 
 
-def _t3(ss: SumsOfSquares, convention: str = "johnstone"):
-    t1 = _t1_stat(ss)[0]
-    t2 = _t2_stat(ss, convention)[0]
-    f_n = default_f_rule(ss.dims.n)
+def _t3_of(t1, t2, f_n: float):
+    """t3's formula on the t1 and t2 statistics."""
     stat = t1 + np.where(t2 >= f_n, t2, 0.0)
     return stat, std_normal_tail(stat), {"t1": t1, "t2": t2, "f_n": f_n}
+
+
+def _t3(ss: SumsOfSquares, convention: str = "johnstone"):
+    return _t3_of(_t1_stat(ss)[0], _t2_stat(ss, convention)[0], default_f_rule(ss.dims.n))
 
 
 def t3_test(ss: SumsOfSquares, convention: str = "johnstone") -> TestReport:
@@ -272,15 +278,64 @@ TESTS = {
 _FORMULAS = {"chi2": _chi2, "bartlett": _bartlett, "t1": _t1, "t2": _t2, "t3": _t3}
 
 
+#: relative gap between the screen's cut and the root at which t2 reaches the
+#: critical value or F_n: far above the rounding of a computed root (about
+#: 1e-13) and of the bisected critical value (1e-12), it keeps a cleared
+#: pair's t2 CDF about 1e-5 below 1 - alpha at alpha = 0.05
+_SCREEN_MARGIN = 1e-4
+
+
+@lru_cache(maxsize=16)
+def _tw1_critical(alpha: float) -> float:
+    """t2's critical value at level alpha: one bisection (about 1 ms) per level."""
+    return tw1_upper_quantile(alpha)
+
+
+def _flagged(ss: SumsOfSquares, alpha: float) -> np.ndarray:
+    """Indices of the pairs of a stack that t2 could reject at level alpha, or
+    whose t2 could reach F_n; the screen clears every other pair.
+
+    t2 < s is the largest root below exp(mu_tilde + sigma_tilde s), so a pair
+    whose root is proven below that root at s = min(critical value, F_n),
+    less _SCREEN_MARGIN, has a t2 p-value above alpha (tw1_cdf falls
+    nowhere by more than rounding) and a t3 equal to its t1. The dimension
+    checks and the factor of S_E come first, in the formula's order, so a
+    stack raises what the formula raises.
+    """
+    mu_t, sigma_t = t2_params(ss.dims)
+    s = min(_tw1_critical(alpha), default_f_rule(ss.dims.n))
+    return np.flatnonzero(~ss._roots_below(math.exp(mu_t + sigma_t * s) * (1.0 - _SCREEN_MARGIN)))
+
+
 def _rejections(ss: SumsOfSquares, methods, alpha: float) -> np.ndarray:
     """How many pairs of a stack each method rejects at level alpha.
 
     Every method applies its test's formula to the whole stack, with the
-    default largest-root convention. The reference tails raise on a
-    non-finite statistic and return values in [0, 1], so each pair meets
-    TestReport's checks without a report being built.
+    default largest-root convention, except that t2 is computed only on the
+    pairs that one screen of the stack flags (``_flagged``). A cleared pair
+    is not rejected by t2, and its t2 is below F_n, so t3 takes its t1: the
+    counts are those of the formula on every pair. The reference tails raise
+    on a non-finite statistic and return values in [0, 1], so each pair
+    meets TestReport's checks without a report being built.
     """
-    return np.array([np.count_nonzero(_FORMULAS[meth](ss)[1] <= alpha) for meth in methods])
+    sub, counts = None, []
+    for meth in methods:
+        if meth not in ("t2", "t3"):
+            counts.append(np.count_nonzero(_FORMULAS[meth](ss)[1] <= alpha))
+            continue
+        # t3 reads t1 before the root, as its formula does
+        t1 = _t1_stat(ss)[0] if meth == "t3" else None
+        if sub is None:
+            flagged = _flagged(ss, alpha)
+            sub = ss._pairs(flagged)  # t2 and t3 share its relative eigenvalues
+        if meth == "t2":
+            counts.append(np.count_nonzero(_t2(sub)[1] <= alpha))
+            continue
+        # a cleared pair's t2 is below F_n, which -inf stands for
+        t2 = np.full(t1.shape, -np.inf)
+        t2[flagged] = _t2_stat(sub, "johnstone")[0]
+        counts.append(np.count_nonzero(_t3_of(t1, t2, default_f_rule(ss.dims.n))[1] <= alpha))
+    return np.array(counts)
 
 
 def theoretical_power(spec: PowerSpec) -> float:

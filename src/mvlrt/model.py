@@ -12,7 +12,9 @@ A SumsOfSquares holds one pair (S_E, S_X) or a stack of B pairs of the same
 dimensions, shape (B, m, m). A stack is checked once and factored by batched
 Cholesky and eigvalsh calls, with the two triangular solves made per pair.
 The readers return a float (or an m-vector) for a pair and an array with a
-leading axis B for a stack.
+leading axis B for a stack. A stack can also be screened against a cut on its
+largest relative root with one Cholesky of cut S_E - S_X per pair and no
+eigen solve, and a sub-stack of chosen pairs keeps each pair's bits.
 
 The canonical sampler draws a stack from one generator, S_E = T T' by the
 Bartlett decomposition of the Wishart law, and keeps the triangular T as the
@@ -22,8 +24,8 @@ Reproducibility: each pair of a stack gets the bits it would get alone, and
 a sampled pair is pair 0 of a stack of size 1 drawn from the same stream.
 
 ``scipy.linalg`` is imported on first use, by the first relative-eigenvalue
-computation (for its LAPACK dtrtrs), not when this module loads: the fit, the
-likelihood ratio and the sampler need only numpy.
+computation or screen (for its LAPACK dtrtrs and dpotrf), not when this
+module loads: the fit, the likelihood ratio and the sampler need only numpy.
 """
 
 from __future__ import annotations
@@ -251,6 +253,35 @@ class SumsOfSquares:
             Wk[...] = solve_lower(Lk, solve_lower(Lk, Sk).T)
         vals = np.linalg.eigvalsh(0.5 * (W + _transpose(W)))[..., ::-1]
         return np.where(vals < EIG_CLAMP, 0.0, vals)
+
+    def _roots_below(self, cut: float) -> np.ndarray:
+        """For each pair of a stack, whether its largest relative root is proven
+        to lie above 2 EIG_CLAMP and below ``cut``, without an eigen solve.
+
+        Below: cut S_E - S_X has a Cholesky factor (one LAPACK dpotrf per
+        pair). Above: S_X[ii] / S_E[ii], the Rayleigh quotient of a coordinate
+        vector, is at most the largest root, so a root that the clamp could set
+        to 0 is never cleared. S_E is factored first, so a stack raises what its
+        relative eigenvalues would raise.
+        """
+        from scipy.linalg.lapack import dpotrf
+
+        _ = self._chol_err
+        rayleigh = (np.diagonal(self.s_hyp, axis1=-2, axis2=-1)
+                    / np.diagonal(self.s_err, axis1=-2, axis2=-1)).max(axis=-1)
+        # dpotrf reads one triangle of the symmetric A and overwrites A' in place,
+        # an F-ordered view of the temporary, so no pair is copied
+        pd = [dpotrf(a.T, overwrite_a=1, clean=0)[1] == 0 for a in cut * self.s_err - self.s_hyp]
+        return (rayleigh > 2.0 * EIG_CLAMP) & np.array(pd, dtype=bool)
+
+    def _pairs(self, index) -> "SumsOfSquares":
+        """The sub-stack of the pairs at ``index``, with whatever of the stack's
+        factorization is already computed: each pair keeps its bits."""
+        sub = SumsOfSquares._of(self.s_err[index], self.s_hyp[index], self.dims)
+        for name in ("_chol_err", "_neg2_log_lrt", "_rel_eigenvalues"):
+            if name in self.__dict__:
+                setattr(sub, name, self.__dict__[name][index])
+        return sub
 
     def __repr__(self):
         return f"SumsOfSquares(dims={self.dims})"

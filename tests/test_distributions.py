@@ -211,6 +211,22 @@ def test_tw1_interpolant_monotone_between_grid_points():
     assert vals[0] >= 0.0 and vals[-1] <= 1.0
 
 
+def test_tw1_cdf_never_decreases():
+    """The t2/t3 screen counts a pair whose t2 is proven below the critical
+    value as not rejected, which needs tw1_cdf nondecreasing. It is on a dense
+    grid over [-12, 12] and within 1e-9 of both table ends. On the double just
+    below a knot, the cubic of the interval on the left rounds up to 1 ulp
+    above the knot's value (scipy's PPoly gives the same bits): a fall of
+    1.1e-16, allowed here up to 2 eps and far below the screen's margin,
+    which keeps a cleared pair's CDF about 1e-5 below 1 - alpha."""
+    s, _, _ = _embedded_table()
+    ends = np.concatenate([e + np.linspace(-1e-9, 1e-9, 5) for e in (s[0], s[-1])])
+    dense = np.sort(np.concatenate([np.linspace(-12.0, 12.0, 200_001), ends]))
+    assert np.all(np.diff(tw1_cdf(dense)) >= 0.0)
+    knots = np.sort(np.concatenate([dense, s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf)]))
+    assert np.diff(tw1_cdf(knots)).min() >= -2.0 * np.finfo(float).eps
+
+
 def test_tw1_cdf_monotone_points():
     assert tw1_cdf(-5.0) < tw1_cdf(0.0) < tw1_cdf(2.0)
 

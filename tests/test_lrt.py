@@ -9,12 +9,13 @@ import math
 import numpy as np
 import pytest
 
-from mvlrt.distributions import std_normal_tail, tw1_cdf
+from mvlrt.distributions import std_normal_tail, tw1_cdf, tw1_upper_quantile
 from mvlrt.errors import DegenerateRootError, DomainError, RegimeError
 from mvlrt.lrt import (
     TESTS,
     BoundaryDiag,
     PowerSpec,
+    _SCREEN_MARGIN,
     TestReport as Report,
     _rejections,
     bartlett_rho,
@@ -33,6 +34,7 @@ from mvlrt.model import (
     DataSet,
     Dims,
     HypothesisMatrix,
+    SignalMatrix,
     SumsOfSquares,
     canonical_form_sample,
     hypothesis_ss,
@@ -222,11 +224,12 @@ def test_all_statistics_invariant_under_response_transform():
 
 
 def _count_calls(monkeypatch, name):
+    """Spy on np.linalg.<name>: the list gets the shape of each call's first argument."""
     calls = []
     orig = getattr(np.linalg, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(np.shape(args[0]))
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, name, counted)
@@ -277,11 +280,59 @@ def _stack(pairs):
                              chol_err=np.stack([ss._chol_err for ss in pairs]))
 
 
+def _scaled(ss, root):
+    """The pair with S_X rescaled so that its largest relative root is ``root``."""
+    return SumsOfSquares._of(ss.s_err, ss.s_hyp * (root / rel_eigenvalues(ss)[0]), ss.dims,
+                             chol_err=ss._chol_err)
+
+
+def _boundary_pairs(pairs, alpha):
+    """Pairs whose largest root sits just below and above the root at which t2
+    reaches its critical value, and the root at which it reaches F_n: at
+    1 -/+ 1e-12 and 1 -/+ 2 _SCREEN_MARGIN times each."""
+    dims = pairs[0].dims
+    mu_t, sigma_t = t2_params(dims)
+    out = []
+    for s in (tw1_upper_quantile(alpha), default_f_rule(dims.n)):
+        root = math.exp(mu_t + sigma_t * s)
+        for rel in (1e-12, 2.0 * _SCREEN_MARGIN):
+            out += [_scaled(ss, root * (1.0 + sign * rel)) for ss, sign in zip(pairs, (-1, 1))]
+    return out
+
+
 def test_stack_rejections_count_the_pair_tests():
-    pairs = [canonical_form_sample(stream(63, k), None, Dims(60, 20, 8, 10)) for k in range(40)]
-    for alpha in (0.05, 0.5):
-        want = [sum(TESTS[meth](ss).p_value <= alpha for ss in pairs) for meth in TESTS]
-        assert list(_rejections(_stack(pairs), TESTS, alpha)) == want
+    """The stack counts equal the per-pair tests on random null, spike and
+    linear stacks, and on pairs that sit at the edges of the t2/t3 screen."""
+    desk = Dims(60, 20, 8, 10)
+    pairs = [canonical_form_sample(stream(63, k), None, desk) for k in range(40)]
+    stacks = [(pairs, (0.05, 0.5))]
+    for alpha in (0.05, 0.01):
+        edge = _boundary_pairs(pairs[:2], alpha)
+        # the +/- 2 margin pairs fall on either side of the t2 and t3 decisions
+        assert [t2_test(ss).p_value <= alpha for ss in edge[2:4]] == [False, True]
+        assert [t3_test(ss).diagnostics["t2"] >= 2.0 for ss in edge[6:8]] == [False, True]
+        stacks.append((edge + pairs[2:20], (alpha,)))
+    for m in (1, 4, 20, 39):
+        dims = Dims(100, 39, m, 39)
+        # one spike that t2 rejects on some pairs and not on others
+        for signal in (None, SignalMatrix.diagonal_spikes([6.0 + m / 4.0], dims)):
+            stacks.append(([canonical_form_sample(stream(64, m, k), signal, dims)
+                            for k in range(24)], (0.05, 0.01)))
+    data = [DataSet(stream(65, k).standard_normal((60, 20)), stream(66, k).standard_normal((60, 8)))
+            for k in range(24)]
+    stacks.append(([hypothesis_ss(d, np.eye(10, 20)) for d in data], (0.05, 0.01)))
+    for stack, alphas in stacks:
+        reports = [[TESTS[meth](ss) for meth in TESTS] for ss in stack]
+        for alpha in alphas:
+            want = [sum(rep[i].p_value <= alpha for rep in reports) for i in range(len(TESTS))]
+            assert list(_rejections(_stack(stack), TESTS, alpha)) == want
+
+
+def test_stack_screen_sends_few_null_pairs_to_the_eigen_solve(monkeypatch):
+    block = canonical_form_sample(stream(67), None, Dims(100, 39, 39, 39), size=32)
+    eig = _count_calls(monkeypatch, "eigvalsh")
+    _rejections(block, TESTS, 0.05)
+    assert len(eig) == 1 and eig[0][0] <= 8
 
 
 def test_stack_with_a_root_without_logit_raises():
