@@ -100,9 +100,8 @@ _SWEEP = {
 }
 _SCHEMA = {
     "test": dict(
-        _DATA, method=(str, "t3", "one of chi2 | bartlett | t1 | t2 | t3; t3 refers to the normal "
-                "law, and while F_n = 2 (n < 1618) its p-values below about 0.01 "
-                "are too small"),
+        _DATA, method=(str, "t3", f"one of {' | '.join(TESTS)}; t3 refers to the normal law, "
+                "and while F_n = 2 (n < 1618) its p-values below about 0.01 are too small"),
         convention=(str, "johnstone", "largest-root scaling for t2 and t3: johnstone | error"),
         alpha=(float, 0.05, None), format=(str, "text", "output format: text | json")),
     "multisplit": dict(

@@ -7,9 +7,9 @@ produce a labeled row with no numbers instead of crashing the sweep; a bad
 setting raises before any replicate runs.
 
 The calibration and power sweeps count in blocks of 32 consecutive
-replicates (``_BLOCK``) and apply each test's formula to a block's stack
-once; t2 itself is computed only on the pairs that a Cholesky screen of the
-block leaves near the cut of t2 and t3, which gives the same counts
+replicates (``_BLOCK``) and run each test on a block's stack once; t2
+itself is computed only on the pairs that a Cholesky screen of the block
+leaves near the cut of t2 and t3, which gives the same counts
 (``lrt._rejections``). Canonical block b of cell c is one
 ``canonical_form_sample`` draw from the generator keyed by (seed, c, b), so
 those tables are pinned to the block size. Every other replicate k of cell
@@ -296,7 +296,7 @@ def _estimate_cell(spec: ExperimentSpec, cell_id: int, cell: str, draw) -> list:
     ``draw`` is a ``_drawer``. The cell counts in blocks of ``_BLOCK``
     replicates, each one stack of pairs, and has no probe pair: a typed error
     while drawing the first block makes the cell infeasible, one from a
-    method's formula on it makes that method infeasible, and one in a later
+    method's test on it makes that method infeasible, and one in a later
     block propagates.
     """
     started = time.perf_counter()

@@ -8,12 +8,11 @@ and the relative eigenvalues that the pair computes once from one Cholesky
 factor of S_E, and TESTS maps each method name to its test. All p-values are
 one-sided upper tails: every test here rejects for large statistics.
 
-Each test is one formula, (statistic, p-value, diagnostics) of a
-SumsOfSquares, written over arrays: the test function applies it to one
-pair and returns a TestReport, and the Monte Carlo sweeps apply it to a
-stack of pairs and count rejections (``_rejections``), there computing t2
-only on the pairs that a Cholesky screen leaves near the cut of t2 and t3,
-with the same counts.
+Each test is one function written over arrays: given one pair it returns a
+TestReport of floats, and given a stack of pairs the same report with one
+array entry per pair. The Monte Carlo sweeps count rejections on stacks with
+these tests (``_rejections``), computing t2 only on the pairs that a
+Cholesky screen leaves near the cut of t2 and t3, with the same counts.
 
 boundary_check quantifies how far a dimension quadruple sits from the regime
 where the plain chi-square (or Bartlett-corrected) approximation is trusted.
@@ -41,7 +40,9 @@ from .model import Dims, SumsOfSquares, neg2_log_lrt, theta_max
 
 @dataclass
 class TestReport:
-    """Outcome of a single test: method tag, statistic, p-value, diagnostics."""
+    """Outcome of a test: method tag, statistic, p-value, diagnostics; floats
+    for one pair, arrays with an entry per pair for a stack. Each value or
+    entry must be finite, and the p-value must lie in [0, 1]."""
 
     method: str
     statistic: float
@@ -51,16 +52,21 @@ class TestReport:
     def __post_init__(self):
         if self.method not in TESTS:
             raise DomainError(f"unknown method tag {self.method!r}")
-        check_real("p_value", self.p_value, 0.0, 1.0, "[]")
-        check_real("statistic", self.statistic)
-        for k, v in self.diagnostics.items():
-            check_real(f"diagnostic {k}", v)
+        self.p_value = _checked("p_value", self.p_value, unit=True)
+        self.statistic = _checked("statistic", self.statistic)
+        self.diagnostics = {k: _checked(f"diagnostic {k}", v) for k, v in self.diagnostics.items()}
 
 
-def _report(method: str, statistic, p_value, diagnostics: dict) -> TestReport:
-    """The TestReport of one pair's formula values."""
-    return TestReport(method, float(statistic), float(p_value),
-                      {k: float(v) for k, v in diagnostics.items()})
+def _checked(name: str, v, unit: bool = False):
+    """v as a float if check_real passes it, finite or in [0, 1] if ``unit``,
+    or v itself if it is an array of which check_real would pass each entry."""
+    low, high, ends = (0.0, 1.0, "[]") if unit else (-math.inf, math.inf, "()")
+    if not isinstance(v, np.ndarray) or v.ndim == 0:
+        check_real(name, v, low, high, ends)
+        return float(v)
+    if v.dtype.kind not in "iuf" or not (((0.0 <= v) & (v <= 1.0)) if unit else np.isfinite(v)).all():
+        raise DomainError(f"each {name} entry must lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -138,25 +144,18 @@ def _t1_stat(ss: SumsOfSquares):
     return (neg2 + mu) / n_sigma, mu, n_sigma, neg2
 
 
-def _t1(ss: SumsOfSquares):
-    stat, mu, n_sigma, neg2 = _t1_stat(ss)
-    return stat, std_normal_tail(stat), {"mu_n": mu, "n_sigma_n": n_sigma, "neg2_log_lrt": neg2}
-
-
 def t1_test(ss: SumsOfSquares) -> TestReport:
     """Dimension-corrected normal test: (-2 log L_n + mu_n) / (n sigma_n)."""
-    return _report("t1", *_t1(ss))
-
-
-def _chi2(ss: SumsOfSquares):
-    neg2 = neg2_log_lrt(ss)
-    df = ss.dims.m * ss.dims.r
-    return neg2, chi_sq_tail(neg2, df), {"df": float(df)}
+    stat, mu, n_sigma, neg2 = _t1_stat(ss)
+    return TestReport("t1", stat, std_normal_tail(stat),
+                      {"mu_n": mu, "n_sigma_n": n_sigma, "neg2_log_lrt": neg2})
 
 
 def chi2_test(ss: SumsOfSquares) -> TestReport:
     """Classical approximation: -2 log L_n against chi-square with mr df."""
-    return _report("chi2", *_chi2(ss))
+    neg2 = neg2_log_lrt(ss)
+    df = ss.dims.m * ss.dims.r
+    return TestReport("chi2", neg2, chi_sq_tail(neg2, df), {"df": df})
 
 
 def bartlett_rho(dims: Dims) -> float:
@@ -164,7 +163,8 @@ def bartlett_rho(dims: Dims) -> float:
     return 1.0 - (dims.p - dims.r / 2.0 + dims.m / 2.0 + 0.5) / dims.n
 
 
-def _bartlett(ss: SumsOfSquares):
+def bartlett_test(ss: SumsOfSquares) -> TestReport:
+    """Bartlett-corrected chi-square test: rho * (-2 log L_n) against chi2_mr."""
     rho = bartlett_rho(ss.dims)
     if rho <= 0.0:
         raise RegimeError(
@@ -173,12 +173,7 @@ def _bartlett(ss: SumsOfSquares):
         )
     df = ss.dims.m * ss.dims.r
     stat = rho * neg2_log_lrt(ss)
-    return stat, chi_sq_tail(stat, df), {"rho": rho, "df": float(df)}
-
-
-def bartlett_test(ss: SumsOfSquares) -> TestReport:
-    """Bartlett-corrected chi-square test: rho * (-2 log L_n) against chi2_mr."""
-    return _report("bartlett", *_bartlett(ss))
+    return TestReport("bartlett", stat, chi_sq_tail(stat, df), {"rho": rho, "df": df})
 
 
 def boundary_check(dims: Dims) -> BoundaryDiag:
@@ -224,14 +219,11 @@ def _t2_stat(ss: SumsOfSquares, convention: str):
     return (np.log(theta / (1.0 - theta)) - mu_t) / sigma_t, mu_t, sigma_t, theta
 
 
-def _t2(ss: SumsOfSquares, convention: str = "johnstone"):
-    stat, mu_t, sigma_t, theta = _t2_stat(ss, convention)
-    return stat, 1.0 - tw1_cdf(stat), {"mu_tilde": mu_t, "sigma_tilde": sigma_t, "theta": theta}
-
-
 def t2_test(ss: SumsOfSquares, convention: str = "johnstone") -> TestReport:
     """Largest-root test: standardized logit of theta against Tracy-Widom order 1."""
-    return _report("t2", *_t2(ss, convention))
+    stat, mu_t, sigma_t, theta = _t2_stat(ss, convention)
+    return TestReport("t2", stat, 1.0 - tw1_cdf(stat),
+                      {"mu_tilde": mu_t, "sigma_tilde": sigma_t, "theta": theta})
 
 
 def default_f_rule(n: int) -> float:
@@ -241,14 +233,10 @@ def default_f_rule(n: int) -> float:
     return max(math.log(math.log(n)), 2.0)
 
 
-def _t3_of(t1, t2, f_n: float):
-    """t3's formula on the t1 and t2 statistics."""
+def _t3_of(t1, t2, f_n: float) -> TestReport:
+    """t3's report from the t1 and t2 statistics."""
     stat = t1 + np.where(t2 >= f_n, t2, 0.0)
-    return stat, std_normal_tail(stat), {"t1": t1, "t2": t2, "f_n": f_n}
-
-
-def _t3(ss: SumsOfSquares, convention: str = "johnstone"):
-    return _t3_of(_t1_stat(ss)[0], _t2_stat(ss, convention)[0], default_f_rule(ss.dims.n))
+    return TestReport("t3", stat, std_normal_tail(stat), {"t1": t1, "t2": t2, "f_n": f_n})
 
 
 def t3_test(ss: SumsOfSquares, convention: str = "johnstone") -> TestReport:
@@ -262,7 +250,7 @@ def t3_test(ss: SumsOfSquares, convention: str = "johnstone") -> TestReport:
     about 1e-2 are too small. Only the two statistics are computed, not t1's
     and t2's p-values.
     """
-    return _report("t3", *_t3(ss, convention))
+    return _t3_of(_t1_stat(ss)[0], _t2_stat(ss, convention)[0], default_f_rule(ss.dims.n))
 
 
 #: method name -> test; the sweeps, the CLI and TestReport look methods up here
@@ -273,9 +261,6 @@ TESTS = {
     "t2": t2_test,
     "t3": t3_test,
 }
-
-#: method name -> the formula its test applies to one pair
-_FORMULAS = {"chi2": _chi2, "bartlett": _bartlett, "t1": _t1, "t2": _t2, "t3": _t3}
 
 
 #: relative gap between the screen's cut and the root at which t2 reaches the
@@ -299,8 +284,8 @@ def _flagged(ss: SumsOfSquares, alpha: float) -> np.ndarray:
     whose root is proven below that root at s = min(critical value, F_n),
     less _SCREEN_MARGIN, has a t2 p-value above alpha (tw1_cdf falls
     nowhere by more than rounding) and a t3 equal to its t1. The dimension
-    checks and the factor of S_E come first, in the formula's order, so a
-    stack raises what the formula raises.
+    checks and the factor of S_E come first, in t2_test's order, so a stack
+    raises what t2_test raises.
     """
     mu_t, sigma_t = t2_params(ss.dims)
     s = min(_tw1_critical(alpha), default_f_rule(ss.dims.n))
@@ -310,31 +295,30 @@ def _flagged(ss: SumsOfSquares, alpha: float) -> np.ndarray:
 def _rejections(ss: SumsOfSquares, methods, alpha: float) -> np.ndarray:
     """How many pairs of a stack each method rejects at level alpha.
 
-    Every method applies its test's formula to the whole stack, with the
-    default largest-root convention, except that t2 is computed only on the
-    pairs that one screen of the stack flags (``_flagged``). A cleared pair
-    is not rejected by t2, and its t2 is below F_n, so t3 takes its t1: the
-    counts are those of the formula on every pair. The reference tails raise
-    on a non-finite statistic and return values in [0, 1], so each pair
-    meets TestReport's checks without a report being built.
+    Every method runs its test on the whole stack, with the default
+    largest-root convention, except that t2 is computed only on the pairs that
+    one screen of the stack flags (``_flagged``). A cleared pair is not
+    rejected by t2, and its t2 is below F_n, so t3 takes its t1: the counts
+    are those of the test on every pair, each pair checked as its own
+    report would be.
     """
     sub, counts = None, []
     for meth in methods:
         if meth not in ("t2", "t3"):
-            counts.append(np.count_nonzero(_FORMULAS[meth](ss)[1] <= alpha))
+            counts.append(np.count_nonzero(TESTS[meth](ss).p_value <= alpha))
             continue
-        # t3 reads t1 before the root, as its formula does
+        # t3 reads t1 before the root, as t3_test does
         t1 = _t1_stat(ss)[0] if meth == "t3" else None
         if sub is None:
             flagged = _flagged(ss, alpha)
             sub = ss._pairs(flagged)  # t2 and t3 share its relative eigenvalues
         if meth == "t2":
-            counts.append(np.count_nonzero(_t2(sub)[1] <= alpha))
+            counts.append(np.count_nonzero(t2_test(sub).p_value <= alpha))
             continue
-        # a cleared pair's t2 is below F_n, which -inf stands for
-        t2 = np.full(t1.shape, -np.inf)
+        # a cleared pair's t2 is below F_n >= 2, which 0 stands for
+        t2 = np.zeros(t1.shape)
         t2[flagged] = _t2_stat(sub, "johnstone")[0]
-        counts.append(np.count_nonzero(_t3_of(t1, t2, default_f_rule(ss.dims.n))[1] <= alpha))
+        counts.append(np.count_nonzero(_t3_of(t1, t2, default_f_rule(ss.dims.n)).p_value <= alpha))
     return np.array(counts)
 
 

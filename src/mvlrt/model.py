@@ -275,13 +275,10 @@ class SumsOfSquares:
         return (rayleigh > 2.0 * EIG_CLAMP) & np.array(pd, dtype=bool)
 
     def _pairs(self, index) -> "SumsOfSquares":
-        """The sub-stack of the pairs at ``index``, with whatever of the stack's
-        factorization is already computed: each pair keeps its bits."""
-        sub = SumsOfSquares._of(self.s_err[index], self.s_hyp[index], self.dims)
-        for name in ("_chol_err", "_neg2_log_lrt", "_rel_eigenvalues"):
-            if name in self.__dict__:
-                setattr(sub, name, self.__dict__[name][index])
-        return sub
+        """The sub-stack of the pairs at ``index``, with their factors of S_E, the
+        one part of the factorization that its relative eigenvalues read."""
+        return SumsOfSquares._of(self.s_err[index], self.s_hyp[index], self.dims,
+                                 chol_err=self._chol_err[index])
 
     def __repr__(self):
         return f"SumsOfSquares(dims={self.dims})"

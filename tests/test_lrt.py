@@ -300,6 +300,38 @@ def _boundary_pairs(pairs, alpha):
     return out
 
 
+def _bits(values, size):
+    """The bytes of ``size`` float64 values: a stack's array, a pair report's
+    float per pair, or a stack report's scalar repeated per pair."""
+    return np.broadcast_to(np.asarray(values, dtype=np.float64), (size,)).tobytes()
+
+
+def test_stack_reports_are_the_pair_reports_entry_by_entry():
+    """Each test of a stack gives, entry by entry, the bits of its report of
+    each pair, on null, spike and linear-fit stacks and under both largest-root
+    conventions."""
+    dims = Dims(100, 39, 4, 39)
+    spike = SignalMatrix.diagonal_spikes([7.0], dims)
+    data = [DataSet(stream(65, k).standard_normal((60, 20)), stream(66, k).standard_normal((60, 8)))
+            for k in range(12)]
+    stacks = [[canonical_form_sample(stream(68, k), None, Dims(60, 20, 8, 10)) for k in range(12)],
+              [canonical_form_sample(stream(69, k), spike, dims) for k in range(12)],
+              [hypothesis_ss(d, np.eye(10, 20)) for d in data]]
+    calls = [(meth, {}) for meth in ("chi2", "bartlett", "t1")]
+    calls += [(meth, {"convention": c}) for meth in ("t2", "t3") for c in ("johnstone", "error")]
+    for pairs in stacks:
+        size = len(pairs)
+        for meth, kwargs in calls:
+            got = TESTS[meth](_stack(pairs), **kwargs)
+            want = [TESTS[meth](ss, **kwargs) for ss in pairs]
+            assert got.method == meth and isinstance(got.statistic, np.ndarray)
+            assert _bits(got.statistic, size) == _bits([rep.statistic for rep in want], size)
+            assert _bits(got.p_value, size) == _bits([rep.p_value for rep in want], size)
+            assert list(got.diagnostics) == list(want[0].diagnostics)
+            for k, v in got.diagnostics.items():
+                assert _bits(v, size) == _bits([rep.diagnostics[k] for rep in want], size), (meth, k)
+
+
 def test_stack_rejections_count_the_pair_tests():
     """The stack counts equal the per-pair tests on random null, spike and
     linear stacks, and on pairs that sit at the edges of the t2/t3 screen."""
@@ -342,6 +374,8 @@ def test_stack_with_a_root_without_logit_raises():
     for meth in ("t2", "t3"):
         with pytest.raises(DegenerateRootError):
             _rejections(_stack(pairs), (meth,), 0.05)
+        with pytest.raises(DegenerateRootError):
+            TESTS[meth](_stack(pairs))
 
 
 # === null calibration smoke (acceptance runs the full-size versions) ===
@@ -447,3 +481,18 @@ def test_report_validation():
     for bad in ((None, 0.5, {}), (1.0, "0.5", {}), (1.0, 0.5, {"mu_n": None})):
         with pytest.raises(DomainError):
             Report("t1", *bad)
+    # a stack's report: each entry is checked, and the arrays are kept
+    stat, p = np.array([1.5, -0.5]), np.array([0.07, 0.69])
+    rep = Report("t1", stat, p, {"mu_n": -3.0, "neg2_log_lrt": np.array([2.0, 1.0])})
+    assert rep.statistic is stat and rep.p_value is p
+    assert isinstance(rep.diagnostics["neg2_log_lrt"], np.ndarray)
+    for bad in ((np.array([1.5, math.nan]), p, {}), (stat, np.array([0.07, 1.5]), {}),
+                (stat, p, {"neg2_log_lrt": np.array([2.0, math.nan])})):
+        with pytest.raises(DomainError, match="entry must lie in"):
+            Report("t1", *bad)
+    # a pair's report holds Python floats, from any real input and from every test
+    rep = Report("t1", np.float64(1.5), np.float64(0.07), {"mu_n": np.float64(-3.0), "df": 6})
+    reports = [rep] + [test(canonical_form_sample(stream(70), None, DIMS_DESK))
+                       for test in TESTS.values()]
+    for rep in reports:
+        assert {type(v) for v in (rep.statistic, rep.p_value, *rep.diagnostics.values())} == {float}
