@@ -3,8 +3,8 @@
 The goldens pin outputs byte for byte, so that a change meant to leave the
 numbers alone can show that it did:
 
-* ``mvlrt test`` text and JSON for every method, both largest-root
-  conventions and the default identity hypothesis;
+* ``mvlrt test`` text and JSON for every method, and the default identity
+  hypothesis;
 * ``mvlrt multisplit`` at J=0 (``--unsafe-no-split``) and at J=20 with its
   ``--out`` audit CSV, for a general and a leading-identity hypothesis;
 * small ``mvlrt simulate`` and ``mvlrt power`` tables, with ``--out`` and
@@ -74,7 +74,6 @@ def _inputs(work: pathlib.Path) -> dict:
     B = np.zeros((6, 3))
     B[:2] = 0.3 * rng.standard_normal((2, 3))
     Y = X @ B + rng.standard_normal((80, 3))
-    # r = m, so both largest-root conventions are defined
     C = np.array([[1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
                   [0.0, 0.0, 1.0, 1.0, 0.0, 0.0],
                   [0.5, 0.5, 0.0, 0.0, 1.0, -2.0]])
@@ -89,7 +88,6 @@ def _inputs(work: pathlib.Path) -> dict:
     return {
         "x": _save(work / "X.csv", X), "y": _save(work / "Y.csv", Y),
         "c": _save(work / "C.csv", C),
-        "c1": _save(work / "C1.csv", np.eye(6)[2:3]),
         "xw": _save(work / "Xw.csv", Xw), "yw": _save(work / "Yw.csv", Yw),
         "cw": _save(work / "Cw.csv", Cw),
         "cw_lead": _save(work / "Cw_lead.csv", np.eye(60)[:2]),
@@ -129,9 +127,6 @@ def _cli_outputs(f: dict, work: pathlib.Path) -> dict:
         args = ["test", *data, "--c", f["c"], "--method", meth]
         out[f"test_{meth}.txt"] = ok(args)
         out[f"test_{meth}.json"] = ok(args + ["--format", "json"])
-    for meth in ("t2", "t3"):
-        out[f"test_{meth}_error_convention.txt"] = ok(
-            ["test", *data, "--c", f["c"], "--method", meth, "--convention", "error"])
     out["test_t3_identity_c.txt"] = ok(["test", *data])
 
     wide = ["--x", f["xw"], "--y", f["yw"]]
@@ -169,7 +164,6 @@ def _cli_outputs(f: dict, work: pathlib.Path) -> dict:
     cases = [
         ["test", *data, "--method", "bogus"],
         ["test", *data, "--convention", "sideways"],
-        ["test", *data, "--c", f["c1"], "--method", "t2", "--convention", "error"],
         ["test", *wide, "--method", "t1"],
         ["test", *wide, "--c", f["c"]],
         ["multisplit", *wide, "--c", f["cw"], "--j-splits", "0"],

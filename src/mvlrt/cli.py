@@ -29,7 +29,7 @@ from .dataio import load_matrix, write_rows
 from .errors import DataFormatError, DomainError, RegimeError, check_integer, check_level
 from .experiments import ExperimentSpec, power_sweep, typeI_sweep
 from .lrt import TESTS, boundary_check
-from .model import CONVENTIONS, DataSet, Dims, HypothesisMatrix, hypothesis_ss
+from .model import DataSet, Dims, HypothesisMatrix, hypothesis_ss
 from .multisplit import MultiSplitConfig, multisplit_test, no_split_pvalue
 
 log = logging.getLogger("mvlrt.cli")
@@ -102,7 +102,6 @@ _SCHEMA = {
     "test": dict(
         _DATA, method=(str, "t3", f"one of {' | '.join(TESTS)}; t3 refers to the normal law, "
                 "and while F_n = 2 (n < 1618) its p-values below about 0.01 are too small"),
-        convention=(str, "johnstone", "largest-root scaling for t2 and t3: johnstone | error"),
         alpha=(float, 0.05, None), format=(str, "text", "output format: text | json")),
     "multisplit": dict(
         _DATA, j_splits=(int, 200, "number of random splits J (0 needs --unsafe-no-split)"),
@@ -198,16 +197,12 @@ def _load_data(v):
 def _cmd_test(v) -> int:
     if v["method"] not in TESTS:
         raise DomainError(f"unknown method {v['method']!r}")
-    if v["convention"] not in CONVENTIONS:
-        raise DomainError(f"unknown largest-root convention {v['convention']!r}")
     if v["format"] not in ("text", "json"):
         raise DomainError(f"unknown format {v['format']!r}")
     check_level("alpha", v["alpha"])
     data, hyp = _load_data(v)
     ss = hypothesis_ss(data, hyp)
-    # only the largest-root tests read the convention
-    kwargs = {"convention": v["convention"]} if v["method"] in ("t2", "t3") else {}
-    report = TESTS[v["method"]](ss, **kwargs)
+    report = TESTS[v["method"]](ss)
     head = [("method", report.method), ("statistic", report.statistic),
             ("p_value", report.p_value)]
     diagnostics = sorted(report.diagnostics.items())

@@ -56,6 +56,14 @@ class TestReport:
         self.statistic = _checked("statistic", self.statistic)
         self.diagnostics = {k: _checked(f"diagnostic {k}", v) for k, v in self.diagnostics.items()}
 
+    def __eq__(self, other):
+        """Same method and diagnostic names, and every value equal entry by entry."""
+        if not isinstance(other, TestReport) or self.diagnostics.keys() != other.diagnostics.keys():
+            return False
+        mine, theirs = ([r.statistic, r.p_value, *map(r.diagnostics.get, self.diagnostics)]
+                        for r in (self, other))
+        return self.method == other.method and all(map(np.array_equal, mine, theirs))
+
 
 def _checked(name: str, v, unit: bool = False):
     """v as a float if check_real passes it, finite or in [0, 1] if ``unit``,
@@ -208,10 +216,10 @@ def t2_params(dims: Dims):
     return mu_t, sigma_cubed ** (1.0 / 3.0)
 
 
-def _t2_stat(ss: SumsOfSquares, convention: str):
+def _t2_stat(ss: SumsOfSquares):
     """t2's statistic with its (mu_tilde, sigma_tilde, theta)."""
     mu_t, sigma_t = t2_params(ss.dims)
-    theta = theta_max(ss, convention)
+    theta = theta_max(ss)
     flat = (theta <= 0.0) | (theta >= 1.0)
     if np.any(flat):
         theta = float(np.extract(flat, theta)[0])
@@ -219,9 +227,9 @@ def _t2_stat(ss: SumsOfSquares, convention: str):
     return (np.log(theta / (1.0 - theta)) - mu_t) / sigma_t, mu_t, sigma_t, theta
 
 
-def t2_test(ss: SumsOfSquares, convention: str = "johnstone") -> TestReport:
+def t2_test(ss: SumsOfSquares) -> TestReport:
     """Largest-root test: standardized logit of theta against Tracy-Widom order 1."""
-    stat, mu_t, sigma_t, theta = _t2_stat(ss, convention)
+    stat, mu_t, sigma_t, theta = _t2_stat(ss)
     return TestReport("t2", stat, 1.0 - tw1_cdf(stat),
                       {"mu_tilde": mu_t, "sigma_tilde": sigma_t, "theta": theta})
 
@@ -239,7 +247,7 @@ def _t3_of(t1, t2, f_n: float) -> TestReport:
     return TestReport("t3", stat, std_normal_tail(stat), {"t1": t1, "t2": t2, "f_n": f_n})
 
 
-def t3_test(ss: SumsOfSquares, convention: str = "johnstone") -> TestReport:
+def t3_test(ss: SumsOfSquares) -> TestReport:
     """Combined test t3 = t1 + t2 * 1{t2 >= F_n}, referred to the normal null.
 
     Under the null the indicator vanishes asymptotically, so the reference
@@ -250,7 +258,7 @@ def t3_test(ss: SumsOfSquares, convention: str = "johnstone") -> TestReport:
     about 1e-2 are too small. Only the two statistics are computed, not t1's
     and t2's p-values.
     """
-    return _t3_of(_t1_stat(ss)[0], _t2_stat(ss, convention)[0], default_f_rule(ss.dims.n))
+    return _t3_of(_t1_stat(ss)[0], _t2_stat(ss)[0], default_f_rule(ss.dims.n))
 
 
 #: method name -> test; the sweeps, the CLI and TestReport look methods up here
@@ -295,12 +303,11 @@ def _flagged(ss: SumsOfSquares, alpha: float) -> np.ndarray:
 def _rejections(ss: SumsOfSquares, methods, alpha: float) -> np.ndarray:
     """How many pairs of a stack each method rejects at level alpha.
 
-    Every method runs its test on the whole stack, with the default
-    largest-root convention, except that t2 is computed only on the pairs that
-    one screen of the stack flags (``_flagged``). A cleared pair is not
-    rejected by t2, and its t2 is below F_n, so t3 takes its t1: the counts
-    are those of the test on every pair, each pair checked as its own
-    report would be.
+    Every method runs its test on the whole stack, except that t2 is computed
+    only on the pairs that one screen of the stack flags (``_flagged``). A
+    cleared pair is not rejected by t2, and its t2 is below F_n, so t3 takes
+    its t1: the counts are those of the test on every pair, each pair checked
+    as its own report would be.
     """
     sub, counts = None, []
     for meth in methods:
@@ -317,7 +324,7 @@ def _rejections(ss: SumsOfSquares, methods, alpha: float) -> np.ndarray:
             continue
         # a cleared pair's t2 is below F_n >= 2, which 0 stands for
         t2 = np.zeros(t1.shape)
-        t2[flagged] = _t2_stat(sub, "johnstone")[0]
+        t2[flagged] = _t2_stat(sub)[0]
         counts.append(np.count_nonzero(_t3_of(t1, t2, default_f_rule(ss.dims.n)).p_value <= alpha))
     return np.array(counts)
 

@@ -50,9 +50,6 @@ RANK_TOL = 1e-10
 #: relative eigenvalues below this are exact zeros of S_X by construction
 EIG_CLAMP = 1e-12
 
-#: scalings of the largest root accepted by theta_max
-CONVENTIONS = ("johnstone", "error")
-
 
 @dataclass(frozen=True)
 class Dims:
@@ -373,20 +370,10 @@ def rel_eigenvalues(ss: SumsOfSquares) -> np.ndarray:
     return ss._rel_eigenvalues.copy()
 
 
-def theta_max(ss: SumsOfSquares, convention: str = "johnstone"):
-    """Largest-root quantity in [0, 1]: a float for a pair, a (B,) array for a stack.
-
-    convention="johnstone": largest eigenvalue of (S_E + S_X)^{-1} S_X, equal
-    to lam_max / (1 + lam_max). convention="error": largest eigenvalue of
-    (S_E + S_X)^{-1} S_E, equal to 1 / (1 + lam_min). The two coincide as
-    theta_error = 1 - theta_johnstone only when min(m, r) = 1.
-    """
+def theta_max(ss: SumsOfSquares):
+    """Largest root of (S_E + S_X)^{-1} S_X, lam_max / (1 + lam_max): a float or a (B,) array."""
     lam = rel_eigenvalues(ss)
-    if convention == "johnstone":
-        return _float_or_array(lam[..., 0] / (1.0 + lam[..., 0]))
-    if convention == "error":
-        return _float_or_array(1.0 / (1.0 + lam[..., -1]))
-    raise DomainError(f"unknown largest-root convention {convention!r}")
+    return _float_or_array(lam[..., 0] / (1.0 + lam[..., 0]))
 
 
 def canonical_form_sample(rng, signal, dims: Dims, size=None) -> SumsOfSquares:

@@ -29,7 +29,6 @@ def data_files(tmp_path):
     }
     save_matrix(paths["x"], rng.standard_normal((40, 5)))
     save_matrix(paths["y"], rng.standard_normal((40, 3)))
-    # r = m so both largest-root conventions are defined on this hypothesis
     save_matrix(paths["c"], np.eye(5)[:3])
     return {k: str(v) for k, v in paths.items()}
 
@@ -68,15 +67,22 @@ def test_test_command_json(capsys, data_files):
     assert doc["reject"] in (0, 1)
 
 
-def test_test_command_hypothesis_file_and_conventions(capsys, data_files):
+def test_test_command_hypothesis_file_and_conventions(capsys, tmp_path, data_files):
+    """t2 reads one largest root: the retired --convention option fails as a
+    flag and as a config key."""
     base = ["test", "--x", data_files["x"], "--y", data_files["y"],
             "--c", data_files["c"], "--method", "t2"]
     code, out, _ = _run(capsys, base)
     assert code == 0 and "method=t2" in out
-    code, out, _ = _run(capsys, base + ["--convention", "error"])
-    assert code == 0
-    code, _, err = _run(capsys, base + ["--convention", "sideways"])
-    assert code == 1 and "error:" in err
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--convention", "error"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --convention error" in capsys.readouterr().err
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("convention = johnstone\n")
+    code, out, err = _run(capsys, base + ["--config", str(cfg)])
+    assert code == 1 and out == ""
+    assert "unknown config key 'convention' for test" in err
 
 
 @pytest.mark.parametrize("method", list(TESTS))
@@ -88,20 +94,9 @@ def test_test_command_runs_every_method_in_the_table(capsys, data_files, method)
 
 
 @pytest.mark.parametrize("method", list(TESTS))
-def test_test_command_checks_convention_for_every_method(capsys, data_files, method):
-    code, out, err = _run(capsys, ["test", "--x", data_files["x"], "--y", data_files["y"],
-                                   "--c", data_files["c"], "--method", method,
-                                   "--convention", "sideways"])
-    assert code == 1 and out == ""
-    assert "unknown largest-root convention 'sideways'" in err
-
-
-@pytest.mark.parametrize("method, convention", [(method, "johnstone") for method in TESTS]
-                         + [("t2", "error"), ("t3", "error")])
-def test_test_command_text_and_json_carry_the_same_pairs(capsys, data_files, method,
-                                                         convention):
+def test_test_command_text_and_json_carry_the_same_pairs(capsys, data_files, method):
     argv = ["test", "--x", data_files["x"], "--y", data_files["y"], "--c", data_files["c"],
-            "--method", method, "--convention", convention]
+            "--method", method]
     code, text, _ = _run(capsys, argv)
     assert code == 0
     code, out, _ = _run(capsys, argv + ["--format", "json"])
@@ -207,7 +202,7 @@ def _config_lines(err):
 # each command with every option set as text: ints, floats, comma lists,
 # pca_policy and booleans, parsed the same way from a flag and from a file
 _EVERY_OPTION = {
-    "test": dict(method="t1", convention="error", alpha="0.1", format="json"),
+    "test": dict(method="t1", alpha="0.1", format="json"),
     "multisplit": dict(j_splits="3", gamma_min="0.2", delta="0.3", split_ratio="0.4",
                        seed="5", pca_policy="2", alpha="0.1", threads="2",
                        unsafe_no_split="no"),

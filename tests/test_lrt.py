@@ -4,6 +4,7 @@ Frozen numeric targets were computed once with a 50-digit extended-precision
 evaluation of the same displayed formulas and are inlined as literals.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -158,8 +159,6 @@ def test_t2_degenerate_roots():
     flat = SumsOfSquares(np.eye(2), np.zeros((2, 2)), dims)
     with pytest.raises(DegenerateRootError):
         t2_test(flat)  # theta = 0
-    with pytest.raises(DegenerateRootError):
-        t2_test(flat, "error")  # theta = 1
 
 
 def test_f_rule_default():
@@ -238,6 +237,8 @@ def _count_calls(monkeypatch, name):
 
 def test_method_table_maps_names_to_tests():
     assert list(TESTS) == ["chi2", "bartlett", "t1", "t2", "t3"]
+    # every test is test(ss): no method takes an option the others lack
+    assert [list(inspect.signature(test).parameters) for test in TESTS.values()] == [["ss"]] * 5
     ss = canonical_form_sample(stream(60), None, DIMS_DESK)
     assert [TESTS[meth](ss).method for meth in TESTS] == list(TESTS)
 
@@ -308,8 +309,7 @@ def _bits(values, size):
 
 def test_stack_reports_are_the_pair_reports_entry_by_entry():
     """Each test of a stack gives, entry by entry, the bits of its report of
-    each pair, on null, spike and linear-fit stacks and under both largest-root
-    conventions."""
+    each pair, on null, spike and linear-fit stacks."""
     dims = Dims(100, 39, 4, 39)
     spike = SignalMatrix.diagonal_spikes([7.0], dims)
     data = [DataSet(stream(65, k).standard_normal((60, 20)), stream(66, k).standard_normal((60, 8)))
@@ -317,13 +317,11 @@ def test_stack_reports_are_the_pair_reports_entry_by_entry():
     stacks = [[canonical_form_sample(stream(68, k), None, Dims(60, 20, 8, 10)) for k in range(12)],
               [canonical_form_sample(stream(69, k), spike, dims) for k in range(12)],
               [hypothesis_ss(d, np.eye(10, 20)) for d in data]]
-    calls = [(meth, {}) for meth in ("chi2", "bartlett", "t1")]
-    calls += [(meth, {"convention": c}) for meth in ("t2", "t3") for c in ("johnstone", "error")]
     for pairs in stacks:
         size = len(pairs)
-        for meth, kwargs in calls:
-            got = TESTS[meth](_stack(pairs), **kwargs)
-            want = [TESTS[meth](ss, **kwargs) for ss in pairs]
+        for meth, test in TESTS.items():
+            got = test(_stack(pairs))
+            want = [test(ss) for ss in pairs]
             assert got.method == meth and isinstance(got.statistic, np.ndarray)
             assert _bits(got.statistic, size) == _bits([rep.statistic for rep in want], size)
             assert _bits(got.p_value, size) == _bits([rep.p_value for rep in want], size)
@@ -496,3 +494,26 @@ def test_report_validation():
                        for test in TESTS.values()]
     for rep in reports:
         assert {type(v) for v in (rep.statistic, rep.p_value, *rep.diagnostics.values())} == {float}
+
+
+def test_reports_compare_entry_by_entry():
+    pairs = [canonical_form_sample(stream(71, k), None, DIMS_DESK) for k in range(4)]
+    for meth, test in TESTS.items():
+        rep = test(_stack(pairs))
+        assert rep == rep and rep == test(_stack(pairs)), meth
+        # one field halved: a stack's entries all move, a scalar diagnostic moves
+        others = [Report(meth, 0.5 * rep.statistic, rep.p_value, rep.diagnostics),
+                  Report(meth, rep.statistic, 0.5 * rep.p_value, rep.diagnostics)]
+        others += [Report(meth, rep.statistic, rep.p_value, {**rep.diagnostics, k: 0.5 * v})
+                   for k, v in rep.diagnostics.items()]
+        for other in others:
+            assert rep != other and other != rep, meth
+        # one entry changed
+        stat = rep.statistic.copy()
+        stat[2] += 1.0
+        assert rep != Report(meth, stat, rep.p_value, rep.diagnostics), meth
+    # pair reports compare as their values do; a stack of one is not its pair
+    pair = t1_test(pairs[0])
+    assert pair == t1_test(pairs[0]) and pair != t2_test(pairs[0])
+    assert pair != Report("t1", pair.statistic, pair.p_value, {})
+    assert pair != t1_test(_stack(pairs[:1])) and pair != "t1"

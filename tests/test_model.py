@@ -334,13 +334,8 @@ def test_theta_max_conventions():
     dims = Dims(40, 5, 2, 3)
     ss = SumsOfSquares(np.eye(2), np.diag([3.0, 1.0]), dims)
     assert theta_max(ss) == pytest.approx(0.75)
-    assert theta_max(ss, "johnstone") == pytest.approx(0.75)
-    assert theta_max(ss, "error") == pytest.approx(0.5)
     ss0 = SumsOfSquares(np.eye(2), np.zeros((2, 2)), dims)
-    assert theta_max(ss0, "johnstone") == 0.0
-    assert theta_max(ss0, "error") == 1.0
-    with pytest.raises(DomainError):
-        theta_max(ss, "other")
+    assert theta_max(ss0) == 0.0
 
 
 def test_degenerate_error_matrix_raises():
@@ -412,9 +407,7 @@ def test_stack_readers_give_each_pair_its_own_bits():
     stack = _stack(pairs)  # built from the pairs' own Bartlett factors
     assert np.array_equal(neg2_log_lrt(stack), [neg2_log_lrt(ss) for ss in pairs])
     assert np.array_equal(rel_eigenvalues(stack), [rel_eigenvalues(ss) for ss in pairs])
-    for convention in ("johnstone", "error"):
-        assert np.array_equal(theta_max(stack, convention),
-                              [theta_max(ss, convention) for ss in pairs])
+    assert np.array_equal(theta_max(stack), [theta_max(ss) for ss in pairs])
     assert isinstance(neg2_log_lrt(pairs[0]), float)
     assert isinstance(theta_max(pairs[0]), float)
 
