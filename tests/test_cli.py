@@ -94,6 +94,24 @@ def test_test_command_runs_every_method_in_the_table(capsys, data_files, method)
 
 
 @pytest.mark.parametrize("method", list(TESTS))
+def test_test_command_checks_convention_for_every_method(capsys, tmp_path, data_files,
+                                                         method):
+    """No method takes a largest-root convention, as a flag or as a config key."""
+    base = ["test", "--x", data_files["x"], "--y", data_files["y"],
+            "--c", data_files["c"], "--method", method]
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--convention", "sideways"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --convention sideways" in err
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("convention = johnstone\n")
+    code, out, err = _run(capsys, base + ["--config", str(cfg)])
+    assert code == 1 and out == ""
+    assert "unknown config key 'convention' for test" in err
+
+
+@pytest.mark.parametrize("method", list(TESTS))
 def test_test_command_text_and_json_carry_the_same_pairs(capsys, data_files, method):
     argv = ["test", "--x", data_files["x"], "--y", data_files["y"], "--c", data_files["c"],
             "--method", method]
