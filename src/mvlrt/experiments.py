@@ -7,17 +7,16 @@ produce a labeled row with no numbers instead of crashing the sweep; a bad
 setting raises before any replicate runs.
 
 The calibration and power sweeps count in blocks of 32 consecutive
-replicates (``_BLOCK``) and run each test on a block's stack once; t2
-itself is computed only on the pairs that a Cholesky screen of the block
-leaves near the cut of t2 and t3, which gives the same counts
-(``lrt._rejections``). Canonical block b of cell c is one
-``canonical_form_sample`` draw from the generator keyed by (seed, c, b), so
-those tables are pinned to the block size. Every other replicate k of cell
-c draws from the generator keyed by (seed, c, k), so the block size changes
-no linear table. There is no probe pair: the first block of a cell decides
-which methods are feasible there. Blocks and replicates run in order in the
-calling thread with BLAS on one thread (see ``_blas``); the ``threads``
-setting is validated but does not change the work or the output.
+replicates (``_BLOCK``). A block is screened once for t2 and t3 and leaves a
+statistic array per method (``lrt._statistics``); a cell refers its arrays
+to their laws, checks them entry by entry and counts them ``_BATCH`` blocks
+at a time (``lrt._counts``), with the counts of the tests on every replicate.
+Canonical block b of cell c is one ``canonical_form_sample`` draw from the
+generator keyed by (seed, c, b), so those tables are pinned to the block
+size; every other replicate k of cell c draws from the generator keyed by
+(seed, c, k). The first block of a cell decides which methods are feasible
+there. Blocks and replicates run in order in the calling thread with BLAS on
+one thread (see ``_blas``); ``threads`` is validated but changes nothing.
 
 Reproducibility: every draw comes from a generator keyed by integers, and
 every sweep sums integer hit counts in order, so a rerun produces
@@ -36,7 +35,7 @@ import numpy as np
 from ._blas import single_thread_blas
 from .distributions import _special
 from .errors import DomainError, MvlrtError, RegimeError, check_integer, check_level, check_real
-from .lrt import TESTS, PowerSpec, _rejections, theoretical_power
+from .lrt import TESTS, PowerSpec, _counts, _rejections, _statistics, theoretical_power
 from .model import (
     DataSet,
     Dims,
@@ -53,10 +52,10 @@ GENERATORS = ("canonical", "linear")
 NOISE_KINDS = ("gaussian", "multinomial", "t3", "t5")
 SIGNAL_KINDS = ("null", "spikes", "diagonal", "single", "dense")
 
-#: replicates per block of the calibration and power sweeps; a larger block
-#: holds more memory and saves little more time. Canonical streams are keyed
-#: by block, so the canonical tables are pinned to this value
-_BLOCK = 32
+#: replicates per block, each drawn and screened once (canonical streams are keyed
+#: by block, so canonical tables are pinned to it), and blocks whose statistic
+#: arrays are counted at once, which bounds a cell's memory and changes no table
+_BLOCK, _BATCH = 32, 256
 
 
 @dataclass(frozen=True)
@@ -293,11 +292,11 @@ def _infeasible(labels, reps: int, started: float, exc) -> list:
 def _estimate_cell(spec: ExperimentSpec, cell_id: int, cell: str, draw) -> list:
     """Count rejections of each of spec.methods over spec.reps replicates of one cell.
 
-    ``draw`` is a ``_drawer``. The cell counts in blocks of ``_BLOCK``
-    replicates, each one stack of pairs, and has no probe pair: a typed error
-    while drawing the first block makes the cell infeasible, one from a
-    method's test on it makes that method infeasible, and one in a later
-    block propagates.
+    ``draw`` is a ``_drawer``. The cell counts in blocks of ``_BLOCK`` and has
+    no probe pair: a typed error while drawing the first block makes the cell
+    infeasible, one from a method's test on it (all at once, one by one if that
+    raises) makes that method infeasible, and one in a later block propagates,
+    an entry check's (a non-finite statistic) once its whole batch is computed.
     """
     started = time.perf_counter()
 
@@ -308,17 +307,23 @@ def _estimate_cell(spec: ExperimentSpec, cell_id: int, cell: str, draw) -> list:
         first = block(0)
     except MvlrtError as exc:
         return _infeasible([(cell, meth) for meth in spec.methods], spec.reps, started, exc)
-    rows, live, hits = [], [], []
-    for meth in spec.methods:
-        try:
-            hits.append(_rejections(first, [meth], spec.alpha)[0])
-            live.append(meth)
-        except MvlrtError as exc:
-            rows += _infeasible([(cell, meth)], spec.reps, started, exc)
+    rows, live, dims = [], list(spec.methods), first.dims
+    try:
+        hits = _rejections(first, live, spec.alpha)
+    except MvlrtError:
+        live, hits = [], []
+        for meth in spec.methods:
+            try:
+                hits.append(_rejections(first, [meth], spec.alpha)[0])
+                live.append(meth)
+            except MvlrtError as exc:
+                rows += _infeasible([(cell, meth)], spec.reps, started, exc)
     del first  # hold one block at a time, not two
     if live:
-        hits = np.array(hits) + sum(_rejections(block(b), live, spec.alpha)
-                                    for b in range(1, -(-spec.reps // _BLOCK)))
+        hits, later = np.array(hits), range(1, -(-spec.reps // _BLOCK))
+        for i in range(0, len(later), _BATCH):
+            batch = [_statistics(block(b), live, spec.alpha) for b in later[i:i + _BATCH]]
+            hits += _counts(list(map(np.concatenate, zip(*batch))), live, dims, spec.alpha)
         rows += _rows([(cell, meth) for meth in live], hits, spec.reps, started)
     rows.sort(key=lambda row: spec.methods.index(row.method))
     return rows

@@ -10,9 +10,9 @@ one-sided upper tails: every test here rejects for large statistics.
 
 Each test is one function written over arrays: given one pair it returns a
 TestReport of floats, and given a stack of pairs the same report with one
-array entry per pair. The Monte Carlo sweeps count rejections on stacks with
-these tests (``_rejections``), computing t2 only on the pairs that a
-Cholesky screen leaves near the cut of t2 and t3, with the same counts.
+array entry per pair. The Monte Carlo sweeps count from statistic arrays
+instead (``_statistics``, screening a stack once for t2 and t3), referred to
+their laws and checked entry by entry many stacks at a time (``_counts``).
 
 boundary_check quantifies how far a dimension quadruple sits from the regime
 where the plain chi-square (or Bartlett-corrected) approximation is trusted.
@@ -152,18 +152,24 @@ def _t1_stat(ss: SumsOfSquares):
     return (neg2 + mu) / n_sigma, mu, n_sigma, neg2
 
 
+def _p_value(method: str, stat, dims: Dims):
+    """Upper-tail p-value(s) of a method's statistic under its reference law."""
+    if method in ("chi2", "bartlett"):
+        return chi_sq_tail(stat, dims.m * dims.r)
+    return 1.0 - tw1_cdf(stat) if method == "t2" else std_normal_tail(stat)
+
+
 def t1_test(ss: SumsOfSquares) -> TestReport:
     """Dimension-corrected normal test: (-2 log L_n + mu_n) / (n sigma_n)."""
     stat, mu, n_sigma, neg2 = _t1_stat(ss)
-    return TestReport("t1", stat, std_normal_tail(stat),
+    return TestReport("t1", stat, _p_value("t1", stat, ss.dims),
                       {"mu_n": mu, "n_sigma_n": n_sigma, "neg2_log_lrt": neg2})
 
 
 def chi2_test(ss: SumsOfSquares) -> TestReport:
     """Classical approximation: -2 log L_n against chi-square with mr df."""
     neg2 = neg2_log_lrt(ss)
-    df = ss.dims.m * ss.dims.r
-    return TestReport("chi2", neg2, chi_sq_tail(neg2, df), {"df": df})
+    return TestReport("chi2", neg2, _p_value("chi2", neg2, ss.dims), {"df": ss.dims.m * ss.dims.r})
 
 
 def bartlett_rho(dims: Dims) -> float:
@@ -171,17 +177,20 @@ def bartlett_rho(dims: Dims) -> float:
     return 1.0 - (dims.p - dims.r / 2.0 + dims.m / 2.0 + 0.5) / dims.n
 
 
-def bartlett_test(ss: SumsOfSquares) -> TestReport:
-    """Bartlett-corrected chi-square test: rho * (-2 log L_n) against chi2_mr."""
+def _bartlett_stat(ss: SumsOfSquares):
+    """Bartlett's statistic rho * (-2 log L_n) with its rho."""
     rho = bartlett_rho(ss.dims)
     if rho <= 0.0:
-        raise RegimeError(
-            f"Bartlett correction factor rho={rho:.4g} <= 0 at {ss.dims}; "
-            "the correction is meaningless here"
-        )
-    df = ss.dims.m * ss.dims.r
-    stat = rho * neg2_log_lrt(ss)
-    return TestReport("bartlett", stat, chi_sq_tail(stat, df), {"rho": rho, "df": df})
+        raise RegimeError(f"Bartlett correction factor rho={rho:.4g} <= 0 at {ss.dims}; "
+                          "the correction is meaningless here")
+    return rho * neg2_log_lrt(ss), rho
+
+
+def bartlett_test(ss: SumsOfSquares) -> TestReport:
+    """Bartlett-corrected chi-square test: rho * (-2 log L_n) against chi2_mr."""
+    stat, rho = _bartlett_stat(ss)
+    return TestReport("bartlett", stat, _p_value("bartlett", stat, ss.dims),
+                      {"rho": rho, "df": ss.dims.m * ss.dims.r})
 
 
 def boundary_check(dims: Dims) -> BoundaryDiag:
@@ -230,7 +239,7 @@ def _t2_stat(ss: SumsOfSquares):
 def t2_test(ss: SumsOfSquares) -> TestReport:
     """Largest-root test: standardized logit of theta against Tracy-Widom order 1."""
     stat, mu_t, sigma_t, theta = _t2_stat(ss)
-    return TestReport("t2", stat, 1.0 - tw1_cdf(stat),
+    return TestReport("t2", stat, _p_value("t2", stat, ss.dims),
                       {"mu_tilde": mu_t, "sigma_tilde": sigma_t, "theta": theta})
 
 
@@ -241,10 +250,9 @@ def default_f_rule(n: int) -> float:
     return max(math.log(math.log(n)), 2.0)
 
 
-def _t3_of(t1, t2, f_n: float) -> TestReport:
-    """t3's report from the t1 and t2 statistics."""
-    stat = t1 + np.where(t2 >= f_n, t2, 0.0)
-    return TestReport("t3", stat, std_normal_tail(stat), {"t1": t1, "t2": t2, "f_n": f_n})
+def _t3_stat(t1, t2, f_n: float):
+    """t3's statistic from the t1 and t2 statistics."""
+    return t1 + np.where(t2 >= f_n, t2, 0.0)
 
 
 def t3_test(ss: SumsOfSquares) -> TestReport:
@@ -258,7 +266,9 @@ def t3_test(ss: SumsOfSquares) -> TestReport:
     about 1e-2 are too small. Only the two statistics are computed, not t1's
     and t2's p-values.
     """
-    return _t3_of(_t1_stat(ss)[0], _t2_stat(ss)[0], default_f_rule(ss.dims.n))
+    t1, t2, f_n = _t1_stat(ss)[0], _t2_stat(ss)[0], default_f_rule(ss.dims.n)
+    stat = _t3_stat(t1, t2, f_n)
+    return TestReport("t3", stat, _p_value("t3", stat, ss.dims), {"t1": t1, "t2": t2, "f_n": f_n})
 
 
 #: method name -> test; the sweeps, the CLI and TestReport look methods up here
@@ -300,33 +310,43 @@ def _flagged(ss: SumsOfSquares, alpha: float) -> np.ndarray:
     return np.flatnonzero(~ss._roots_below(math.exp(mu_t + sigma_t * s) * (1.0 - _SCREEN_MARGIN)))
 
 
-def _rejections(ss: SumsOfSquares, methods, alpha: float) -> np.ndarray:
-    """How many pairs of a stack each method rejects at level alpha.
-
-    Every method runs its test on the whole stack, except that t2 is computed
-    only on the pairs that one screen of the stack flags (``_flagged``). A
-    cleared pair is not rejected by t2, and its t2 is below F_n, so t3 takes
-    its t1: the counts are those of the test on every pair, each pair checked
-    as its own report would be.
-    """
-    sub, counts = None, []
+def _statistics(ss: SumsOfSquares, methods, alpha: float) -> list:
+    """Each method's statistic array for a stack, computed and raising as its test does
+    but for the entry checks (``_counts``); t2 only on the pairs that ``_flagged`` flags."""
+    flagged, stats = None, []
     for meth in methods:
-        if meth not in ("t2", "t3"):
-            counts.append(np.count_nonzero(TESTS[meth](ss).p_value <= alpha))
+        if meth in ("chi2", "bartlett", "t1"):
+            stats.append(neg2_log_lrt(ss) if meth == "chi2" else
+                         (_bartlett_stat if meth == "bartlett" else _t1_stat)(ss)[0])
             continue
         # t3 reads t1 before the root, as t3_test does
         t1 = _t1_stat(ss)[0] if meth == "t3" else None
-        if sub is None:
+        if flagged is None:
             flagged = _flagged(ss, alpha)
             sub = ss._pairs(flagged)  # t2 and t3 share its relative eigenvalues
         if meth == "t2":
-            counts.append(np.count_nonzero(t2_test(sub).p_value <= alpha))
+            stats.append(_t2_stat(sub)[0])
             continue
-        # a cleared pair's t2 is below F_n >= 2, which 0 stands for
-        t2 = np.zeros(t1.shape)
+        t2 = np.zeros(t1.shape)  # a cleared pair's t2 is below F_n >= 2, which 0 stands for
         t2[flagged] = _t2_stat(sub)[0]
-        counts.append(np.count_nonzero(_t3_of(t1, t2, default_f_rule(ss.dims.n)).p_value <= alpha))
+        stats.append(_t3_stat(t1, t2, default_f_rule(ss.dims.n)))
+    return stats
+
+
+def _counts(stats, methods, dims: Dims, alpha: float) -> np.ndarray:
+    """How many entries of each statistic array (one stack or many) reject at level alpha,
+    each checked as its TestReport checks it: p-value in [0, 1], then a finite statistic."""
+    counts = []
+    for meth, stat in zip(methods, stats):
+        p_value = _checked("p_value", _p_value(meth, stat, dims), unit=True)
+        _checked("statistic", stat)
+        counts.append(np.count_nonzero(p_value <= alpha))
     return np.array(counts)
+
+
+def _rejections(ss: SumsOfSquares, methods, alpha: float) -> np.ndarray:
+    """How many pairs of a stack each method's test rejects at level alpha."""
+    return _counts(_statistics(ss, methods, alpha), methods, ss.dims, alpha)
 
 
 def theoretical_power(spec: PowerSpec) -> float:

@@ -31,7 +31,7 @@ module loads: the fit, the likelihood ratio and the sampler need only numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -376,6 +376,12 @@ def theta_max(ss: SumsOfSquares):
     return _float_or_array(lam[..., 0] / (1.0 + lam[..., 0]))
 
 
+@lru_cache(maxsize=64)
+def _bartlett_layout(m: int):
+    """Rows and columns below the diagonal of an m x m matrix, row by row, and its diagonal."""
+    return (*np.tril_indices(m, -1), np.arange(m))
+
+
 def canonical_form_sample(rng, signal, dims: Dims, size=None) -> SumsOfSquares:
     """Sample (S_E, S_X) directly in canonical form: one pair, or a stack of ``size``.
 
@@ -404,9 +410,8 @@ def canonical_form_sample(rng, signal, dims: Dims, size=None) -> SumsOfSquares:
     Y1 = rng.standard_normal((B, dims.r, m))
     Y1 += M1
     T = np.zeros((B, m, m))
-    rows, cols = np.tril_indices(m, -1)
+    rows, cols, diag = _bartlett_layout(m)
     T[:, rows, cols] = rng.standard_normal((B, rows.size))
-    diag = np.arange(m)
     T[:, diag, diag] = np.sqrt(rng.chisquare(dims.n - dims.p - diag, size=(B, m)))
     # numpy forms a product A A' by one syrk and mirrors it, so both are exactly symmetric
     s_err, s_hyp = T @ _transpose(T), _transpose(Y1) @ Y1

@@ -13,6 +13,7 @@ from mvlrt.experiments import (
     ExperimentSpec,
     ResultRow,
     ResultTable,
+    _drawer,
     _estimate_cell,
     _six_level,
     _spike_signal,
@@ -351,6 +352,65 @@ def test_first_block_drops_only_the_methods_it_breaks():
             ss = SumsOfSquares._of(ss.s_err, np.zeros((4, 4)), dims, chol_err=ss._chol_err)
         hits += TESTS["t1"](ss).p_value <= spec.alpha
     assert rows["t1"].status == "ok" and rows["t1"].rate == hits / spec.reps
+
+
+def test_each_block_is_screened_once(monkeypatch):
+    """All five methods on a 70-replicate cell: one t2/t3 screen per block, the
+    first block included (it is counted with all methods in one call)."""
+    screened = []
+    orig = SumsOfSquares._roots_below
+    monkeypatch.setattr(SumsOfSquares, "_roots_below",
+                        lambda ss, cut: screened.append(len(ss.s_err)) or orig(ss, cut))
+    spec = ExperimentSpec(n=60, p=8, m=4, r=4, methods=_ALL, reps=70, seed=38)
+    rows = _estimate_cell(spec, 0, "cell", _drawer(spec, Dims(60, 8, 4, 4)))
+    assert screened == [32, 32, 6]
+    assert [row.method for row in rows] == list(_ALL)
+    assert all(row.status == "ok" for row in rows)
+
+
+@pytest.mark.parametrize("methods, message", [
+    (_ALL, "chi_sq_tail: x must be finite, got nan"),
+    (("t1", "t3"), "std_normal_tail: x must be finite, got nan"),
+])
+@pytest.mark.parametrize("batch", [1, 256])
+def test_a_nan_in_a_later_block_raises_what_the_block_raised(monkeypatch, methods, message, batch):
+    """Block 2 of 4 holds a NaN S_X entry that the t2/t3 screen clears: the
+    cell raises the DomainError that counting that block alone raises, whether
+    the later blocks are counted one at a time or in one batch."""
+    monkeypatch.setattr(mvlrt.experiments, "_BATCH", batch)
+    spec = ExperimentSpec(n=60, p=8, m=4, r=4, methods=methods, reps=100, seed=39)
+    dims = Dims(60, 8, 4, 4)
+
+    def draw(cell_id, b, reps):
+        ss = canonical_form_sample(stream(39, cell_id, b), None, dims, size=len(reps))
+        if b != 2:
+            return ss
+        s_hyp = ss.s_hyp.copy()
+        s_hyp[5, 1, 0] = np.nan
+        return SumsOfSquares._of(ss.s_err, s_hyp, dims, chol_err=ss._chol_err)
+
+    with pytest.raises(DomainError) as caught:
+        _estimate_cell(spec, 0, "cell", draw)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5])
+def test_batch_size_changes_no_table(monkeypatch, batch):
+    """Later blocks are counted a batch of statistic arrays at a time; the
+    batch size changes no canonical or linear table."""
+    specs = [ExperimentSpec(n=100, eta_grid=(0.5, 0.8), methods=_ALL, reps=230, seed=40),
+             ExperimentSpec(n=60, p=20, m=8, r=10, signal=("spikes", (1.0,)),
+                            signal_grid=(1.0, 3.0), methods=_ALL, reps=200, seed=41),
+             ExperimentSpec(generator="linear", n=60, p=8, m=4, r=3, methods=_ALL, reps=100,
+                            seed=42)]
+
+    def tables():
+        return [(power_sweep if spec.signal_grid else typeI_sweep)(spec).csv_text()
+                for spec in specs]
+
+    want = tables()
+    monkeypatch.setattr(mvlrt.experiments, "_BATCH", batch)
+    assert tables() == want
 
 
 @pytest.mark.parametrize("block", [1, 5, 77, 1000])

@@ -376,6 +376,41 @@ def test_stack_with_a_root_without_logit_raises():
             TESTS[meth](_stack(pairs))
 
 
+def _outcome(call):
+    """What a call gives: its value, or the class and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # any class: the class is part of the outcome
+        return type(exc), str(exc)
+
+
+def test_stack_counts_raise_what_the_tests_raise():
+    """For each method, counting a stack raises what its test on the stack
+    raises, or gives the test's count: a NaN S_X entry, a design where
+    Bartlett's rho <= 0, and a flat largest root."""
+    dims = Dims(60, 8, 4, 4)
+    block = canonical_form_sample(stream(70), None, dims, size=6)
+    nan_hyp = block.s_hyp.copy()
+    nan_hyp[2, 1, 1] = np.nan
+    flat_hyp = block.s_hyp.copy()
+    flat_hyp[4] = 0.0
+    tiny = Dims(10, 9, 4, 1)  # rho = 1 - (9 - 1/2 + 2 + 1/2) / 10 < 0
+    cases = [
+        (lambda: SumsOfSquares._of(block.s_err, nan_hyp, dims, chol_err=block._chol_err),
+         {"chi2": DomainError, "t1": DomainError}),
+        (lambda: SumsOfSquares._of(block.s_err, block.s_hyp, tiny), {"bartlett": RegimeError}),
+        (lambda: SumsOfSquares._of(block.s_err, flat_hyp, dims, chol_err=block._chol_err),
+         {"t2": DegenerateRootError, "t3": DegenerateRootError}),
+    ]
+    assert bartlett_rho(tiny) < 0.0
+    for make, raised in cases:
+        for meth, test in TESTS.items():
+            want = _outcome(lambda: np.count_nonzero(test(make()).p_value <= 0.05))
+            assert _outcome(lambda: _rejections(make(), [meth], 0.05)[0]) == want, meth
+            if meth in raised:
+                assert want[0] is raised[meth], (meth, want)
+
+
 # === null calibration smoke (acceptance runs the full-size versions) ===
 
 
