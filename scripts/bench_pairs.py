@@ -14,7 +14,9 @@ and every run, in the layout of the committed BENCH_*.json files.
 
 Run from the repository root, for example:
 
-    python3 scripts/bench_pairs.py --rev HEAD --pairs 10 --seconds 30 --out BENCH_new.json
+    python3 scripts/bench_pairs.py --rev HEAD --pairs 10 --out BENCH_new.json
+
+Each run lasts the ``run_seconds`` that BENCHMARK.json sets.
 """
 
 import argparse
@@ -85,7 +87,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rev", default="HEAD", help="parent revision (default HEAD)")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--workloads", nargs="*", help="default: every workload of BENCHMARK.json")
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
@@ -93,16 +94,17 @@ def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     sha = subprocess.run(["git", "-C", ROOT, "rev-parse", "--short", args.rev], check=True,
                          capture_output=True, text=True).stdout.strip()
     report = {
         "what": (f"Parent ({sha}) against the working tree: {args.pairs} alternating pairs per "
                  f"workload, parent first on even pairs, pair k uses seed 1+k, "
-                 f"{args.seconds:g} s per run, untraced; all pairs of a workload ran before the "
+                 f"{seconds:g} s per run, untraced; all pairs of a workload ran before the "
                  "next one. The parent ran from `git archive` of its src/, perfbench/ and "
                  "BENCHMARK.json. Quartiles are numpy's linear 25th and 75th percentiles."),
         "command": (f"python3 perfbench/run.py --workload <w> --seed <1+k> "
-                    f"--seconds {args.seconds:g} --trace 0"),
+                    f"--seconds {seconds:g} --trace 0"),
         "environment": None,
         "summary": {},
     }
@@ -113,7 +115,7 @@ def main(argv=None):
             runs = {"parent": [], "change": []}
             for k in range(args.pairs):
                 for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                    result = run_once(roots[side], workload, 1 + k, args.seconds)
+                    result = run_once(roots[side], workload, 1 + k, seconds)
                     runs[side].append(result)
                     if side == "change" and report["environment"] is None:
                         report["environment"] = result["environment"]

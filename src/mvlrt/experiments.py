@@ -52,9 +52,8 @@ GENERATORS = ("canonical", "linear")
 NOISE_KINDS = ("gaussian", "multinomial", "t3", "t5")
 SIGNAL_KINDS = ("null", "spikes", "diagonal", "single", "dense")
 
-#: replicates per block, each drawn and screened once (canonical streams are keyed
-#: by block, so canonical tables are pinned to it), and blocks whose statistic
-#: arrays are counted at once, which bounds a cell's memory and changes no table
+#: replicates per block, drawn and screened once (canonical tables are pinned to it: their
+#: streams are keyed by block), and blocks counted at once, which bounds a cell's memory
 _BLOCK, _BATCH = 32, 256
 
 
@@ -295,8 +294,7 @@ def _estimate_cell(spec: ExperimentSpec, cell_id: int, cell: str, draw) -> list:
     ``draw`` is a ``_drawer``. The cell counts in blocks of ``_BLOCK`` and has
     no probe pair: a typed error while drawing the first block makes the cell
     infeasible, one from a method's test on it (all at once, one by one if that
-    raises) makes that method infeasible, and one in a later block propagates,
-    an entry check's (a non-finite statistic) once its whole batch is computed.
+    raises) makes that method infeasible, and one in a later block propagates.
     """
     started = time.perf_counter()
 

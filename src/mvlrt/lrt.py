@@ -10,9 +10,9 @@ one-sided upper tails: every test here rejects for large statistics.
 
 Each test is one function written over arrays: given one pair it returns a
 TestReport of floats, and given a stack of pairs the same report with one
-array entry per pair. The Monte Carlo sweeps count from statistic arrays
-instead (``_statistics``, screening a stack once for t2 and t3), referred to
-their laws and checked entry by entry many stacks at a time (``_counts``).
+array entry per pair. The Monte Carlo sweeps count from statistic arrays:
+``_statistics`` screens a stack once for t2 and t3 and raises what its tests
+raise, and ``_counts`` refers many stacks' arrays at once to their laws.
 
 boundary_check quantifies how far a dimension quadruple sits from the regime
 where the plain chi-square (or Bartlett-corrected) approximation is trusted.
@@ -154,9 +154,8 @@ def _t1_stat(ss: SumsOfSquares):
 
 def _p_value(method: str, stat, dims: Dims):
     """Upper-tail p-value(s) of a method's statistic under its reference law."""
-    if method in ("chi2", "bartlett"):
-        return chi_sq_tail(stat, dims.m * dims.r)
-    return 1.0 - tw1_cdf(stat) if method == "t2" else std_normal_tail(stat)
+    return (chi_sq_tail(stat, dims.m * dims.r) if method in ("chi2", "bartlett") else
+            1.0 - tw1_cdf(stat) if method == "t2" else std_normal_tail(stat))
 
 
 def t1_test(ss: SumsOfSquares) -> TestReport:
@@ -311,25 +310,28 @@ def _flagged(ss: SumsOfSquares, alpha: float) -> np.ndarray:
 
 
 def _statistics(ss: SumsOfSquares, methods, alpha: float) -> list:
-    """Each method's statistic array for a stack, computed and raising as its test does
-    but for the entry checks (``_counts``); t2 only on the pairs that ``_flagged`` flags."""
+    """Each method's statistic array for a stack, computed and raising in order as its test
+    does, t2 only on the pairs that ``_flagged`` flags: a non-finite entry raises here."""
     flagged, stats = None, []
     for meth in methods:
         if meth in ("chi2", "bartlett", "t1"):
-            stats.append(neg2_log_lrt(ss) if meth == "chi2" else
-                         (_bartlett_stat if meth == "bartlett" else _t1_stat)(ss)[0])
-            continue
-        # t3 reads t1 before the root, as t3_test does
-        t1 = _t1_stat(ss)[0] if meth == "t3" else None
-        if flagged is None:
-            flagged = _flagged(ss, alpha)
-            sub = ss._pairs(flagged)  # t2 and t3 share its relative eigenvalues
-        if meth == "t2":
-            stats.append(_t2_stat(sub)[0])
-            continue
-        t2 = np.zeros(t1.shape)  # a cleared pair's t2 is below F_n >= 2, which 0 stands for
-        t2[flagged] = _t2_stat(sub)[0]
-        stats.append(_t3_stat(t1, t2, default_f_rule(ss.dims.n)))
+            stat = (neg2_log_lrt(ss) if meth == "chi2" else
+                    (_bartlett_stat if meth == "bartlett" else _t1_stat)(ss)[0])
+        else:
+            t1 = _t1_stat(ss)[0] if meth == "t3" else None  # before the root, as in t3_test
+            if flagged is None:
+                flagged = _flagged(ss, alpha)
+                sub = ss._pairs(flagged)  # t2 and t3 share its relative eigenvalues
+            stat = _t2_stat(sub)[0]
+        if meth == "t3":
+            t2 = np.zeros(t1.shape)  # a cleared pair's t2 is below F_n >= 2, which 0 stands for
+            t2[flagged] = stat
+            stat = _t3_stat(t1, t2, default_f_rule(ss.dims.n))
+        if not np.isfinite(stat).all():
+            _counts([stat], [meth], ss.dims, alpha)  # raises what the test's report raises
+        if meth == "t3":
+            _checked("diagnostic t2", t2)  # a NaN t2 leaves t3 at t1, not t3_test's report
+        stats.append(stat)
     return stats
 
 

@@ -372,26 +372,32 @@ def test_each_block_is_screened_once(monkeypatch):
     (_ALL, "chi_sq_tail: x must be finite, got nan"),
     (("t1", "t3"), "std_normal_tail: x must be finite, got nan"),
 ])
+@pytest.mark.parametrize("entry", [(5, 1, 0), (5, 1, 1)])
 @pytest.mark.parametrize("batch", [1, 256])
-def test_a_nan_in_a_later_block_raises_what_the_block_raised(monkeypatch, methods, message, batch):
-    """Block 2 of 4 holds a NaN S_X entry that the t2/t3 screen clears: the
-    cell raises the DomainError that counting that block alone raises, whether
-    the later blocks are counted one at a time or in one batch."""
+def test_a_nan_in_a_later_block_raises_what_the_block_raised(monkeypatch, methods, message,
+                                                             entry, batch):
+    """Block 2 of 4 holds a NaN S_X entry, below the diagonal (the t2/t3 screen
+    clears its pair) or on it (t2's eigen solve would raise LinAlgError): the
+    cell raises the DomainError that counting that block alone raises, at that
+    block, whether the later blocks are counted one at a time or in one batch."""
     monkeypatch.setattr(mvlrt.experiments, "_BATCH", batch)
     spec = ExperimentSpec(n=60, p=8, m=4, r=4, methods=methods, reps=100, seed=39)
     dims = Dims(60, 8, 4, 4)
+    drawn = []
 
     def draw(cell_id, b, reps):
+        drawn.append(b)
         ss = canonical_form_sample(stream(39, cell_id, b), None, dims, size=len(reps))
         if b != 2:
             return ss
         s_hyp = ss.s_hyp.copy()
-        s_hyp[5, 1, 0] = np.nan
+        s_hyp[entry] = np.nan
         return SumsOfSquares._of(ss.s_err, s_hyp, dims, chol_err=ss._chol_err)
 
     with pytest.raises(DomainError) as caught:
         _estimate_cell(spec, 0, "cell", draw)
     assert str(caught.value) == message
+    assert drawn == [0, 1, 2]
 
 
 @pytest.mark.parametrize("batch", [1, 2, 5])

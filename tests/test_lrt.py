@@ -6,10 +6,12 @@ evaluation of the same displayed formulas and are inlined as literals.
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
 
+import mvlrt.lrt
 from mvlrt.distributions import std_normal_tail, tw1_cdf, tw1_upper_quantile
 from mvlrt.errors import DegenerateRootError, DomainError, RegimeError
 from mvlrt.lrt import (
@@ -18,6 +20,7 @@ from mvlrt.lrt import (
     PowerSpec,
     _SCREEN_MARGIN,
     TestReport as Report,
+    _flagged,
     _rejections,
     bartlett_rho,
     bartlett_test,
@@ -409,6 +412,22 @@ def test_stack_counts_raise_what_the_tests_raise():
             assert _outcome(lambda: _rejections(make(), [meth], 0.05)[0]) == want, meth
             if meth in raised:
                 assert want[0] is raised[meth], (meth, want)
+
+
+def test_t3_count_checks_its_t2_entries(monkeypatch):
+    """A NaN t2 on a flagged pair leaves t3 at its t1, and t3_test's report
+    refuses it as a diagnostic; counting t3 on the stack refuses it too."""
+    dims = Dims(60, 8, 4, 4)
+    block = canonical_form_sample(stream(71), None, dims, size=6)
+    loud = SumsOfSquares._of(block.s_err, 20.0 * block.s_hyp, dims, chol_err=block._chol_err)
+    assert _flagged(loud, 0.05).size == 6
+    t2_stat = mvlrt.lrt._t2_stat
+    monkeypatch.setattr(mvlrt.lrt, "_t2_stat", lambda ss: (np.nan * t2_stat(ss)[0], 0.0, 1.0, 0.5))
+    message = "each diagnostic t2 entry must lie in (-inf, inf)"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        t3_test(loud)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        _rejections(loud, ["t3"], 0.05)
 
 
 # === null calibration smoke (acceptance runs the full-size versions) ===
