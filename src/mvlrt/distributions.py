@@ -8,8 +8,8 @@ choice matters for the largest-root test and is documented in the README.
 The three tails the tests refer to (``std_normal_tail``, ``chi_sq_tail`` and
 ``tw1_cdf``) work element-wise: a float gives a float, an array gives an
 array of the same shape, and an array entry gets the same bits as the float
-would. Any non-finite entry raises ``DomainError``. The quantiles, the
-Wilks' Lambda tail and the sampler take floats.
+would. Any non-finite entry raises check_real's ``DomainError``, naming it.
+The quantiles, the Wilks' Lambda tail and the sampler take floats.
 
 The Tracy-Widom CDF is realized as an embedded table (``data/tw1_cdf.csv``,
 regenerated by ``scripts/make_tw1_table.py``) with monotone cubic
@@ -53,11 +53,9 @@ def _special():
 
 
 def _finite(x, what: str) -> np.ndarray:
-    """x as a float array; DomainError naming the first entry that is not finite."""
+    """x as a float array, once check_real has passed each entry as finite."""
     a = np.asarray(x, dtype=float)
-    finite = np.isfinite(a)
-    if not finite.all():
-        raise DomainError(f"{what} must be finite, got {float(a[~finite][0])!r}")
+    check_real(what, a)
     return a
 
 

@@ -7,9 +7,10 @@ caller passed something malformed (CLI exit code 1).
 
 The rules decide what a malformed argument is, each in one place:
 check_integer for counts (a Python or numpy integer, never a float or a bool,
-at least a lower bound) and check_real for real settings (a real number, not
-a bool, inside an interval whose ends are given); check_level is its case
-for levels, the open interval (0, 1). All raise DomainError.
+from a lower end up to an upper end if one is given) and check_real for real
+settings (a real number, not a bool, or each entry of a numpy array, inside an
+interval whose ends are given); check_level is its case for levels, the open
+interval (0, 1). All raise DomainError, naming the value or entry at fault.
 """
 
 import math
@@ -52,20 +53,27 @@ class DataFormatError(MvlrtError, ValueError):
     """Malformed CSV or config input."""
 
 
-def check_integer(name: str, v, low=1) -> None:
-    """DomainError unless v is an integer, not a bool, and at least ``low``;
-    with low None any integer passes. A float such as 3.0 is not an integer."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or (low is not None and v < low):
-        bound = "" if low is None else f" >= {low}"
+def check_integer(name: str, v, low=1, high=None) -> None:
+    """DomainError unless v is an integer, not a bool, at least ``low`` and at most
+    ``high``; a None end passes any integer. A float such as 3.0 is not an integer."""
+    if (isinstance(v, bool) or not isinstance(v, numbers.Integral)
+            or (low is not None and v < low) or (high is not None and v > high)):
+        bound = (("" if low is None else f" >= {low}") if high is None else
+                 f" <= {high}" if low is None else f" in [{low}, {high}]")
         raise DomainError(f"{name} must be an integer{bound}, got {v!r}")
 
 
 def check_real(name: str, v, low=-math.inf, high=math.inf, ends="()") -> None:
-    """DomainError unless v is a real number, not a bool, between low and high;
-    ``ends`` marks each end open, "(" or ")", or closed, "[" or "]". NaN fails."""
-    if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-            or not (low < v if ends[0] == "(" else low <= v)
-            or not (v < high if ends[1] == ")" else v <= high)):
+    """DomainError unless v, or each entry of a numpy integer or float array, is a real number,
+    not a bool, between low and high; ``ends`` marks each end open, "(" or ")", or closed."""
+    def inside(x):
+        return (low < x if ends[0] == "(" else low <= x) & (x < high if ends[1] == ")" else x <= high)
+
+    if hasattr(v, "dtype") and v.dtype.kind in "iuf":
+        if not v.size or inside(v.min()) and inside(v.max()):  # a NaN entry makes both NaN
+            return
+        v = v.flat[inside(v).argmin()].item()  # the first entry outside, as a Python number
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not inside(v):
         raise DomainError(f"{name} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}, got {v!r}")
 
 

@@ -113,9 +113,7 @@ class ExperimentSpec:
             check_integer(name, getattr(self, name))
         check_integer("seed", self.seed, low=None)
         if kind == "diagonal":
-            check_integer("diagonal rank", self.signal[1])
-            if self.signal[1] > min(self.p, self.m):
-                raise DomainError(f"diagonal rank {self.signal[1]} outside [1, {min(self.p, self.m)}]")
+            check_integer("diagonal rank", self.signal[1], high=min(self.p, self.m))
         if not self.methods:
             raise DomainError("methods must name at least one test")
         for meth in self.methods:
@@ -152,8 +150,8 @@ class ResultTable:
     def __init__(self, rows):
         self.rows = tuple(rows)
         for row in self.rows:
-            if row.rate is not None and not 0.0 <= row.rate <= 1.0:
-                raise DomainError(f"rate {row.rate!r} outside [0,1] in row {row.cell}")
+            if row.rate is not None:
+                check_real(f"rate in row {row.cell}", row.rate, 0.0, 1.0, "[]")
 
     def csv_text(self) -> str:
         out = [",".join(self.HEADER)]
@@ -263,7 +261,7 @@ def _drawer(spec: ExperimentSpec, dims: Dims, signal=None, strength: float = 0.0
 
     def draw(cell_id, b, reps):
         data = (gen_linear_model(stream(spec.seed, cell_id, k), cell_spec, strength) for k in reps)
-        # _extra_ss forms both matrices as A' A by syrk: finite and exactly symmetric
+        # _extra_ss checks both matrices finite and forms them as A' A by syrk: exactly symmetric
         s_err, s_hyp = zip(*(_extra_ss(d.X, d.Y, dims.r) for d in data))
         return SumsOfSquares._of(np.stack(s_err), np.stack(s_hyp), dims)
 

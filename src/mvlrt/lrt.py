@@ -42,7 +42,7 @@ from .model import Dims, SumsOfSquares, neg2_log_lrt, theta_max
 class TestReport:
     """Outcome of a test: method tag, statistic, p-value, diagnostics; floats
     for one pair, arrays with an entry per pair for a stack. Each value or
-    entry must be finite, and the p-value must lie in [0, 1]."""
+    entry must pass check_real as finite, the p-value in [0, 1]."""
 
     method: str
     statistic: float
@@ -66,15 +66,9 @@ class TestReport:
 
 
 def _checked(name: str, v, unit: bool = False):
-    """v as a float if check_real passes it, finite or in [0, 1] if ``unit``,
-    or v itself if it is an array of which check_real would pass each entry."""
-    low, high, ends = (0.0, 1.0, "[]") if unit else (-math.inf, math.inf, "()")
-    if not isinstance(v, np.ndarray) or v.ndim == 0:
-        check_real(name, v, low, high, ends)
-        return float(v)
-    if v.dtype.kind not in "iuf" or not (((0.0 <= v) & (v <= 1.0)) if unit else np.isfinite(v)).all():
-        raise DomainError(f"each {name} entry must lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
-    return v
+    """v once check_real passes it, finite or in [0, 1] if ``unit``; a float unless it has an axis."""
+    check_real(name, v, *((0.0, 1.0, "[]") if unit else ()))
+    return v if np.ndim(v) else float(v)
 
 
 @dataclass(frozen=True)

@@ -37,11 +37,13 @@ import numpy as np
 
 from .errors import (
     DegenerateMatrixError,
+    DegenerateRootError,
     DomainError,
     HypothesisRankError,
     RegimeError,
     SingularDesignError,
     check_integer,
+    check_real,
 )
 
 #: singular values (or R diagonals) below RANK_TOL times the largest are rank loss
@@ -77,8 +79,7 @@ def _check_matrix(a, name: str, stack: bool = False) -> np.ndarray:
     if a.ndim not in ((2, 3) if stack else (2,)) or a.size == 0:
         raise DomainError(f"{name} must be a non-empty 2-d matrix"
                           + (" or a stack of them" if stack else ""))
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"{name} contains non-finite entries")
+    check_real(name, a)
     return a
 
 
@@ -248,6 +249,8 @@ class SumsOfSquares:
         for Lk, Sk, Wk in zip(L.reshape(-1, m, m), self.s_hyp.reshape(-1, m, m),
                               W.reshape(-1, m, m)):
             Wk[...] = solve_lower(Lk, solve_lower(Lk, Sk).T)
+        if not np.isfinite(W).all():  # eigvalsh would not converge, or return NaN
+            raise DegenerateRootError("largest root undefined: S_X whitened by S_E is not finite")
         vals = np.linalg.eigvalsh(0.5 * (W + _transpose(W)))[..., ::-1]
         return np.where(vals < EIG_CLAMP, 0.0, vals)
 
@@ -319,7 +322,7 @@ def _extra_ss(X: np.ndarray, Y: np.ndarray, q: int):
     matrix of the full fit, and S_X = H' H, with H the q rows of R_XY facing
     the hypothesis columns, is the extra sum of squares those columns explain
     (Anderson 2003, section 8.3). The R diagonal of the X block is the
-    design's rank check.
+    design's rank check; check_real refuses a product that overflows.
     """
     n, p = X.shape
     if n < p:
@@ -329,7 +332,10 @@ def _extra_ss(X: np.ndarray, Y: np.ndarray, q: int):
     if diag.max() == 0.0 or diag.min() < RANK_TOL * diag.max():
         raise SingularDesignError("design matrix is numerically rank deficient")
     H, R_yy = R[p - q:p, p:], R[p:, p:]
-    return R_yy.T @ R_yy, H.T @ H
+    s_err, s_hyp = R_yy.T @ R_yy, H.T @ H
+    check_real("S_E", s_err)
+    check_real("S_X", s_hyp)
+    return s_err, s_hyp
 
 
 def _hypothesis(C, p: int) -> HypothesisMatrix:

@@ -179,7 +179,7 @@ def _split_outcome(data: DataSet, X, r, protect, cfg: MultiSplitConfig,
         Y_t = data.Y[t_idx]
         if w_hat is not None:
             Y_t = Y_t @ w_hat
-        # _extra_ss forms both matrices as A' A by syrk: finite and exactly symmetric
+        # _extra_ss checks both matrices finite and forms them as A' A by syrk: exactly symmetric
         s_err, s_hyp = _extra_ss(X[np.ix_(t_idx, cols)], Y_t, q)
         p_val = split_pvalue(SumsOfSquares._of(s_err, s_hyp, Dims(n_t, p0, m_eff, q)))
     return SplitOutcome(float(p_val), tuple(cols.tolist()), m_eff, derive_seed(cfg.seed, j))
@@ -220,8 +220,7 @@ def adaptive_pt(pvals, gamma_min: float) -> float:
     if pv.size == 0:
         raise DomainError("adaptive_pt needs at least one p-value")
     check_level("gamma_min", gamma_min)
-    if np.any(~np.isfinite(pv)) or pv.min() < 0.0 or pv.max() > 1.0:
-        raise DomainError("p-values must lie in [0, 1]")
+    check_real("p-value", pv, 0.0, 1.0, "[]")
     j = pv.size
     pv = np.sort(pv)
     best = pv[-1]

@@ -58,11 +58,9 @@ class ScreenResult:
         if len(set(self.selected)) != len(self.selected):
             raise DomainError("selected indices must be distinct")
         for j in self.selected:
-            if not 0 <= j < p:
-                raise DomainError(f"selected index {j} outside [0, {p})")
+            check_integer("selected index", j, low=0, high=p - 1)
         for w in self.scores:
-            if not 0.0 <= w <= 1.0:
-                raise DomainError(f"score {w!r} outside [0, 1]")
+            check_real("score", w, 0.0, 1.0, "[]")
 
 
 def _response_basis(Y: np.ndarray) -> np.ndarray:
@@ -104,12 +102,11 @@ def _column_scores(X: np.ndarray, basis: np.ndarray):
 def _budget(delta: float, p: int, protect: int) -> int:
     """How many of p columns screening keeps: floor(delta * p), widened to ``protect``."""
     check_real("delta", delta, 0.0, 1.0, "(]")
+    check_integer("protect", protect, low=0, high=p)
     # the nudge keeps floor() honest when delta * p is an integer in exact arithmetic
     k = int(math.floor(delta * p + 1e-9))
     if k < 1:
         raise DomainError(f"floor(delta * p) = {k}: nothing would be selected")
-    if not 0 <= protect <= p:
-        raise DomainError(f"protect must lie in [0, {p}], got {protect}")
     return max(k, protect)
 
 
@@ -139,7 +136,6 @@ def screen(XS, YS, delta: float, protect: int = 0) -> ScreenResult:
     YS = _check_matrix(YS, "YS")
     if XS.shape[0] != YS.shape[0]:
         raise DomainError(f"XS has {XS.shape[0]} rows but YS has {YS.shape[0]}")
-    check_integer("protect", protect, low=0)
     k = _budget(delta, XS.shape[1], protect)
     selected, scores, degenerate = _ranked(XS, YS, k, protect)
     return ScreenResult(tuple(selected.tolist()),
@@ -248,7 +244,5 @@ def pca_reduce(YS, m0: int):
     n_s, m = YS.shape
     if n_s < 2:
         raise DomainError(f"need n_S >= 2 rows, got {n_s}")
-    check_integer("m0", m0)
-    if m0 > min(n_s - 1, m):
-        raise DomainError(f"m0={m0} outside [1, min(n_S - 1, m)] = [1, {min(n_s - 1, m)}]")
+    check_integer("m0", m0, high=min(n_s - 1, m))
     return _loadings(_centered_cov(YS), m0)

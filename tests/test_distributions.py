@@ -7,6 +7,7 @@ under test.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -280,10 +281,15 @@ def test_array_tails_agree_with_float_calls(tail):
     assert np.max(_ulps(got.ravel(), one)) <= 2.0
 
 
-@pytest.mark.parametrize("tail", [std_normal_tail, tw1_cdf, lambda x: chi_sq_tail(x, 3)])
-def test_array_tails_reject_any_non_finite_entry(tail):
+@pytest.mark.parametrize("tail, what", [
+    (std_normal_tail, "std_normal_tail: x"),
+    (tw1_cdf, "tw1_cdf: s"),
+    (lambda x: chi_sq_tail(x, 3), "chi_sq_tail: x"),
+], ids=["std_normal_tail", "tw1_cdf", "<lambda>"])
+def test_array_tails_reject_any_non_finite_entry(tail, what):
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(DomainError, match="must be finite"):
+        message = f"{what} must lie in (-inf, inf), got {bad!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             tail(np.array([0.5, 1.0, bad, 2.0]))
 
 

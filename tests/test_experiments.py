@@ -354,6 +354,29 @@ def test_first_block_drops_only_the_methods_it_breaks():
     assert rows["t1"].status == "ok" and rows["t1"].rate == hits / spec.reps
 
 
+def test_a_first_block_root_that_overflows_drops_t2_and_t3():
+    """A pair of the first block whose S_X, whitened by S_E, overflows makes t2
+    and t3 infeasible with a typed error; chi2 and t1 still count every replicate."""
+    spec = ExperimentSpec(n=60, p=8, m=4, r=4, methods=("chi2", "t1", "t2", "t3"), reps=40,
+                          seed=43)
+    dims = Dims(60, 8, 4, 4)
+
+    def draw(cell_id, b, reps):
+        ss = canonical_form_sample(stream(43, cell_id, b), None, dims, size=len(reps))
+        if b:
+            return ss
+        s_err, s_hyp = ss.s_err.copy(), ss.s_hyp.copy()
+        s_err[5], s_hyp[5] = 1e-200 * np.eye(4), 1e200 * np.eye(4)
+        return SumsOfSquares._of(s_err, s_hyp, dims)
+
+    rows = {row.method: row for row in _estimate_cell(spec, 0, "cell", draw)}
+    for meth in ("t2", "t3"):
+        assert rows[meth].rate is None
+        assert rows[meth].status == ("infeasible: largest root undefined: "
+                                     "S_X whitened by S_E is not finite")
+    assert all(rows[meth].status == "ok" for meth in ("chi2", "t1"))
+
+
 def test_each_block_is_screened_once(monkeypatch):
     """All five methods on a 70-replicate cell: one t2/t3 screen per block, the
     first block included (it is counted with all methods in one call)."""
@@ -369,8 +392,8 @@ def test_each_block_is_screened_once(monkeypatch):
 
 
 @pytest.mark.parametrize("methods, message", [
-    (_ALL, "chi_sq_tail: x must be finite, got nan"),
-    (("t1", "t3"), "std_normal_tail: x must be finite, got nan"),
+    (_ALL, "chi_sq_tail: x must lie in (-inf, inf), got nan"),
+    (("t1", "t3"), "std_normal_tail: x must lie in (-inf, inf), got nan"),
 ])
 @pytest.mark.parametrize("entry", [(5, 1, 0), (5, 1, 1)])
 @pytest.mark.parametrize("batch", [1, 256])

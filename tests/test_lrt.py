@@ -414,6 +414,26 @@ def test_stack_counts_raise_what_the_tests_raise():
                 assert want[0] is raised[meth], (meth, want)
 
 
+def test_a_root_that_overflows_is_degenerate():
+    """S_E = 1e-200 I and S_X = 1e200 I pass the public constructor, but S_X
+    whitened by S_E overflows: t2 and t3 raise DegenerateRootError, not numpy's
+    LinAlgError, on the pair and when counting a stack that holds it, while
+    chi2, bartlett and t1 still count the stack."""
+    dims = Dims(50, 5, 3, 3)
+    tiny, huge = 1e-200 * np.eye(3), 1e200 * np.eye(3)
+    pair = SumsOfSquares(tiny, huge, dims)
+    stack = SumsOfSquares(np.stack([np.eye(3), tiny]), np.stack([np.eye(3), huge]), dims)
+    message = "^largest root undefined: S_X whitened by S_E is not finite$"
+    for meth in ("t2", "t3"):
+        for call in (lambda: TESTS[meth](pair), lambda: TESTS[meth](stack),
+                     lambda: _rejections(stack, [meth], 0.05)):
+            with pytest.raises(DegenerateRootError, match=message):
+                call()
+    for meth in ("chi2", "bartlett", "t1"):
+        want = np.count_nonzero(TESTS[meth](stack).p_value <= 0.05)
+        assert _rejections(stack, [meth], 0.05)[0] == want, meth
+
+
 def test_t3_count_checks_its_t2_entries(monkeypatch):
     """A NaN t2 on a flagged pair leaves t3 at its t1, and t3_test's report
     refuses it as a diagnostic; counting t3 on the stack refuses it too."""
@@ -423,10 +443,10 @@ def test_t3_count_checks_its_t2_entries(monkeypatch):
     assert _flagged(loud, 0.05).size == 6
     t2_stat = mvlrt.lrt._t2_stat
     monkeypatch.setattr(mvlrt.lrt, "_t2_stat", lambda ss: (np.nan * t2_stat(ss)[0], 0.0, 1.0, 0.5))
-    message = "each diagnostic t2 entry must lie in (-inf, inf)"
-    with pytest.raises(DomainError, match=re.escape(message)):
+    message = f"^{re.escape('diagnostic t2 must lie in (-inf, inf), got nan')}$"
+    with pytest.raises(DomainError, match=message):
         t3_test(loud)
-    with pytest.raises(DomainError, match=re.escape(message)):
+    with pytest.raises(DomainError, match=message):
         _rejections(loud, ["t3"], 0.05)
 
 
@@ -538,9 +558,12 @@ def test_report_validation():
     rep = Report("t1", stat, p, {"mu_n": -3.0, "neg2_log_lrt": np.array([2.0, 1.0])})
     assert rep.statistic is stat and rep.p_value is p
     assert isinstance(rep.diagnostics["neg2_log_lrt"], np.ndarray)
-    for bad in ((np.array([1.5, math.nan]), p, {}), (stat, np.array([0.07, 1.5]), {}),
-                (stat, p, {"neg2_log_lrt": np.array([2.0, math.nan])})):
-        with pytest.raises(DomainError, match="entry must lie in"):
+    for bad, message in (((np.array([1.5, math.nan]), p, {}),
+                          "statistic must lie in (-inf, inf), got nan"),
+                         ((stat, np.array([0.07, 1.5]), {}), "p_value must lie in [0, 1], got 1.5"),
+                         ((stat, p, {"neg2_log_lrt": np.array([2.0, math.nan])}),
+                          "diagnostic neg2_log_lrt must lie in (-inf, inf), got nan")):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             Report("t1", *bad)
     # a pair's report holds Python floats, from any real input and from every test
     rep = Report("t1", np.float64(1.5), np.float64(0.07), {"mu_n": np.float64(-3.0), "df": 6})

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from mvlrt.cli import main
+from mvlrt.dataio import save_matrix
 from mvlrt.distributions import wilks_lrt_tail
 from mvlrt.errors import DomainError, SplitInfeasibleError
 from mvlrt.model import (
@@ -388,3 +390,28 @@ def test_multisplit_alpha_validation():
     for alpha in (0.0, None):
         with pytest.raises(DomainError):
             multisplit_test(data, np.eye(120), MultiSplitConfig(j_splits=1), alpha=alpha)
+
+
+def test_a_fitted_pair_that_overflows_raises_where_it_is_fitted(tmp_path, capsys):
+    """With Y scaled by 1e160, S_E overflows on every split: the split path and
+    the J = 0 control raise the DomainError that the full-design fit raises, not
+    a NaN statistic, and the command line exits 1 with it."""
+    rng = stream(720)
+    X, Y = rng.standard_normal((40, 60)), 1e160 * rng.standard_normal((40, 5))
+    C = rng.standard_normal((2, 60))
+    with pytest.raises(DomainError) as full:
+        hypothesis_ss(DataSet(X[:, :10], Y), C[:, :10])
+    message = str(full.value)
+    assert message == "S_E must lie in (-inf, inf), got inf"
+    cfg = MultiSplitConfig(j_splits=3)
+    data = DataSet(X, Y)
+    for call in (lambda: multisplit_test(data, C, cfg), lambda: no_split_pvalue(data, C, cfg)):
+        with pytest.raises(DomainError) as caught:
+            call()
+        assert str(caught.value) == message
+    paths = [tmp_path / name for name in ("X.csv", "Y.csv", "C.csv")]
+    for path, a in zip(paths, (X, Y, C)):
+        save_matrix(path, a)
+    argv = ["multisplit", *(f"--{k}={p}" for k, p in zip("xyc", paths)), "--j-splits", "3"]
+    assert main(argv) == 1
+    assert f"error: {message}" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Screening half of the split pipeline: scores, basis changes, response PCA."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from mvlrt.model import RANK_TOL
 from mvlrt.rng import stream
 from mvlrt.screening import (
     PA_COPIES,
+    ScreenResult,
     _centered_cov,
     _pa_rank,
     conditional_transform,
@@ -175,6 +177,14 @@ def test_screen_validation():
         with pytest.raises(DomainError, match="protect must be an integer"):
             screen(X, Y, delta=0.5, protect=protect)
     assert screen(X, Y, delta=0.5, protect=np.int64(1)).selected[0] == 0
+    ScreenResult((1, 0), (0.5, 1.0), (False, False))
+    index = "selected index must be an integer in [0, 1], got "
+    for selected, scores, message in (((2,), (0.5, 0.5), index + "2"),
+                                      ((1.0,), (0.5, 0.5), index + "1.0"),
+                                      ((True,), (0.5, 0.5), index + "True"),
+                                      ((0,), (0.5, 1.5), "score must lie in [0, 1], got 1.5")):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            ScreenResult(selected, scores, (False, False))
 
 
 # === hypothesis-aligned basis change ===
@@ -338,13 +348,15 @@ def test_public_steps_refuse_non_finite_input():
         Yb[3, 1] = bad
         Xb = X.copy()
         Xb[2, 0] = bad
-        with pytest.raises(DomainError, match="non-finite"):
+        y_bad, x_bad = (f"^{name} must lie in \\(-inf, inf\\), got {bad!r}$"
+                        for name in ("YS", "XS"))
+        with pytest.raises(DomainError, match=y_bad):
             parallel_analysis(stream(633), Yb)
-        with pytest.raises(DomainError, match="non-finite"):
+        with pytest.raises(DomainError, match=y_bad):
             pca_reduce(Yb, 2)
-        with pytest.raises(DomainError, match="non-finite"):
+        with pytest.raises(DomainError, match=y_bad):
             screen(X, Yb, delta=0.5)
-        with pytest.raises(DomainError, match="non-finite"):
+        with pytest.raises(DomainError, match=x_bad):
             screen(Xb, Y, delta=0.5)
 
 
