@@ -209,7 +209,7 @@ def _library_outputs(f: dict) -> dict:
     lines.append(f"per_split_pvalue(7)={ms.per_split_pvalue(data, C, cfg, 7)!r}")
     lines.append(f"no_split_pvalue={ms.no_split_pvalue(data, C, cfg)!r}")
     spec = ExperimentSpec(generator="linear", n=40, p=60, m=5, r=2, reps=4, seed=9,
-                          signal=("single",), signal_grid=(0.0, 2.0))
+                          signal=("diagonal", 1), signal_grid=(0.0, 2.0))
     common = dict(n=100, methods=METHODS, reps=300, seed=41)
     type1 = ExperimentSpec(eta_grid=(0.5, 0.65, 0.8), grow="pmr", **common)
     power = ExperimentSpec(p=50, m=20, r=30, signal=("spikes", (1.0,)),

@@ -87,15 +87,13 @@ _DATA = {
     "y": (str, None, "response matrix CSV, n rows by m columns"),
     "c": (str, None, "hypothesis matrix CSV, r rows by p columns (default: identity)"),
 }
-_THREADS = (int, 1, "must be >= 1; the work runs in the calling thread and "
-                    "results do not depend on this value")
 _OUT = (str, None, "write results CSV here instead of stdout")
 _SWEEP = {
     "generator": (str, "canonical", None), "noise": (str, "gaussian", None),
     "n": (int, 100, None), "p": (int, 50, None), "m": (int, 20, None), "r": (int, 30, None),
     "rho_x": (float, 0.0, None), "rho_e": (float, 0.0, None), "seed": (int, 0, None),
     "methods": (_strs, ("t1",), "comma list of test statistics to tabulate"),
-    "reps": (int, 10_000, None), "alpha": (float, 0.05, None), "threads": _THREADS, "out": _OUT,
+    "reps": (int, 10_000, None), "alpha": (float, 0.05, None), "out": _OUT,
     "gnuplot": (_bool, False, "also write a plotting script next to the CSV"),
 }
 _SCHEMA = {
@@ -109,13 +107,13 @@ _SCHEMA = {
         delta=(float, 0.2, "screened fraction of predictors per split"),
         split_ratio=(float, 0.3, "screening fraction of the sample"), seed=(int, 0, None),
         pca_policy=(_pca_policy, None, "response reduction: none | parallel_analysis | fixed m0"),
-        alpha=(float, 0.05, None), threads=_THREADS, out=_OUT,
+        alpha=(float, 0.05, None), out=_OUT,
         unsafe_no_split=(_bool, False, "allow J=0: screen and test on the same data")),
     "simulate": dict(
         _SWEEP, eta_grid=(_floats, (), "comma list of growth exponents, dims become floor(n^eta)"),
         grow=(str, "pmr", "subset of 'pmr' naming which dims follow eta")),
     "power": dict(
-        _SWEEP, signal_kind=(str, None, "spikes | diagonal | single | dense (default: spikes for "
+        _SWEEP, signal_kind=(str, None, "spikes | diagonal | dense (default: spikes for "
                      "the canonical generator, diagonal for the linear one)"),
         spike_ratios=(_floats, (1.0,), "relative spike sizes for canonical power cells"),
         signal_rank=(int, 1, "nonzero diagonal entries for the diagonal signal"),
@@ -223,7 +221,6 @@ def _cmd_multisplit(v) -> int:
         pca_policy=v["pca_policy"])
     # the J = 0 control skips multisplit_test, so both paths are checked here
     check_level("alpha", v["alpha"])
-    check_integer("threads", v["threads"])
     if v["j_splits"] == 0:
         if not v["unsafe_no_split"]:
             raise DomainError(
@@ -234,7 +231,7 @@ def _cmd_multisplit(v) -> int:
         # the control is seeded by derive_seed(seed, -1), not as split 0
         labels, extra = ["unsplit"], [("j_splits", 0), ("mode", "unsafe_no_split")]
     else:
-        result = multisplit_test(data, hyp, cfg, alpha=v["alpha"], threads=v["threads"])
+        result = multisplit_test(data, hyp, cfg, alpha=v["alpha"])
         outcomes, p_t = result.outcomes, result.p_t
         labels = range(len(outcomes))
         extra = [("gamma_min", result.gamma_min), ("j_splits", len(outcomes))]
@@ -273,8 +270,7 @@ def _cmd_simulate(v) -> int:
 
 
 # signal kind -> the options that complete its tagged tuple
-_SIGNAL_ARGS = {"spikes": ("spike_ratios",), "diagonal": ("signal_rank",),
-                "single": (), "dense": ()}
+_SIGNAL_ARGS = {"spikes": ("spike_ratios",), "diagonal": ("signal_rank",), "dense": ()}
 
 
 def _cmd_power(v) -> int:

@@ -50,7 +50,7 @@ from .rng import derive_seed, stream
 
 GENERATORS = ("canonical", "linear")
 NOISE_KINDS = ("gaussian", "multinomial", "t3", "t5")
-SIGNAL_KINDS = ("null", "spikes", "diagonal", "single", "dense")
+SIGNAL_KINDS = ("null", "spikes", "diagonal", "dense")
 
 #: replicates per block, drawn and screened once (canonical tables are pinned to it: their
 #: streams are keyed by block), and blocks counted at once, which bounds a cell's memory
@@ -63,8 +63,8 @@ class ExperimentSpec:
 
     ``signal`` is a tagged tuple: ("null",), ("spikes", ratios) for canonical
     designs where ratios fix the relative spike sizes, ("diagonal", r_k) for
-    a diagonal coefficient matrix with r_k nonzero entries, ("single",) for a
-    lone nonzero (1,1) coefficient, or ("dense",) for i.i.d. Gaussian
+    a diagonal coefficient matrix with r_k nonzero entries (r_k = 1 is a lone
+    nonzero (1,1) coefficient), or ("dense",) for i.i.d. Gaussian
     coefficients. Strengths come from ``signal_grid``: tr(Omega)/m targets
     for spikes, coefficient sizes otherwise. ``eta_grid`` turns the dims in
     ``grow`` into floor(n ** eta) per cell. ``noise`` selects the robustness
@@ -212,8 +212,6 @@ def _build_b(rng, spec: ExperimentSpec, p: int, m: int, strength: float) -> np.n
         return b
     if kind == "diagonal":
         np.fill_diagonal(b[:spec.signal[1]], strength)
-    elif kind == "single":
-        b[0, 0] = strength
     elif kind == "dense":
         b = rng.standard_normal((p, m)) * strength
     return b

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -281,12 +280,6 @@ TESTS = {
 _SCREEN_MARGIN = 1e-4
 
 
-@lru_cache(maxsize=16)
-def _tw1_critical(alpha: float) -> float:
-    """t2's critical value at level alpha: one bisection (about 1 ms) per level."""
-    return tw1_upper_quantile(alpha)
-
-
 def _flagged(ss: SumsOfSquares, alpha: float) -> np.ndarray:
     """Indices of the pairs of a stack that t2 could reject at level alpha, or
     whose t2 could reach F_n; the screen clears every other pair.
@@ -299,7 +292,7 @@ def _flagged(ss: SumsOfSquares, alpha: float) -> np.ndarray:
     raises what t2_test raises.
     """
     mu_t, sigma_t = t2_params(ss.dims)
-    s = min(_tw1_critical(alpha), default_f_rule(ss.dims.n))
+    s = min(tw1_upper_quantile(alpha), default_f_rule(ss.dims.n))
     return np.flatnonzero(~ss._roots_below(math.exp(mu_t + sigma_t * s) * (1.0 - _SCREEN_MARGIN)))
 
 

@@ -150,10 +150,6 @@ class HypothesisMatrix:
     def p(self) -> int:
         return self.C.shape[1]
 
-    def is_leading_identity(self) -> bool:
-        """True when C is [I_r, 0] to within 1e-12 per entry, the already-canonical layout."""
-        return self.rotation is None
-
     def __repr__(self):
         return f"HypothesisMatrix(r={self.r}, p={self.p})"
 

@@ -107,12 +107,6 @@ def split_indices(rng, n: int, ratio: float):
     return np.sort(perm[:n_s]), np.sort(perm[n_s:])
 
 
-def split_pvalue(ss: SumsOfSquares) -> float:
-    """The testing part's p-value: -2 log L_n against its exact null law."""
-    d = ss.dims
-    return wilks_lrt_tail(neg2_log_lrt(ss), d.n, d.p, d.m, d.r)
-
-
 def _prepare_hypothesis(data: DataSet, C):
     """(X, r, protect): the design that every split uses, in which the
     hypothesis says that the coefficients of its first r columns vanish.
@@ -122,10 +116,7 @@ def _prepare_hypothesis(data: DataSet, C):
     [I_r 0], and its r rotated columns are protected from screening.
     """
     hyp = _hypothesis(C, data.p)
-    if hyp.is_leading_identity():
-        return data.X, hyp.r, 0
-    X, _ = conditional_transform(data.X, hyp)
-    return X, hyp.r, hyp.r
+    return conditional_transform(data.X, hyp), hyp.r, 0 if hyp.rotation is None else hyp.r
 
 
 def _split_outcome(data: DataSet, X, r, protect, cfg: MultiSplitConfig,
@@ -181,7 +172,8 @@ def _split_outcome(data: DataSet, X, r, protect, cfg: MultiSplitConfig,
             Y_t = Y_t @ w_hat
         # _extra_ss checks both matrices finite and forms them as A' A by syrk: exactly symmetric
         s_err, s_hyp = _extra_ss(X[np.ix_(t_idx, cols)], Y_t, q)
-        p_val = split_pvalue(SumsOfSquares._of(s_err, s_hyp, Dims(n_t, p0, m_eff, q)))
+        ss = SumsOfSquares._of(s_err, s_hyp, Dims(n_t, p0, m_eff, q))
+        p_val = wilks_lrt_tail(neg2_log_lrt(ss), n_t, p0, m_eff, q)
     return SplitOutcome(float(p_val), tuple(cols.tolist()), m_eff, derive_seed(cfg.seed, j))
 
 

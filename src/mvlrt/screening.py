@@ -146,23 +146,23 @@ def screen(XS, YS, delta: float, protect: int = 0) -> ScreenResult:
 def conditional_transform(X, C):
     """Rotate the design so a general hypothesis reads [I_r 0] B~ = 0.
 
-    With the SVD C = U S V', the orthogonal change of basis D = V puts the
-    row space of C on the first r transformed predictors; screening must then
-    protect those columns and may rank only the rest. D is the rotation the
-    HypothesisMatrix keeps, or the identity for a leading-identity C.
+    With the SVD C = U S V', the orthogonal change of basis V puts the row
+    space of C on the first r transformed predictors; screening must then
+    protect those columns and may rank only the rest. V is the ``rotation``
+    the HypothesisMatrix keeps; a leading-identity C has none.
 
-    Returns ``(X_tilde, d)`` with X_tilde = X d.
+    Returns X V, or X itself for a leading-identity C.
     """
     X = _check_matrix(X, "X")
-    hyp = _hypothesis(C, X.shape[1])
-    d = np.eye(hyp.p) if hyp.rotation is None else hyp.rotation
-    return hyp.design(X), d
+    return _hypothesis(C, X.shape[1]).design(X)
 
 
 def _centered_cov(Y: np.ndarray) -> np.ndarray:
-    """Sample covariance of the columns of Y (divisor n - 1)."""
+    """Sample covariance of the columns of Y (divisor n - 1), checked finite."""
     Yc = Y - Y.mean(axis=0)
-    return Yc.T @ Yc / (Y.shape[0] - 1)
+    cov = Yc.T @ Yc / (Y.shape[0] - 1)
+    check_real("response covariance", cov)
+    return cov
 
 
 def _pa_rank(rng, YS: np.ndarray, cap, cov: np.ndarray) -> int:

@@ -222,15 +222,14 @@ def _config_lines(err):
 _EVERY_OPTION = {
     "test": dict(method="t1", alpha="0.1", format="json"),
     "multisplit": dict(j_splits="3", gamma_min="0.2", delta="0.3", split_ratio="0.4",
-                       seed="5", pca_policy="2", alpha="0.1", threads="2",
-                       unsafe_no_split="no"),
+                       seed="5", pca_policy="2", alpha="0.1", unsafe_no_split="no"),
     "simulate": dict(generator="linear", noise="gaussian", n="50", p="6", m="4", r="3",
                      rho_x="0.3", rho_e="0.2", seed="4", methods="t1,t3", reps="40",
-                     alpha="0.1", threads="2", gnuplot="no", eta_grid="0.3,0.4",
+                     alpha="0.1", gnuplot="no", eta_grid="0.3,0.4",
                      grow="pm"),
     "power": dict(generator="canonical", noise="gaussian", n="60", p="8", m="4", r="4",
                   rho_x="0", rho_e="0", seed="5", methods="t1,t2", reps="40",
-                  alpha="0.1", threads="1", gnuplot="off", signal_kind="spikes",
+                  alpha="0.1", gnuplot="off", signal_kind="spikes",
                   spike_ratios="1,0.5", signal_rank="2", signal_grid="1,2"),
     "boundary": dict(n="100", p="10", m="2", r="2"),
 }
@@ -303,7 +302,6 @@ def test_multisplit_j_zero_override(capsys, wide_files):
 @pytest.mark.parametrize("extra, word", [
     (["--j-splits", "-5"], "j_splits"),
     (["--j-splits", "0", "--unsafe-no-split", "--alpha", "7"], "alpha"),
-    (["--j-splits", "0", "--unsafe-no-split", "--threads", "0"], "threads"),
 ])
 def test_multisplit_checks_options_before_choosing_the_path(capsys, wide_files, extra, word):
     x, y = wide_files
@@ -347,7 +345,7 @@ def test_multisplit_deterministic_across_runs(capsys, wide_files):
     x, y = wide_files
     argv = ["multisplit", "--x", x, "--y", y, "--j-splits", "4", "--seed", "9"]
     _, out1, _ = _run(capsys, argv)
-    _, out2, _ = _run(capsys, argv + ["--threads", "3"])
+    _, out2, _ = _run(capsys, argv)
     assert out1 == out2
 
 
@@ -399,6 +397,22 @@ def test_power_signal_kind_follows_the_generator(capsys, generator, kind):
     assert f"# config power.signal_kind={kind}" in err
 
 
+@pytest.mark.parametrize("command", ["multisplit", "simulate", "power"])
+def test_commands_refuse_the_retired_threads_option(capsys, tmp_path, command):
+    """The work runs in the calling thread, so no command offers --threads,
+    as a flag or as a config key."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--threads", "2"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --threads 2" in err
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("threads = 2\n")
+    code, out, err = _run(capsys, [command, "--config", str(cfg)])
+    assert code == 1 and out == ""
+    assert f"unknown config key 'threads' for {command}" in err
+
+
 def test_cli_defaults_match_the_library():
     """An option that is also a library setting keeps the library's default."""
     spec = {f.name: f.default for f in fields(ExperimentSpec)}
@@ -412,7 +426,7 @@ def test_cli_defaults_match_the_library():
         for dest in _SCHEMA[command].keys() & defaults.keys():
             assert _SCHEMA[command][dest][1] == defaults[dest], f"{command}.{dest}"
             checked.add(dest)
-    assert {"reps", "signal_grid", "eta_grid", "j_splits", "pca_policy", "threads"} <= checked
+    assert {"reps", "signal_grid", "eta_grid", "j_splits", "pca_policy"} <= checked
 
 
 @pytest.mark.parametrize("flag", ["--eta-grid", "--spike-ratios", "--signal-grid"])
@@ -448,6 +462,9 @@ def test_sweep_bad_values_exit_one(capsys):
     assert code == 1 and "unknown generator 'magic'" in err
     code, _, err = _run(capsys, ["simulate", "--noise", "cauchy"])
     assert code == 1 and "unknown noise kind 'cauchy'" in err
+    # ("diagonal", 1) is the lone (1,1) coefficient; "single" is no second name for it
+    code, out, err = _run(capsys, ["power", "--signal-kind", "single", "--signal-grid", "1"])
+    assert code == 1 and out == "" and "unknown signal kind 'single'" in err
 
 
 # === boundary command ===

@@ -102,7 +102,7 @@ def test_heavy_tail_generators_run():
 
 def test_signal_construction():
     spec = ExperimentSpec(generator="linear", n=200, p=6, m=4,
-                          signal=("single",))
+                          signal=("diagonal", 1))
     data = gen_linear_model(stream(804), spec, strength=5.0)
     # B[0,0] = 5: regressing out recovers it
     bhat = np.linalg.lstsq(data.X, data.Y, rcond=None)[0]
@@ -152,7 +152,8 @@ def test_spec_validation():
         typeI_sweep(ExperimentSpec(seed=-3, n=100, p=50, m=20, r=30, reps=5)).csv_text()
 
 
-@pytest.mark.parametrize("signal", [("spikes",), ("null", 1), ("diagonal",), ("single", 2),
+@pytest.mark.parametrize("signal", [("spikes",), ("null", 1), ("diagonal",), ("single",),
+                                    ("single", 2),
                                     ("diagonal", 0), ("diagonal", -2), ("diagonal", 1.5)])
 def test_spec_checks_the_signal_tag(signal):
     with pytest.raises(DomainError):
@@ -237,7 +238,7 @@ def test_typeI_sweep_eta_grid_marks_infeasible_cells():
 
 def test_typeI_sweep_rejects_signal():
     with pytest.raises(DomainError):
-        typeI_sweep(ExperimentSpec(signal=("single",), generator="linear"))
+        typeI_sweep(ExperimentSpec(signal=("diagonal", 1), generator="linear"))
 
 
 def test_sweep_thread_invariance():
@@ -318,7 +319,7 @@ def test_blocks_count_as_a_per_replicate_loop_linear():
 def test_sweeps_build_each_replicate_stream_once(monkeypatch):
     calls = _count_streams(monkeypatch)
     typeI_sweep(ExperimentSpec(n=60, eta_grid=(0.5, 0.6), methods=_ALL, reps=64, seed=35))
-    power_sweep(ExperimentSpec(generator="linear", n=60, p=8, m=4, r=4, signal=("single",),
+    power_sweep(ExperimentSpec(generator="linear", n=60, p=8, m=4, r=4, signal=("diagonal", 1),
                                signal_grid=(0.0, 1.0), methods=("t1",), reps=40, seed=36))
     # one stream per canonical block of 32, one per linear replicate
     assert calls == ([(35, c, b) for c in range(2) for b in range(2)]
@@ -474,7 +475,7 @@ def test_power_sweep_canonical_with_theory_rows():
 
 def test_power_sweep_linear_single_signal():
     spec = ExperimentSpec(generator="linear", n=60, p=8, m=4, r=4,
-                          signal=("single",), signal_grid=(0.0, 2.0),
+                          signal=("diagonal", 1), signal_grid=(0.0, 2.0),
                           methods=("t1",), reps=200, seed=13)
     table = power_sweep(spec)
     by = _rows_by_method(table)

@@ -75,8 +75,8 @@ def test_hypothesis_matrix_rank_check():
         HypothesisMatrix(np.zeros((2, 3)))
     with pytest.raises(HypothesisRankError):
         HypothesisMatrix(np.ones((3, 2)))  # more rows than columns
-    assert HypothesisMatrix(np.eye(5)[:3]).is_leading_identity()
-    assert not HypothesisMatrix(np.eye(5)[::-1][:3]).is_leading_identity()
+    assert HypothesisMatrix(np.eye(5)[:3]).rotation is None
+    assert HypothesisMatrix(np.eye(5)[::-1][:3]).rotation is not None
 
 
 def test_leading_identity_check_matches_the_dense_target():
@@ -88,7 +88,7 @@ def test_leading_identity_check_matches_the_dense_target():
             for _ in range(5):
                 C = target + scale * rng.uniform(-1.0, 1.0, (r, p))
                 expected = bool(np.allclose(C, target, rtol=0.0, atol=1e-12))
-                assert HypothesisMatrix(C).is_leading_identity() == expected
+                assert (HypothesisMatrix(C).rotation is None) == expected
 
 
 def _count_svd(monkeypatch):
@@ -113,7 +113,6 @@ def test_leading_identity_builds_no_basis(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert hyp.is_leading_identity()
     assert svd_calls == []
     assert hyp.rotation is None
     X = np.ones((3, 4000))
@@ -138,8 +137,7 @@ def test_basis_is_the_full_svd_whenever_it_is_built(C):
     hyp = HypothesisMatrix(C)
     X = stream(34).standard_normal((9, C.shape[1]))
     _, _, vt = np.linalg.svd(C)
-    if hyp.is_leading_identity():
-        assert hyp.rotation is None
+    if hyp.rotation is None:
         assert hyp.design(X) is X
         assert np.array_equal(vt, np.eye(C.shape[1]))  # the rotation it skips is the identity
     else:

@@ -25,9 +25,9 @@ from mvlrt.multisplit import (
     no_split_pvalue,
     per_split_pvalue,
     split_indices,
-    split_pvalue,
 )
 from mvlrt.rng import derive_seed, stream
+from mvlrt.screening import parallel_analysis, pca_reduce
 
 
 def _wide_null_data(seed, n=100, p=120, m=20):
@@ -203,7 +203,8 @@ def test_split_pvalue_valid_in_the_far_tail():
     Canonical null draws at the split geometry of the wide null design."""
     dims = Dims(70, 24, 20, 24)
     reps, u = 20_000, 1e-3
-    hits = sum(split_pvalue(canonical_form_sample(stream(716, k), None, dims)) <= u
+    hits = sum(wilks_lrt_tail(neg2_log_lrt(canonical_form_sample(stream(716, k), None, dims)),
+                              70, 24, 20, 24) <= u
                for k in range(reps))
     bound = u + 4.0 * math.sqrt(u * (1.0 - u) / reps)
     assert hits / reps <= bound, f"P(p <= {u}) = {hits / reps:.2e} > {bound:.2e}"
@@ -321,15 +322,20 @@ def test_prepare_hypothesis_passes_leading_identity_through(monkeypatch):
     import mvlrt.multisplit
 
     calls = []
-    monkeypatch.setattr(mvlrt.multisplit, "conditional_transform",
-                        lambda *args: calls.append(1))
+    orig = mvlrt.multisplit.conditional_transform
+
+    def counting(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(mvlrt.multisplit, "conditional_transform", counting)
     data = _wide_null_data(718)
     C = np.hstack([np.eye(2), np.zeros((2, 118))])
     X, r, protect = mvlrt.multisplit._prepare_hypothesis(data, C)
     assert X is data.X
     assert r == 2
     assert protect == 0  # nothing rotated, so no column is held back from screening
-    assert calls == []
+    assert calls == [1]  # one call, which lays out [I_r 0] as the design itself
 
 
 def test_multisplit_takes_one_svd_and_one_qr_per_split(monkeypatch):
@@ -413,5 +419,30 @@ def test_a_fitted_pair_that_overflows_raises_where_it_is_fitted(tmp_path, capsys
     for path, a in zip(paths, (X, Y, C)):
         save_matrix(path, a)
     argv = ["multisplit", *(f"--{k}={p}" for k, p in zip("xyc", paths)), "--j-splits", "3"]
+    assert main(argv) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_a_response_covariance_that_overflows_raises_where_it_is_formed(tmp_path, capsys):
+    """With Y scaled by 1e160 the response covariance overflows: response PCA,
+    parallel analysis and the split path raise a DomainError that names it,
+    where numpy's eigen solver raised LinAlgError, and the command line exits 1."""
+    rng = stream(720)
+    X, Y = rng.standard_normal((40, 60)), 1e160 * rng.standard_normal((40, 5))
+    message = "response covariance must lie in (-inf, inf), got inf"
+    data = DataSet(X, Y)
+    calls = [lambda: pca_reduce(Y, 2), lambda: parallel_analysis(stream(1), Y)]
+    calls += [lambda policy=policy: multisplit_test(
+        data, np.eye(60)[:2], MultiSplitConfig(j_splits=3, pca_policy=policy))
+        for policy in ("parallel_analysis", 2)]
+    for call in calls:
+        with pytest.raises(DomainError) as caught:
+            call()
+        assert str(caught.value) == message
+    paths = [tmp_path / name for name in ("X.csv", "Y.csv")]
+    for path, a in zip(paths, (X, Y)):
+        save_matrix(path, a)
+    argv = ["multisplit", *(f"--{k}={p}" for k, p in zip("xy", paths)),
+            "--j-splits", "3", "--pca-policy", "2"]
     assert main(argv) == 1
     assert f"error: {message}" in capsys.readouterr().err

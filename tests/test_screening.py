@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mvlrt.errors import DomainError
-from mvlrt.model import RANK_TOL
+from mvlrt.model import RANK_TOL, HypothesisMatrix
 from mvlrt.rng import stream
 from mvlrt.screening import (
     PA_COPIES,
@@ -194,7 +194,7 @@ def test_transform_aligns_hypothesis_rows():
     rng = stream(610)
     X = rng.standard_normal((15, 6))
     C = rng.standard_normal((2, 6))
-    Xt, d = conditional_transform(X, C)
+    Xt, d = conditional_transform(X, C), HypothesisMatrix(C).rotation
     assert np.allclose(d.T @ d, np.eye(6), atol=1e-12)
     assert np.allclose(Xt, X @ d)
     rotated = C @ d
@@ -206,7 +206,7 @@ def test_transform_full_rank_square_hypothesis():
     rng = stream(611)
     X = rng.standard_normal((12, 3))
     C = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
-    Xt, d = conditional_transform(X, C)
+    Xt, d = conditional_transform(X, C), HypothesisMatrix(C).rotation
     assert d.shape == (3, 3)
     assert Xt.shape == (12, 3)
     with pytest.raises(DomainError):
