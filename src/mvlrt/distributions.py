@@ -248,9 +248,11 @@ def wilks_lrt_tail(x: float, n: int, p: int, m: int, r: int) -> float:
         return 1.0
     if r < m:
         m, r, df = r, m, df + r - m
-    shapes, signs, a_min, h, y_lo, y_hi, p_lo, p_hi = _wilks_terms(df, m, r)
+    shapes, signs, a_min, h, y_lo, y_hi, p_lo, p_hi, y_zero = _wilks_terms(df, m, r)
     if y_lo <= y <= y_hi:
         return p_lo + (p_hi - p_lo) * (y - y_lo) / (y_hi - y_lo)
+    if y > y_zero:
+        return 0.0
     # K'(s) = y has one root below the pole at a_min; 1/K' is nearly linear in
     # s at both ends, so Newton runs on it, safeguarded by the bracket
     lo, hi = (h, a_min) if y > y_hi else (-math.inf, -h)
@@ -286,6 +288,12 @@ def _wilks_terms(df: int, m: int, r: int):
     points y_lo = K'(-h) and y_hi = K'(h), and the tails at both ends. Near
     the mean the saddlepoint terms u and w both vanish and their reciprocals
     cancel, so the tail is interpolated linearly between -h and +h there.
+
+    Last, y_zero = (K(s0) + 800) / s0 at s0 = a_min / 2, above which the tail
+    is 0.0 without Newton: s y - K(s) is concave in s and largest at the
+    saddlepoint, so there it exceeds s0 y - K(s0) > 800. Then w > 40, and both
+    Lugannani-Rice terms underflow to 0.0, as does the Chernoff bound
+    exp(K(s0) - s0 y) on the exact tail; the exception path returns 0.0 too.
     """
     a = 0.5 * (df - np.arange(m, dtype=float))
     shapes = np.concatenate([a, a + 0.5 * r])
@@ -294,7 +302,10 @@ def _wilks_terms(df: int, m: int, r: int):
     h = _CENTER_SD / math.sqrt(float(signs @ _special().zeta(2, shapes)))
     y_lo, y_hi = _k1(shapes, signs, -h), _k1(shapes, signs, h)
     p_lo, p_hi = _lr_tail(shapes, signs, -h, y_lo), _lr_tail(shapes, signs, h, y_hi)
-    return shapes, signs, float(a[-1]), h, y_lo, y_hi, p_lo, p_hi
+    a_min = float(a[-1])
+    s0 = 0.5 * a_min
+    k_s0 = float(signs @ (_special().gammaln(shapes - s0) - _special().gammaln(shapes)))
+    return shapes, signs, a_min, h, y_lo, y_hi, p_lo, p_hi, (k_s0 + 800.0) / s0
 
 
 def sample_beta(rng: np.random.Generator, a: float, b: float, size=None):

@@ -250,7 +250,8 @@ def _drawer(spec: ExperimentSpec, dims: Dims, signal=None, strength: float = 0.0
     Canonical: one stack of len(reps) pairs sampled under ``signal`` from
     the generator keyed by (seed, cell_id, b). Linear: replicate k draws
     Y = X B + E at coefficient size ``strength`` from the generator keyed by
-    (seed, cell_id, k) and fits the hypothesis [I_r 0] B = 0 with one QR.
+    (seed, cell_id, k), and the block fits the hypothesis [I_r 0] B = 0 with
+    one stacked QR.
     """
     if spec.generator == "canonical":
         return lambda cell_id, b, reps: canonical_form_sample(
@@ -258,10 +259,11 @@ def _drawer(spec: ExperimentSpec, dims: Dims, signal=None, strength: float = 0.0
     cell_spec = replace(spec, p=dims.p, m=dims.m, r=dims.r)
 
     def draw(cell_id, b, reps):
-        data = (gen_linear_model(stream(spec.seed, cell_id, k), cell_spec, strength) for k in reps)
+        data = [gen_linear_model(stream(spec.seed, cell_id, k), cell_spec, strength) for k in reps]
         # _extra_ss checks both matrices finite and forms them as A' A by syrk: exactly symmetric
-        s_err, s_hyp = zip(*(_extra_ss(d.X, d.Y, dims.r) for d in data))
-        return SumsOfSquares._of(np.stack(s_err), np.stack(s_hyp), dims)
+        s_err, s_hyp = _extra_ss(np.stack([d.X for d in data]), np.stack([d.Y for d in data]),
+                                 dims.r)
+        return SumsOfSquares._of(s_err, s_hyp, dims)
 
     return draw
 
@@ -362,6 +364,8 @@ def power_sweep(spec: ExperimentSpec) -> ResultTable:
     """
     if not spec.signal_grid:
         raise DomainError("power_sweep needs a non-empty signal_grid")
+    if spec.eta_grid:
+        raise DomainError("power_sweep runs at the spec's own dims and takes no eta_grid")
     if spec.generator == "canonical" and spec.signal[0] != "spikes":
         raise DomainError("canonical power cells need a ('spikes', ratios) signal")
     dims = Dims(spec.n, spec.p, spec.m, spec.r)

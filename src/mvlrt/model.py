@@ -311,26 +311,34 @@ class SignalMatrix:
 
 def _extra_ss(X: np.ndarray, Y: np.ndarray, q: int):
     """(S_E, S_X) for the hypothesis that the first q coefficient rows of
-    Y = X B + E vanish.
+    Y = X B + E vanish; for stacks X (B, n, p) and Y (B, n, m), a stack of B
+    pairs, each with the bits it gets alone.
 
     One QR of [X_rest X_hyp Y], the q hypothesis columns moved last, gives
     R = [[R_XX, R_XY], [0, R_YY]]: S_E = R_YY' R_YY is the residual Gram
     matrix of the full fit, and S_X = H' H, with H the q rows of R_XY facing
     the hypothesis columns, is the extra sum of squares those columns explain
-    (Anderson 2003, section 8.3). The R diagonal of the X block is the
-    design's rank check; check_real refuses a product that overflows.
+    (Anderson 2003, section 8.3). A stack takes one stacked QR. The R diagonal
+    of the X block is the design's rank check; check_real refuses a product
+    that overflows; a stack checks pair by pair, so it raises what its first
+    failing pair raises alone.
     """
-    n, p = X.shape
+    n, p = X.shape[-2:]
     if n < p:
         raise SingularDesignError(f"design has n={n} rows but p={p} columns")
-    R = np.linalg.qr(np.hstack([X[:, q:], X[:, :q], Y]), mode="r")
-    diag = np.abs(np.diag(R)[:p])
-    if diag.max() == 0.0 or diag.min() < RANK_TOL * diag.max():
-        raise SingularDesignError("design matrix is numerically rank deficient")
-    H, R_yy = R[p - q:p, p:], R[p:, p:]
-    s_err, s_hyp = R_yy.T @ R_yy, H.T @ H
-    check_real("S_E", s_err)
-    check_real("S_X", s_hyp)
+    R = np.linalg.qr(np.concatenate([X[..., q:], X[..., :q], Y], axis=-1), mode="r")
+    m = Y.shape[-1]
+    s_err, s_hyp = pairs = np.empty((2, *R.shape[:-2], m, m))
+    for Rk, E, S in zip(R.reshape(-1, *R.shape[-2:]), *pairs.reshape(2, -1, m, m)):
+        diag = np.abs(np.diag(Rk)[:p])
+        if diag.max() == 0.0 or diag.min() < RANK_TOL * diag.max():
+            raise SingularDesignError("design matrix is numerically rank deficient")
+        # one product per pair: numpy forms A' A by syrk, exactly symmetric; a stacked one would not
+        H, R_yy = Rk[p - q:p, p:], Rk[p:, p:]
+        np.matmul(R_yy.T, R_yy, out=E)
+        np.matmul(H.T, H, out=S)
+        check_real("S_E", E)
+        check_real("S_X", S)
     return s_err, s_hyp
 
 

@@ -18,12 +18,21 @@ that depth keeps the bound (Meinshausen, Meier & Buehlmann 2009).
 no_split_pvalue is the J = 0 negative control: it screens and tests on the
 same rows.
 
-The splits run one after another in the calling thread, with BLAS on one
-thread (see ``_blas``). A split runs on the private helpers of
-``screening``, not on its public functions, because its arrays are slices
-of the checked data set: it checks none of them again, forms one response
-covariance for parallel analysis and PCA, and builds its (S_E, S_X) pair
-with ``SumsOfSquares._of``.
+The splits run in stacks of ``_SPLIT_STACK`` in the calling thread, with
+BLAS on one thread (see ``_blas``). Each split draws its halves and then its
+parallel-analysis copies from its own stream. A stack makes one eigvalsh
+call on its response covariances, one on all its copies' covariances, one
+eigh call for the loadings, and one QR and one neg2_log_lrt per group of
+fits that share (p0, m0, q); screening, the feasibility checks and the
+Wilks tail stay per split. A stacked LAPACK call gives each matrix the bits
+of a call on it alone, and every product A' A is made per matrix, so an
+outcome does not depend on its stack. A stack that raises is rerun split by
+split, so the first failing split raises its own error; per_split_pvalue
+and the J = 0 control are stacks of one. The stack runs on the private
+helpers of ``screening`` and ``model``, not on their public functions,
+because its arrays are slices of the checked data set: it checks none of
+them again and forms one response covariance per split for parallel
+analysis and PCA.
 
 Reproducibility: split j is driven entirely by a seed derived from
 (config seed, j), so runs are bit-reproducible.
@@ -41,9 +50,14 @@ from .distributions import wilks_lrt_tail
 from .errors import DomainError, SplitInfeasibleError, check_integer, check_level, check_real
 from .model import DataSet, Dims, SumsOfSquares, _extra_ss, _hypothesis, neg2_log_lrt
 from .rng import derive_seed, stream
-from .screening import _budget, _centered_cov, _loadings, _pa_rank, _ranked, conditional_transform
+from .screening import PA_COPIES, _budget, _centered_cov, _loadings, _pa_rank, _ranked
+from .screening import conditional_transform
 
 GAMMA_MIN_FLOOR = 1e-4
+
+#: splits run at once: one eigen call per stack for parallel analysis and for the
+#: loadings, one QR per group of its fits of one shape
+_SPLIT_STACK = 8
 
 
 @dataclass(frozen=True)
@@ -119,62 +133,84 @@ def _prepare_hypothesis(data: DataSet, C):
     return conditional_transform(data.X, hyp), hyp.r, 0 if hyp.rotation is None else hyp.r
 
 
-def _split_outcome(data: DataSet, X, r, protect, cfg: MultiSplitConfig,
-                   j: int, unsplit: bool = False) -> SplitOutcome:
-    """Split j on a hypothesis prepared by _prepare_hypothesis: split, reduce, test.
+def _stack(data: DataSet, X, r, protect, cfg: MultiSplitConfig, js, unsplit, Z) -> list:
+    """The outcomes of splits js, run as one stack on a hypothesis prepared by
+    _prepare_hypothesis: split, reduce, test; Z is _outcomes' buffer.
 
-    With unsplit set this is the J = 0 control, which screens and tests on
-    every row; j then only seeds the dimension reduction.
+    With unsplit set, js is (-1,), the J = 0 control, which screens and tests
+    on every row; -1 then only seeds the dimension reduction.
     """
-    rng = stream(cfg.seed, j)
-    if unsplit:
-        s_idx = t_idx = np.arange(data.n)
-        label = "no-split run"
-    else:
-        s_idx, t_idx = split_indices(rng, data.n, cfg.split_ratio)
-        label = f"split {j}"
-    X_s, Y_s = X[s_idx], data.Y[s_idx]
-    n_t = len(t_idx)
-    m = data.m
+    n, m = data.n, data.m
     budget = _budget(cfg.delta, data.p, protect)
-
-    w_hat = None
-    m_eff = m
+    rngs = [stream(cfg.seed, j) for j in js]
+    if unsplit:
+        S = T = np.arange(n)[None]
+        labels = ["no-split run"]
+    else:
+        S, T = map(np.array, zip(*(split_indices(rng, n, cfg.split_ratio) for rng in rngs)))
+        labels = [f"split {j}" for j in js]
+    Y_s, n_t = data.Y[S], T.shape[1]
+    m0, w_hat = [m] * len(js), [None] * len(js)
     if cfg.pca_policy is not None:
-        cap = min(n_t - budget - 2, len(s_idx) - 1, m)
+        cap = min(n_t - budget - 2, S.shape[1] - 1, m)
         if cap < 1:
             raise SplitInfeasibleError(
-                f"{label}: no room for responses with n_T={n_t}, p0={budget}, m={m}")
-        cov = _centered_cov(Y_s)
+                f"{labels[0]}: no room for responses with n_T={n_t}, p0={budget}, m={m}")
+        cov = np.stack([_centered_cov(y) for y in Y_s])
         if cfg.pca_policy == "parallel_analysis":
-            m_eff = _pa_rank(rng, Y_s, cap, cov)
+            m0 = _pa_rank(rngs, Y_s, cap, cov, Z).tolist()
         else:
-            m_eff = int(cfg.pca_policy)
-            if m_eff > cap:
+            m0 = [int(cfg.pca_policy)] * len(js)
+            if m0[0] > cap:
                 raise SplitInfeasibleError(
-                    f"{label}: fixed m0={m_eff} exceeds the feasible cap {cap}")
-        w_hat, _ = _loadings(cov, m_eff)
-        Y_s = Y_s @ w_hat
+                    f"{labels[0]}: fixed m0={m0[0]} exceeds the feasible cap {cap}")
+        w_hat = _loadings(cov, m0)[0]
+        Y_s = [y @ w for y, w in zip(Y_s, w_hat)]
 
-    cols = np.sort(_ranked(X_s, Y_s, budget, protect)[0])
-    p0 = cols.size
-    if n_t <= p0 + m_eff + 1:
-        raise SplitInfeasibleError(
-            f"{label}: testing half has n_T={n_t} but needs more than p0 + m0 + 1 = {p0 + m_eff + 1}")
-
-    q = int(np.searchsorted(cols, r))  # selected hypothesis columns, the first q of cols
-    if q == 0:
-        # screening removed every hypothesis column: nothing to test, stay conservative
-        p_val = 1.0
-    else:
-        Y_t = data.Y[t_idx]
-        if w_hat is not None:
-            Y_t = Y_t @ w_hat
+    # each split keeps budget columns (p0 = budget); fits groups them by (m0, q)
+    cols, fits = np.empty((len(js), budget), dtype=int), {}
+    for k, label in enumerate(labels):
+        cols[k] = np.sort(_ranked(X[S[k]], Y_s[k], budget, protect)[0])
+        if n_t <= budget + m0[k] + 1:
+            raise SplitInfeasibleError(f"{label}: testing half has n_T={n_t} but needs "
+                                       f"more than p0 + m0 + 1 = {budget + m0[k] + 1}")
+        q = int(np.searchsorted(cols[k], r))  # selected hypothesis columns, the first q of cols
+        # q == 0: screening removed every hypothesis column: nothing to test, stay conservative
+        if q:
+            fits.setdefault((m0[k], q), []).append(k)
+    p_vals = [1.0] * len(js)
+    Y_t = data.Y[T]
+    for (m0_g, q), ks in fits.items():
+        fit_y = np.stack([Y_t[k] if w_hat[k] is None else Y_t[k] @ w_hat[k] for k in ks])
+        s_err, s_hyp = _extra_ss(X[T[ks, :, None], cols[ks, None, :]], fit_y, q)
+        dims = Dims(n_t, budget, m0_g, q)
         # _extra_ss checks both matrices finite and forms them as A' A by syrk: exactly symmetric
-        s_err, s_hyp = _extra_ss(X[np.ix_(t_idx, cols)], Y_t, q)
-        ss = SumsOfSquares._of(s_err, s_hyp, Dims(n_t, p0, m_eff, q))
-        p_val = wilks_lrt_tail(neg2_log_lrt(ss), n_t, p0, m_eff, q)
-    return SplitOutcome(float(p_val), tuple(cols.tolist()), m_eff, derive_seed(cfg.seed, j))
+        for k, x in zip(ks, neg2_log_lrt(SumsOfSquares._of(s_err, s_hyp, dims))):
+            p_vals[k] = wilks_lrt_tail(float(x), n_t, budget, m0_g, q)
+    return [SplitOutcome(float(p), tuple(c.tolist()), k, derive_seed(cfg.seed, j))
+            for p, c, k, j in zip(p_vals, cols, m0, js)]
+
+
+def _outcomes(data: DataSet, prepared, cfg: MultiSplitConfig, js, unsplit=False) -> list:
+    """The outcomes of splits js in order, run in stacks of _SPLIT_STACK.
+
+    A stack that raises is rerun split by split, so the first failing split
+    raises its own error. The parallel-analysis copies of every stack share one
+    buffer, sized by the rows that split_indices gives the screening half.
+    """
+    rows = data.n if unsplit else int(round(cfg.split_ratio * data.n))
+    Z = None
+    if cfg.pca_policy == "parallel_analysis":
+        Z = np.empty((min(_SPLIT_STACK, len(js)), PA_COPIES, rows, data.m))
+    out = []
+    for i in range(0, len(js), _SPLIT_STACK):
+        stack = js[i:i + _SPLIT_STACK]
+        try:
+            out += _stack(data, *prepared, cfg, stack, unsplit, Z)
+        except Exception:  # any error: the rerun raises the first failing split's own
+            for j in stack:
+                out += _stack(data, *prepared, cfg, [j], unsplit, Z)
+    return out
 
 
 def per_split_pvalue(data: DataSet, C, cfg: MultiSplitConfig, j: int) -> SplitOutcome:
@@ -185,7 +221,7 @@ def per_split_pvalue(data: DataSet, C, cfg: MultiSplitConfig, j: int) -> SplitOu
     [X_rest X_hyp Y] gives the pair (S_E, S_X) at (n_T, p0, m0, q). If
     screening kept none of those columns (q = 0) the split returns p = 1.
     """
-    return _split_outcome(data, *_prepare_hypothesis(data, C), cfg, j)
+    return _outcomes(data, _prepare_hypothesis(data, C), cfg, [j])[0]
 
 
 @single_thread_blas()
@@ -196,7 +232,7 @@ def no_split_pvalue(data: DataSet, C, cfg: MultiSplitConfig) -> SplitOutcome:
     valid; this exists as a negative control demonstrating why splitting is
     required. The command-line front end refuses it without an override.
     """
-    return _split_outcome(data, *_prepare_hypothesis(data, C), cfg, -1, unsplit=True)
+    return _outcomes(data, _prepare_hypothesis(data, C), cfg, [-1], unsplit=True)[0]
 
 
 def adaptive_pt(pvals, gamma_min: float) -> float:
@@ -240,15 +276,14 @@ def multisplit_test(data: DataSet, C, cfg: MultiSplitConfig,
                     alpha: float = 0.05, threads: int = 1) -> MultiSplitResult:
     """The full procedure: J splits, per-split p-values, adaptive aggregation.
 
-    The hypothesis is prepared once, then the splits run in the calling
-    thread with BLAS on one thread. ``threads`` must be >= 1 and is kept for
-    compatibility: the result does not depend on it. An infeasible split
-    raises SplitInfeasibleError naming the split and the offending sizes
-    rather than silently skipping it.
+    The hypothesis is prepared once, then the splits run in stacks in the
+    calling thread with BLAS on one thread. ``threads`` must be >= 1 and is
+    kept for compatibility: the result does not depend on it. An infeasible
+    split raises SplitInfeasibleError naming the split and the offending
+    sizes rather than silently skipping it.
     """
     check_level("alpha", alpha)
     check_integer("threads", threads)
-    prepared = _prepare_hypothesis(data, C)
-    outcomes = [_split_outcome(data, *prepared, cfg, j) for j in range(cfg.j_splits)]
+    outcomes = _outcomes(data, _prepare_hypothesis(data, C), cfg, range(cfg.j_splits))
     p_t = adaptive_pt([o.p_value for o in outcomes], cfg.resolved_gamma_min)
     return MultiSplitResult(p_t, alpha, p_t <= alpha, cfg.resolved_gamma_min, tuple(outcomes))

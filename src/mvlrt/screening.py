@@ -13,14 +13,15 @@ protected from screening.
 
 Each step is one private helper on arrays that are already checked:
 _budget and _ranked (screening), _centered_cov, _pa_rank (parallel
-analysis) and _loadings (PCA). The public functions check their input and
-call them; a split calls them directly on slices of its checked data set,
-forms the centered covariance of its responses once for both parallel
-analysis and the loadings, and keeps the selected indices as an int array.
+analysis) and _loadings (PCA); the last two take a stack of response sets
+of one shape and make one eigen call for all of it. The public functions
+check their input and call them with a stack of one; the multi-split
+procedure calls them on its stack of splits, slices of its checked data set,
+with one centered covariance per split for parallel analysis and loadings.
 
-Reproducibility: parallel analysis draws all PA_COPIES permuted copies with
-one rng.permuted call, which shuffles them in the order, and to the bits, of
-PA_COPIES calls on one copy each.
+Reproducibility: parallel analysis draws all PA_COPIES permuted copies of a
+response set with one rng.permuted call, which shuffles them in the order,
+and to the bits, of PA_COPIES calls on one copy each.
 """
 
 from __future__ import annotations
@@ -165,39 +166,37 @@ def _centered_cov(Y: np.ndarray) -> np.ndarray:
     return cov
 
 
-def _pa_rank(rng, YS: np.ndarray, cap, cov: np.ndarray) -> int:
-    """parallel_analysis on a checked YS and cap, where ``cov`` is YS's _centered_cov."""
-    n_s, m = YS.shape
+def _pa_rank(rngs, YS: np.ndarray, cap, cov: np.ndarray, Z=None) -> np.ndarray:
+    """parallel_analysis on a stack of B checked YS (B, n_S, m) and a cap, where
+    ``cov`` stacks their _centered_cov and YS[k]'s copies draw from rngs[k]: the
+    (B,) ranks. ``Z``, if given, is a C-ordered buffer of at least B stacks of
+    PA_COPIES copies of shape (n_S, m)."""
+    B, n_s, m = YS.shape
     if n_s < 3:
         raise DomainError(f"parallel analysis needs n_S >= 3, got {n_s}")
-    eigs = np.linalg.eigvalsh(cov)[::-1]
-    # every copy in one draw: the rows of each column of each copy are shuffled
-    # in the order of PA_COPIES calls rng.permuted(YS, axis=0), with the same
-    # bits. The copies sit in one C-ordered buffer: permuting a broadcast view
-    # instead returns another memory layout, and its products differ in bits.
-    Z = np.empty((PA_COPIES, n_s, m))
-    Z[...] = YS
-    rng.permuted(Z, axis=1, out=Z)
-    Z -= Z.mean(axis=1, keepdims=True)
-    null_cov = np.empty((PA_COPIES, m, m))
-    for Zc, out in zip(Z, null_cov):
+    eigs = np.linalg.eigvalsh(cov)[:, ::-1]
+    # every copy of YS[k] in one draw: the rows of each column of each copy are
+    # shuffled in the order of PA_COPIES calls rngs[k].permuted(YS[k], axis=0), with
+    # the same bits. The copies sit in one C-ordered buffer: permuting a broadcast
+    # view instead returns another memory layout, and its products differ in bits.
+    Z = np.empty((B, PA_COPIES, n_s, m)) if Z is None else Z[:B]
+    Z[...] = YS[:, None]
+    for rng, copies in zip(rngs, Z):
+        rng.permuted(copies, axis=1, out=copies)
+    Z -= Z.mean(axis=2, keepdims=True)
+    null_cov = np.empty((B, PA_COPIES, m, m))
+    for Zc, out in zip(Z.reshape(-1, n_s, m), null_cov.reshape(-1, m, m)):
         # one product per copy: a stacked matmul skips the syrk path and can change bits
         np.matmul(Zc.T, Zc, out=out)
     null_cov /= n_s - 1
-    null_eigs = np.linalg.eigvalsh(null_cov)[:, ::-1]
-    thresholds = null_eigs.max(axis=0)
-    # the relative floor keeps rank-deficient spectra (m >= n_S) from letting
-    # zero-vs-zero rounding noise count as a factor
-    floor_val = RANK_TOL * max(float(eigs[0]), 0.0)
-    m0 = 0
-    for lam, th in zip(eigs, thresholds):
-        if lam <= th or lam <= floor_val:
-            break
-        m0 += 1
-    m0 = max(m0, 1)
-    if cap is not None:
-        m0 = min(m0, int(cap))
-    return m0
+    thresholds = np.linalg.eigvalsh(null_cov)[..., ::-1].max(axis=1)
+    # m0 is the leading run of eigenvalues above their thresholds; the relative floor
+    # keeps rank-deficient spectra (m >= n_S) from letting zero-vs-zero rounding
+    # noise count as a factor
+    floor_val = RANK_TOL * np.maximum(eigs[:, :1], 0.0)
+    above = (eigs > thresholds) & (eigs > floor_val)
+    m0 = np.maximum(np.logical_and.accumulate(above, axis=1).sum(axis=1), 1)
+    return m0 if cap is None else np.minimum(m0, int(cap))
 
 
 def parallel_analysis(rng, YS, cap=None) -> int:
@@ -215,20 +214,20 @@ def parallel_analysis(rng, YS, cap=None) -> int:
     YS = _check_matrix(YS, "YS")
     if cap is not None:
         check_integer("cap", cap)
-    return _pa_rank(rng, YS, cap, _centered_cov(YS))
+    return int(_pa_rank([rng], YS[None], cap, _centered_cov(YS)[None])[0])
 
 
-def _loadings(cov: np.ndarray, m0: int):
-    """(W_hat, spectrum): the top-m0 eigenvectors of a covariance, sign-fixed, as a
-    C-ordered m x m0 array, and all its eigenvalues, descending and floored at 0."""
+def _loadings(cov: np.ndarray, m0):
+    """(W_hat, spectra) for a stack of B covariances (B, m, m) and B ranks m0:
+    the list of each one's top-m0[k] eigenvectors, sign-fixed, as a C-ordered
+    m x m0[k] array, and the (B, m) eigenvalues, descending and floored at 0."""
     vals, vecs = np.linalg.eigh(cov)
-    vals = np.maximum(vals[::-1], 0.0)
-    vecs = vecs[:, ::-1]
-    for j in range(m0):
-        lead = np.argmax(np.abs(vecs[:, j]))
-        if vecs[lead, j] < 0.0:
-            vecs[:, j] = -vecs[:, j]
-    return vecs[:, :m0].copy(), vals
+    vals = np.maximum(vals[:, ::-1], 0.0)
+    vecs = vecs[..., ::-1]
+    # the sign of each eigenvector's largest-magnitude entry, the first one on a tie
+    lead = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=1)[:, None, :], axis=1)
+    vecs = np.where(lead < 0.0, -vecs, vecs)
+    return [v[:, :k].copy() for v, k in zip(vecs, m0)], vals
 
 
 def pca_reduce(YS, m0: int):
@@ -245,4 +244,5 @@ def pca_reduce(YS, m0: int):
     if n_s < 2:
         raise DomainError(f"need n_S >= 2 rows, got {n_s}")
     check_integer("m0", m0, high=min(n_s - 1, m))
-    return _loadings(_centered_cov(YS), m0)
+    (w_hat,), (spectrum,) = _loadings(_centered_cov(YS)[None], [m0])
+    return w_hat, spectrum

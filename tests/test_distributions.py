@@ -390,6 +390,24 @@ def test_wilks_tail_takes_its_limits_where_the_saddlepoint_fails(dims):
     assert vals[0] == 1.0 and vals[-1] == 0.0
 
 
+@pytest.mark.parametrize("dims", [(70, 24, 20, 2), (70, 30, 5, 1), (100, 10, 5, 5),
+                                  (70, 24, 16, 24), (70, 30, 1, 1), (40, 10, 5, 3)])
+def test_wilks_tail_returns_the_newton_zero_above_its_cut(monkeypatch, dims):
+    """Above y_zero the tail returns 0.0 at once; Newton, run there with the
+    cut removed, returns 0.0 too, so the cut moves no value."""
+    import mvlrt.distributions as dist
+
+    n, p, m, r = dims
+    df = n - p
+    if r < m:
+        m, r, df = r, m, df + r - m
+    terms = dist._wilks_terms(df, m, r)
+    xs = n * terms[-1] * np.array([1.0 + 1e-12, 1.001, 1.1, 2.0, 10.0, 1e3, 1e10, 1e100])
+    assert all(wilks_lrt_tail(float(x), *dims) == 0.0 for x in xs)
+    monkeypatch.setattr(dist, "_wilks_terms", lambda *law: (*terms[:-1], math.inf))
+    assert [wilks_lrt_tail(float(x), *dims) for x in xs] == [0.0] * xs.size
+
+
 def test_wilks_tail_limits_at_the_reported_points():
     assert wilks_lrt_tail(9.325873406851312e-14, 70, 30, 1, 1) == 1.0
     assert wilks_lrt_tail(1e17, 70, 24, 20, 2) == 0.0

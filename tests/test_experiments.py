@@ -492,6 +492,15 @@ def test_power_sweep_validation():
         power_sweep(ExperimentSpec(signal=("spikes", (1.0,)), signal_grid=(None,)))
 
 
+def test_power_sweep_refuses_an_eta_grid():
+    """Power cells run at the spec's own dims, so a growth grid is refused, not ignored."""
+    for generator, signal in (("canonical", ("spikes", (1.0,))), ("linear", ("dense",))):
+        spec = ExperimentSpec(generator=generator, signal=signal, signal_grid=(1.0,),
+                              eta_grid=(0.5,), reps=32)
+        with pytest.raises(DomainError, match="takes no eta_grid"):
+            power_sweep(spec)
+
+
 # === multi-split sweep ===
 
 

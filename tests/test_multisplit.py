@@ -27,7 +27,7 @@ from mvlrt.multisplit import (
     split_indices,
 )
 from mvlrt.rng import derive_seed, stream
-from mvlrt.screening import parallel_analysis, pca_reduce
+from mvlrt.screening import parallel_analysis, pca_reduce, screen
 
 
 def _wide_null_data(seed, n=100, p=120, m=20):
@@ -339,15 +339,17 @@ def test_prepare_hypothesis_passes_leading_identity_through(monkeypatch):
 
 
 def test_multisplit_takes_one_svd_and_one_qr_per_split(monkeypatch):
-    """A general hypothesis is decomposed once; each split is one QR of [X_rest X_hyp Y]."""
+    """A general hypothesis is decomposed once; each split's fit is one QR of
+    [X_rest X_hyp Y]. Factorized matrices are counted, not calls: a stack of
+    splits factors its fits of one shape in one call."""
     counts = {"svd": 0, "qr": 0}
 
     def counting(name):
         orig = getattr(np.linalg, name)
 
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return orig(*args, **kwargs)
+        def wrapper(a, *args, **kwargs):
+            counts[name] += math.prod(np.shape(a)[:-2])
+            return orig(a, *args, **kwargs)
         return wrapper
 
     for name in counts:
@@ -356,6 +358,75 @@ def test_multisplit_takes_one_svd_and_one_qr_per_split(monkeypatch):
     C = stream(720).standard_normal((2, 120))
     multisplit_test(data, C, MultiSplitConfig(j_splits=6, seed=3))
     assert counts == {"svd": 1, "qr": 6}
+
+
+@pytest.mark.parametrize("policy", [None, 2, "parallel_analysis"])
+@pytest.mark.parametrize("rotated", [False, True], ids=["leading_identity", "rotated"])
+def test_stacked_splits_equal_splits_run_alone(policy, rotated):
+    """37 splits, four full stacks and one short one, give each split the
+    outcome it gets run alone, whatever the response reduction and the form of C."""
+    import mvlrt.multisplit
+
+    assert 37 % mvlrt.multisplit._SPLIT_STACK
+    rng = stream(722)
+    X, Y = rng.standard_normal((100, 120)), rng.standard_normal((100, 20))
+    # three response factors, so parallel analysis keeps one to three of them
+    data = DataSet(X, Y + 0.7 * rng.standard_normal((100, 3)) @ rng.standard_normal((3, 20)))
+    C = stream(723).standard_normal((2, 120)) if rotated else np.eye(120)[:2]
+    cfg = MultiSplitConfig(j_splits=37, seed=24, pca_policy=policy)
+    res = multisplit_test(data, C, cfg)
+    assert res.outcomes == tuple(per_split_pvalue(data, C, cfg, j) for j in range(37))
+    assert res.p_t == adaptive_pt([o.p_value for o in res.outcomes], cfg.resolved_gamma_min)
+    if not rotated:  # split p-values of 1 (q = 0) sit next to tested splits in one stack
+        assert 0 < sum(o.p_value == 1.0 for o in res.outcomes) < 37
+    if policy == "parallel_analysis":  # and so do fits of several response ranks
+        assert len({o.m0 for o in res.outcomes}) > 1
+
+
+def test_no_split_pvalue_is_the_exact_tail_on_every_row():
+    """The J = 0 control screens every row with screen and tests them all, by
+    hypothesis_ss on the kept columns, bit for bit."""
+    data = _wide_null_data(724)
+    cfg = MultiSplitConfig(j_splits=1, seed=2)
+    out = no_split_pvalue(data, np.eye(120)[:60], cfg)
+    cols = sorted(screen(data.X, data.Y, cfg.delta).selected)
+    q = sum(c < 60 for c in cols)
+    ss = hypothesis_ss(DataSet(data.X[:, cols], data.Y), np.eye(q, len(cols)))
+    assert out.selected == tuple(cols) and 0 < q < len(cols)
+    assert out.p_value == wilks_lrt_tail(neg2_log_lrt(ss), data.n, len(cols), data.m, q)
+
+
+def test_a_stack_that_fails_reruns_its_splits_in_order(monkeypatch):
+    """Split 6 fails at screening and split 2 at its fit, a later stage of the
+    stack: the stack meets split 6's error first, and its rerun split by split
+    raises split 2's own."""
+    import mvlrt.multisplit as ms
+
+    data = _wide_null_data(725)
+    cfg = MultiSplitConfig(j_splits=8, seed=6)
+    halves = [split_indices(stream(6, j), data.n, cfg.split_ratio) for j in range(8)]
+    raised = []
+    ranked, extra_ss = ms._ranked, ms._extra_ss
+
+    def fail(message):
+        raised.append(message)
+        raise SplitInfeasibleError(message)
+
+    def screening(XS, *args):
+        if np.array_equal(XS, data.X[halves[6][0]]):
+            fail("split 6: forced at screening")
+        return ranked(XS, *args)
+
+    def fitting(X, Y, q):
+        if any(np.array_equal(y, data.Y[halves[2][1]]) for y in Y):
+            fail("split 2: forced at the fit")
+        return extra_ss(X, Y, q)
+
+    monkeypatch.setattr(ms, "_ranked", screening)
+    monkeypatch.setattr(ms, "_extra_ss", fitting)
+    with pytest.raises(SplitInfeasibleError, match="split 2: forced at the fit"):
+        multisplit_test(data, np.eye(120), cfg)
+    assert raised == ["split 6: forced at screening", "split 2: forced at the fit"]
 
 
 def test_multisplit_on_leading_identity_builds_no_basis(monkeypatch):

@@ -302,7 +302,8 @@ def _pa_oracle(rng, YS, cap=None):
 
 def test_batched_parallel_analysis_matches_per_copy_oracle(monkeypatch):
     """One permuted draw of every copy gives the per-copy loop's rank, the same
-    eigenvalue inputs bit for bit, and leaves the generator where 19 calls would."""
+    eigenvalue inputs bit for bit, and leaves the generator where 19 calls would;
+    a stack of inputs of one shape gives each its own rank and inputs."""
     seen = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -312,6 +313,7 @@ def test_batched_parallel_analysis_matches_per_copy_oracle(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     kinds = {"wide": 0, "constant": 0, "cap_binds": 0}
+    by_shape = {}
     for k in range(1000):
         g = stream(630, k)
         n_s = int(g.integers(3, 31))
@@ -329,14 +331,29 @@ def test_batched_parallel_analysis_matches_per_copy_oracle(monkeypatch):
         want = _pa_oracle(want_rng, Y, cap)
         oracle_inputs = list(seen)
         seen.clear()
-        got = _pa_rank(got_rng, Y, cap, _centered_cov(Y))
-        assert got == want, f"input {k}: n_S={n_s} m={m} cap={cap}"
+        got = _pa_rank([got_rng], Y[None], cap, _centered_cov(Y)[None])
+        assert got.tolist() == [want], f"input {k}: n_S={n_s} m={m} cap={cap}"
         assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, oracle_inputs, strict=True))
         assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+        uncapped = _pa_oracle(stream(631, k), Y)
+        state = repr(want_rng.bit_generator.state)
+        by_shape.setdefault(Y.shape, []).append((k, Y, uncapped, oracle_inputs, state))
         kinds["wide"] += m >= n_s
         kinds["constant"] += k % 4 == 0
-        kinds["cap_binds"] += cap is not None and _pa_oracle(stream(631, k), Y) > cap
+        kinds["cap_binds"] += cap is not None and uncapped > cap
     assert min(kinds.values()) >= 50, kinds
+    stacks = [group for group in by_shape.values() if len(group) > 1]
+    for group in stacks:
+        ks, Ys, wants, inputs, states = zip(*group)
+        rngs = [stream(631, k) for k in ks]
+        seen.clear()
+        got = _pa_rank(rngs, np.stack(Ys), None, np.stack([_centered_cov(Y) for Y in Ys]))
+        assert got.tolist() == list(wants), f"inputs {ks}"
+        # one call on the stack's covariances, one on all its copies' covariances
+        assert [a.tobytes() for a in seen] == [b"".join(i[j].tobytes() for i in inputs)
+                                              for j in (0, 1)]
+        assert [repr(rng.bit_generator.state) for rng in rngs] == list(states)
+    assert sum(map(len, stacks)) >= 300 and max(map(len, stacks)) >= 3
 
 
 def test_public_steps_refuse_non_finite_input():
