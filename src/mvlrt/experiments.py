@@ -41,7 +41,6 @@ from .model import (
     Dims,
     HypothesisMatrix,
     SignalMatrix,
-    SumsOfSquares,
     _extra_ss,
     canonical_form_sample,
 )
@@ -260,10 +259,7 @@ def _drawer(spec: ExperimentSpec, dims: Dims, signal=None, strength: float = 0.0
 
     def draw(cell_id, b, reps):
         data = [gen_linear_model(stream(spec.seed, cell_id, k), cell_spec, strength) for k in reps]
-        # _extra_ss checks both matrices finite and forms them as A' A by syrk: exactly symmetric
-        s_err, s_hyp = _extra_ss(np.stack([d.X for d in data]), np.stack([d.Y for d in data]),
-                                 dims.r)
-        return SumsOfSquares._of(s_err, s_hyp, dims)
+        return _extra_ss(np.stack([d.X for d in data]), np.stack([d.Y for d in data]), dims.r)
 
     return draw
 

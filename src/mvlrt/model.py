@@ -6,7 +6,8 @@ likelihood ratio, the largest-root quantity, and direct sampling of the
 canonical form. A HypothesisMatrix lays a design out with its hypothesis on
 the first r columns, and every pair fitted from data is one QR of that
 design next to Y, with those columns moved last (the extra-sum-of-squares
-identity); no explicit matrix inverse is ever formed.
+identity); no explicit matrix inverse is ever formed. That QR, _extra_ss,
+is the one place a fitted pair is built.
 
 A SumsOfSquares holds one pair (S_E, S_X) or a stack of B pairs of the same
 dimensions, shape (B, m, m). A stack is checked once and factored by batched
@@ -309,10 +310,10 @@ class SignalMatrix:
 # === fitting and reduction ===
 
 
-def _extra_ss(X: np.ndarray, Y: np.ndarray, q: int):
-    """(S_E, S_X) for the hypothesis that the first q coefficient rows of
-    Y = X B + E vanish; for stacks X (B, n, p) and Y (B, n, m), a stack of B
-    pairs, each with the bits it gets alone.
+def _extra_ss(X: np.ndarray, Y: np.ndarray, q: int) -> SumsOfSquares:
+    """The pair (S_E, S_X) at Dims(n, p, m, q) for the hypothesis that the
+    first q coefficient rows of Y = X B + E vanish; for stacks X (B, n, p) and
+    Y (B, n, m), a stack of B pairs, each with the bits it gets alone.
 
     One QR of [X_rest X_hyp Y], the q hypothesis columns moved last, gives
     R = [[R_XX, R_XY], [0, R_YY]]: S_E = R_YY' R_YY is the residual Gram
@@ -321,7 +322,8 @@ def _extra_ss(X: np.ndarray, Y: np.ndarray, q: int):
     (Anderson 2003, section 8.3). A stack takes one stacked QR. The R diagonal
     of the X block is the design's rank check; check_real refuses a product
     that overflows; a stack checks pair by pair, so it raises what its first
-    failing pair raises alone.
+    failing pair raises alone. Both matrices are then finite and, formed by
+    syrk, exactly symmetric, so the pair is built without __init__'s checks.
     """
     n, p = X.shape[-2:]
     if n < p:
@@ -339,7 +341,7 @@ def _extra_ss(X: np.ndarray, Y: np.ndarray, q: int):
         np.matmul(H.T, H, out=S)
         check_real("S_E", E)
         check_real("S_X", S)
-    return s_err, s_hyp
+    return SumsOfSquares._of(s_err, s_hyp, Dims(n, p, m, q))
 
 
 def _hypothesis(C, p: int) -> HypothesisMatrix:
@@ -358,8 +360,7 @@ def hypothesis_ss(data: DataSet, C) -> SumsOfSquares:
     columns carry the hypothesis, next to Y.
     """
     C = _hypothesis(C, data.p)
-    s_err, s_hyp = _extra_ss(C.design(data.X), data.Y, C.r)
-    return SumsOfSquares(s_err, s_hyp, Dims(data.n, data.p, data.m, C.r))
+    return _extra_ss(C.design(data.X), data.Y, C.r)
 
 
 def neg2_log_lrt(ss: SumsOfSquares):

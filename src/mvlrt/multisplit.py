@@ -26,13 +26,13 @@ eigh call for the loadings, and one QR and one neg2_log_lrt per group of
 fits that share (p0, m0, q); screening, the feasibility checks and the
 Wilks tail stay per split. A stacked LAPACK call gives each matrix the bits
 of a call on it alone, and every product A' A is made per matrix, so an
-outcome does not depend on its stack. A stack that raises is rerun split by
-split, so the first failing split raises its own error; per_split_pvalue
-and the J = 0 control are stacks of one. The stack runs on the private
-helpers of ``screening`` and ``model``, not on their public functions,
-because its arrays are slices of the checked data set: it checks none of
-them again and forms one response covariance per split for parallel
-analysis and PCA.
+outcome does not depend on its stack. _stack is the one split runner:
+per_split_pvalue and the J = 0 control run a stack of one, and
+multisplit_test reruns a stack that raises split by split, so the first
+failing split raises its own error. The stack runs on the private helpers of
+``screening`` and ``model``, not on their public functions, because its
+arrays are slices of the checked data set: it checks none of them again and
+forms one response covariance per split for parallel analysis and PCA.
 
 Reproducibility: split j is driven entirely by a seed derived from
 (config seed, j), so runs are bit-reproducible.
@@ -48,9 +48,9 @@ import numpy as np
 from ._blas import single_thread_blas
 from .distributions import wilks_lrt_tail
 from .errors import DomainError, SplitInfeasibleError, check_integer, check_level, check_real
-from .model import DataSet, Dims, SumsOfSquares, _extra_ss, _hypothesis, neg2_log_lrt
+from .model import DataSet, _extra_ss, _hypothesis, neg2_log_lrt
 from .rng import derive_seed, stream
-from .screening import PA_COPIES, _budget, _centered_cov, _loadings, _pa_rank, _ranked
+from .screening import _budget, _centered_cov, _loadings, _pa_rank, _ranked
 from .screening import conditional_transform
 
 GAMMA_MIN_FLOOR = 1e-4
@@ -133,9 +133,9 @@ def _prepare_hypothesis(data: DataSet, C):
     return conditional_transform(data.X, hyp), hyp.r, 0 if hyp.rotation is None else hyp.r
 
 
-def _stack(data: DataSet, X, r, protect, cfg: MultiSplitConfig, js, unsplit, Z) -> list:
+def _stack(data: DataSet, X, r, protect, cfg: MultiSplitConfig, js, unsplit=False) -> list:
     """The outcomes of splits js, run as one stack on a hypothesis prepared by
-    _prepare_hypothesis: split, reduce, test; Z is _outcomes' buffer.
+    _prepare_hypothesis: split, reduce, test.
 
     With unsplit set, js is (-1,), the J = 0 control, which screens and tests
     on every row; -1 then only seeds the dimension reduction.
@@ -158,7 +158,7 @@ def _stack(data: DataSet, X, r, protect, cfg: MultiSplitConfig, js, unsplit, Z) 
                 f"{labels[0]}: no room for responses with n_T={n_t}, p0={budget}, m={m}")
         cov = np.stack([_centered_cov(y) for y in Y_s])
         if cfg.pca_policy == "parallel_analysis":
-            m0 = _pa_rank(rngs, Y_s, cap, cov, Z).tolist()
+            m0 = _pa_rank(rngs, Y_s, cap, cov).tolist()
         else:
             m0 = [int(cfg.pca_policy)] * len(js)
             if m0[0] > cap:
@@ -182,35 +182,11 @@ def _stack(data: DataSet, X, r, protect, cfg: MultiSplitConfig, js, unsplit, Z) 
     Y_t = data.Y[T]
     for (m0_g, q), ks in fits.items():
         fit_y = np.stack([Y_t[k] if w_hat[k] is None else Y_t[k] @ w_hat[k] for k in ks])
-        s_err, s_hyp = _extra_ss(X[T[ks, :, None], cols[ks, None, :]], fit_y, q)
-        dims = Dims(n_t, budget, m0_g, q)
-        # _extra_ss checks both matrices finite and forms them as A' A by syrk: exactly symmetric
-        for k, x in zip(ks, neg2_log_lrt(SumsOfSquares._of(s_err, s_hyp, dims))):
+        pairs = _extra_ss(X[T[ks, :, None], cols[ks, None, :]], fit_y, q)
+        for k, x in zip(ks, neg2_log_lrt(pairs)):
             p_vals[k] = wilks_lrt_tail(float(x), n_t, budget, m0_g, q)
     return [SplitOutcome(float(p), tuple(c.tolist()), k, derive_seed(cfg.seed, j))
             for p, c, k, j in zip(p_vals, cols, m0, js)]
-
-
-def _outcomes(data: DataSet, prepared, cfg: MultiSplitConfig, js, unsplit=False) -> list:
-    """The outcomes of splits js in order, run in stacks of _SPLIT_STACK.
-
-    A stack that raises is rerun split by split, so the first failing split
-    raises its own error. The parallel-analysis copies of every stack share one
-    buffer, sized by the rows that split_indices gives the screening half.
-    """
-    rows = data.n if unsplit else int(round(cfg.split_ratio * data.n))
-    Z = None
-    if cfg.pca_policy == "parallel_analysis":
-        Z = np.empty((min(_SPLIT_STACK, len(js)), PA_COPIES, rows, data.m))
-    out = []
-    for i in range(0, len(js), _SPLIT_STACK):
-        stack = js[i:i + _SPLIT_STACK]
-        try:
-            out += _stack(data, *prepared, cfg, stack, unsplit, Z)
-        except Exception:  # any error: the rerun raises the first failing split's own
-            for j in stack:
-                out += _stack(data, *prepared, cfg, [j], unsplit, Z)
-    return out
 
 
 def per_split_pvalue(data: DataSet, C, cfg: MultiSplitConfig, j: int) -> SplitOutcome:
@@ -221,7 +197,7 @@ def per_split_pvalue(data: DataSet, C, cfg: MultiSplitConfig, j: int) -> SplitOu
     [X_rest X_hyp Y] gives the pair (S_E, S_X) at (n_T, p0, m0, q). If
     screening kept none of those columns (q = 0) the split returns p = 1.
     """
-    return _outcomes(data, _prepare_hypothesis(data, C), cfg, [j])[0]
+    return _stack(data, *_prepare_hypothesis(data, C), cfg, [j])[0]
 
 
 @single_thread_blas()
@@ -232,7 +208,7 @@ def no_split_pvalue(data: DataSet, C, cfg: MultiSplitConfig) -> SplitOutcome:
     valid; this exists as a negative control demonstrating why splitting is
     required. The command-line front end refuses it without an override.
     """
-    return _outcomes(data, _prepare_hypothesis(data, C), cfg, [-1], unsplit=True)[0]
+    return _stack(data, *_prepare_hypothesis(data, C), cfg, [-1], unsplit=True)[0]
 
 
 def adaptive_pt(pvals, gamma_min: float) -> float:
@@ -277,13 +253,20 @@ def multisplit_test(data: DataSet, C, cfg: MultiSplitConfig,
     """The full procedure: J splits, per-split p-values, adaptive aggregation.
 
     The hypothesis is prepared once, then the splits run in stacks in the
-    calling thread with BLAS on one thread. ``threads`` must be >= 1 and is
-    kept for compatibility: the result does not depend on it. An infeasible
-    split raises SplitInfeasibleError naming the split and the offending
-    sizes rather than silently skipping it.
+    calling thread with BLAS on one thread; a stack that raises is rerun split
+    by split, so an infeasible split raises SplitInfeasibleError naming it and
+    the offending sizes rather than silently skipping it. ``threads`` must be
+    >= 1 and is kept for compatibility: the result does not depend on it.
     """
     check_level("alpha", alpha)
     check_integer("threads", threads)
-    outcomes = _outcomes(data, _prepare_hypothesis(data, C), cfg, range(cfg.j_splits))
+    prepared, outcomes = _prepare_hypothesis(data, C), []
+    for i in range(0, cfg.j_splits, _SPLIT_STACK):
+        js = range(i, min(i + _SPLIT_STACK, cfg.j_splits))
+        try:
+            outcomes += _stack(data, *prepared, cfg, js)
+        except Exception:  # any error: the rerun raises the first failing split's own
+            for j in js:
+                outcomes += _stack(data, *prepared, cfg, [j])
     p_t = adaptive_pt([o.p_value for o in outcomes], cfg.resolved_gamma_min)
     return MultiSplitResult(p_t, alpha, p_t <= alpha, cfg.resolved_gamma_min, tuple(outcomes))

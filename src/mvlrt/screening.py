@@ -166,20 +166,19 @@ def _centered_cov(Y: np.ndarray) -> np.ndarray:
     return cov
 
 
-def _pa_rank(rngs, YS: np.ndarray, cap, cov: np.ndarray, Z=None) -> np.ndarray:
+def _pa_rank(rngs, YS: np.ndarray, cap, cov: np.ndarray) -> np.ndarray:
     """parallel_analysis on a stack of B checked YS (B, n_S, m) and a cap, where
     ``cov`` stacks their _centered_cov and YS[k]'s copies draw from rngs[k]: the
-    (B,) ranks. ``Z``, if given, is a C-ordered buffer of at least B stacks of
-    PA_COPIES copies of shape (n_S, m)."""
+    (B,) ranks."""
     B, n_s, m = YS.shape
     if n_s < 3:
         raise DomainError(f"parallel analysis needs n_S >= 3, got {n_s}")
     eigs = np.linalg.eigvalsh(cov)[:, ::-1]
     # every copy of YS[k] in one draw: the rows of each column of each copy are
     # shuffled in the order of PA_COPIES calls rngs[k].permuted(YS[k], axis=0), with
-    # the same bits. The copies sit in one C-ordered buffer: permuting a broadcast
+    # the same bits. The copies sit in one C-ordered array: permuting a broadcast
     # view instead returns another memory layout, and its products differ in bits.
-    Z = np.empty((B, PA_COPIES, n_s, m)) if Z is None else Z[:B]
+    Z = np.empty((B, PA_COPIES, n_s, m))
     Z[...] = YS[:, None]
     for rng, copies in zip(rngs, Z):
         rng.permuted(copies, axis=1, out=copies)

@@ -146,23 +146,38 @@ def test_basis_is_the_full_svd_whenever_it_is_built(C):
         assert np.abs(C @ hyp.rotation[:, C.shape[0]:]).max() < 1e-12  # null space last
 
 
+def _assert_checked_pair(ss, dims):
+    """ss is a fitted pair or stack at dims, exactly symmetric, with the bits
+    and the -2 log L_n of the checked SumsOfSquares built from its matrices."""
+    assert ss.dims == dims
+    for S in (ss.s_err, ss.s_hyp):
+        assert np.array_equal(S, np.swapaxes(S, -1, -2))
+    checked = SumsOfSquares(ss.s_err, ss.s_hyp, dims)
+    assert checked.s_err.tobytes() == ss.s_err.tobytes()
+    assert checked.s_hyp.tobytes() == ss.s_hyp.tobytes()
+    assert np.array_equal(neg2_log_lrt(checked), neg2_log_lrt(ss))
+
+
 def test_split_pair_is_exactly_symmetric():
-    """The split path builds its pair with SumsOfSquares._of, skipping the
-    re-symmetrizing of __init__: _extra_ss forms both matrices by syrk."""
-    for k, (n_t, p0, q, m0) in enumerate([(70, 24, 24, 20), (70, 30, 2, 5), (28, 10, 3, 1),
-                                         (100, 50, 1, 20), (40, 1, 1, 7), (200, 120, 60, 40)]):
+    """_extra_ss returns its pair, at Dims(n, p, m, q) read from the shapes,
+    built without the checks and re-symmetrizing of __init__: it forms both
+    matrices by syrk, so the checked pair has the same bits. So does a stack."""
+    def fit_data(k, n_t, p0, m0):
         rng = stream(32, k)
         XY = rng.standard_normal((n_t, p0 + m0))
         XY[:, p0:] += XY[:, :p0] @ rng.standard_normal((p0, m0))
-        s_err, s_hyp = _extra_ss(XY[:, :p0], XY[:, p0:], q)
-        for S in (s_err, s_hyp):
-            assert np.array_equal(S, S.T)
-        dims = Dims(n_t, p0, m0, q)
-        checked = SumsOfSquares(s_err, s_hyp, dims)
-        fast = SumsOfSquares._of(s_err, s_hyp, dims)
-        assert checked.s_err.tobytes() == fast.s_err.tobytes()
-        assert checked.s_hyp.tobytes() == fast.s_hyp.tobytes()
-        assert neg2_log_lrt(checked) == neg2_log_lrt(fast)
+        return XY[:, :p0], XY[:, p0:]
+
+    for k, (n_t, p0, q, m0) in enumerate([(70, 24, 24, 20), (70, 30, 2, 5), (28, 10, 3, 1),
+                                         (100, 50, 1, 20), (40, 1, 1, 7), (200, 120, 60, 40)]):
+        _assert_checked_pair(_extra_ss(*fit_data(k, n_t, p0, m0), q), Dims(n_t, p0, m0, q))
+    sets = [fit_data(10 + k, 70, 30, 5) for k in range(4)]
+    stack = _extra_ss(np.stack([X for X, _ in sets]), np.stack([Y for _, Y in sets]), 2)
+    _assert_checked_pair(stack, Dims(70, 30, 5, 2))
+    for k, (X, Y) in enumerate(sets):  # each pair of the stack has the bits it gets alone
+        alone = _extra_ss(X, Y, 2)
+        assert stack.s_err[k].tobytes() == alone.s_err.tobytes()
+        assert stack.s_hyp[k].tobytes() == alone.s_hyp.tobytes()
 
 
 def test_sums_of_squares_validation():

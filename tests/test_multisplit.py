@@ -396,6 +396,43 @@ def test_no_split_pvalue_is_the_exact_tail_on_every_row():
     assert out.p_value == wilks_lrt_tail(neg2_log_lrt(ss), data.n, len(cols), data.m, q)
 
 
+def test_no_split_pvalue_with_parallel_analysis_chains_the_public_steps():
+    """The J = 0 control with parallel analysis, whose copies have all n rows,
+    equals parallel_analysis, pca_reduce, screen, hypothesis_ss and the Wilks
+    tail on every row, bit for bit."""
+    rng = stream(726)
+    X, Y = rng.standard_normal((100, 120)), rng.standard_normal((100, 20))
+    data = DataSet(X, Y + 0.7 * rng.standard_normal((100, 3)) @ rng.standard_normal((3, 20)))
+    cfg = MultiSplitConfig(j_splits=1, seed=5, pca_policy="parallel_analysis")
+    out = no_split_pvalue(data, np.eye(120)[:60], cfg)
+    cap = min(data.n - 24 - 2, data.n - 1, data.m)  # p0 = floor(0.2 * 120) = 24
+    m0 = parallel_analysis(stream(cfg.seed, -1), data.Y, cap)
+    Y_r = data.Y @ pca_reduce(data.Y, m0)[0]
+    cols = sorted(screen(data.X, Y_r, cfg.delta).selected)
+    q = sum(c < 60 for c in cols)
+    ss = hypothesis_ss(DataSet(data.X[:, cols], Y_r), np.eye(q, len(cols)))
+    assert (out.m0, out.selected) == (m0, tuple(cols))
+    assert 1 < m0 < data.m and 0 < q < len(cols)
+    assert out.p_value == wilks_lrt_tail(neg2_log_lrt(ss), data.n, len(cols), m0, q)
+
+
+def test_a_failing_single_split_runs_once(monkeypatch):
+    """per_split_pvalue and the J = 0 control run one stack of one split: a
+    split that fails after screening is screened once, not rerun."""
+    import mvlrt.multisplit as ms
+
+    calls, ranked = [], ms._ranked
+    monkeypatch.setattr(ms, "_ranked", lambda *args: calls.append(1) or ranked(*args))
+    rng = stream(710)
+    data = DataSet(rng.standard_normal((12, 10)), rng.standard_normal((12, 2)))
+    with pytest.raises(SplitInfeasibleError, match="split 0"):  # n_T = 8, p0 + m0 + 1 = 8
+        per_split_pvalue(data, np.eye(10), MultiSplitConfig(j_splits=1, seed=1, delta=0.5), 0)
+    assert len(calls) == 1
+    with pytest.raises(SplitInfeasibleError, match="no-split run"):  # n = 12, p + m + 1 = 13
+        no_split_pvalue(data, np.eye(10), MultiSplitConfig(j_splits=1, seed=1, delta=1.0))
+    assert len(calls) == 2
+
+
 def test_a_stack_that_fails_reruns_its_splits_in_order(monkeypatch):
     """Split 6 fails at screening and split 2 at its fit, a later stage of the
     stack: the stack meets split 6's error first, and its rerun split by split
