@@ -21,12 +21,13 @@ same rows.
 The splits run in stacks of ``_SPLIT_STACK`` in the calling thread, with
 BLAS on one thread (see ``_blas``). Each split draws its halves and then its
 parallel-analysis copies from its own stream. A stack makes one eigvalsh
-call on its response covariances, one on all its copies' covariances, one
-eigh call for the loadings, and one QR and one neg2_log_lrt per group of
-fits that share (p0, m0, q); screening, the feasibility checks and the
-Wilks tail stay per split. A stacked LAPACK call gives each matrix the bits
-of a call on it alone, and every product A' A is made per matrix, so an
-outcome does not depend on its stack. _stack is the one split runner:
+call on its response covariances, one tridiagonal reduction per permuted
+copy, whose eigenvalues parallel analysis counts rather than solves for,
+one eigh call for the loadings, and one QR and one neg2_log_lrt per group
+of fits that share (p0, m0, q); screening, the feasibility checks and the
+Wilks tail stay per split. A stacked LAPACK call or product gives each
+matrix the bits of a call on it alone, so an outcome does not depend on
+its stack. _stack is the one split runner:
 per_split_pvalue and the J = 0 control run a stack of one, and
 multisplit_test reruns a stack that raises split by split, so the first
 failing split raises its own error. The stack runs on the private helpers of

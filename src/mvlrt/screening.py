@@ -13,11 +13,14 @@ protected from screening.
 
 Each step is one private helper on arrays that are already checked:
 _budget and _ranked (screening), _centered_cov, _pa_rank (parallel
-analysis) and _loadings (PCA); the last two take a stack of response sets
-of one shape and make one eigen call for all of it. The public functions
-check their input and call them with a stack of one; the multi-split
-procedure calls them on its stack of splits, slices of its checked data set,
-with one centered covariance per split for parallel analysis and loadings.
+analysis) and _loadings (PCA). The last two take a stack of response sets
+of one shape and make one eigen call for all of it, on its covariances:
+_pa_rank counts its permuted copies' eigenvalues with _counter, one
+tridiagonal reduction per copy and a Sturm count at the data's eigenvalues,
+instead of solving for them. The public functions check their input and
+call them with a stack of one; the multi-split procedure calls them on its
+stack of splits, slices of its checked data set, with one centered
+covariance per split for parallel analysis and loadings.
 
 Reproducibility: parallel analysis draws all PA_COPIES permuted copies of a
 response set with one rng.permuted call, which shuffles them in the order,
@@ -37,6 +40,11 @@ from .model import RANK_TOL, _check_matrix, _hypothesis
 #: parallel analysis: column-permuted copies; an eigenvalue that beats all 19
 #: copies beats their 95% quantile, the ceil(0.95 * 19) = 19th order statistic
 PA_COPIES = 19
+
+#: parallel analysis: how many data eigenvalues one Sturm count tests at once. Leading
+#: runs are short (all ended by index 4 on multisplit_hd), and counting at every
+#: eigenvalue in one call made that workload's splits about 8% slower
+_PA_CHUNK = 5
 
 
 @dataclass(frozen=True)
@@ -166,36 +174,96 @@ def _centered_cov(Y: np.ndarray) -> np.ndarray:
     return cov
 
 
+def _counter(cov: np.ndarray):
+    """For a stack of symmetric positive semidefinite matrices cov (..., m, m), which
+    it overwrites, a function of shifts t, shaped (..., S) against the stack's
+    leading axes, that returns (..., S) counts: how many eigenvalues of each matrix
+    lie at or above each shift.
+
+    Each matrix, and its shifts with it, is scaled by the power of two that brings
+    its largest diagonal entry into [0.5, 1), which is exact and keeps the squared
+    off-diagonals below from overflowing or going subnormal at any finite input.
+    The matrix is then reduced in place to its tridiagonal form T (one LAPACK
+    dsytrd, which reads one triangle); a count is the inertia of t I - T from the
+    recurrence of its LDL' pivots, exact for a matrix within rounding of the input
+    (Kahan 1966).
+    """
+    from scipy.linalg.lapack import dsytrd, dsytrd_lwork
+
+    m = cov.shape[-1]
+    exp = np.frexp(cov.diagonal(axis1=-2, axis2=-1).max(axis=-1))[1]
+    np.ldexp(cov, -exp[..., None, None], out=cov)
+    d = np.empty(cov.shape[:-1])
+    e2 = np.empty(cov.shape[:-2] + (m - 1,))
+    # the optimal workspace lets a large matrix take the blocked reduction; the
+    # default one forces the unblocked one, 1.6 to 3 times slower at m = 200
+    lwork = int(dsytrd_lwork(m)[0])
+    for k in np.ndindex(cov.shape[:-2]):
+        _, d[k], e2[k], _, _ = dsytrd(cov[k].T, lwork=lwork, overwrite_a=True)
+    e2 **= 2
+    # LAPACK's dlaneg guard: a pivot below pivmin in magnitude, zero included, becomes
+    # -pivmin, so an eigenvalue equal to t counts as at or above it. An off-diagonal
+    # is at most the scaled matrix's norm, below its trace m, so e2 / pivmin cannot
+    # overflow, and pivmin depends on m alone, not on the other matrices of the stack
+    pivmin = np.finfo(float).tiny * m * m
+
+    def count(t):
+        t = np.ldexp(t, -exp[..., None])
+        q = t - d[..., 0, None]
+        n = np.zeros(q.shape, dtype=int)
+        for j in range(m):
+            if j:
+                q = t - d[..., j, None] - e2[..., j - 1, None] / q
+            q[np.abs(q) < pivmin] = -pivmin
+            n += q < 0.0
+        return n
+
+    return count
+
+
 def _pa_rank(rngs, YS: np.ndarray, cap, cov: np.ndarray) -> np.ndarray:
     """parallel_analysis on a stack of B checked YS (B, n_S, m) and a cap, where
     ``cov`` stacks their _centered_cov and YS[k]'s copies draw from rngs[k]: the
-    (B,) ranks."""
+    (B,) ranks.
+
+    Only the data's eigenvalues are solved for: eigs[k, i] beats every copy of
+    YS[k] exactly when no copy has more than i eigenvalues at or above it, which a
+    Sturm count on each copy's tridiagonal form answers. The counts run on
+    _PA_CHUNK indices at a time and stop once no leading run continues, never past
+    the cap.
+    """
     B, n_s, m = YS.shape
     if n_s < 3:
         raise DomainError(f"parallel analysis needs n_S >= 3, got {n_s}")
     eigs = np.linalg.eigvalsh(cov)[:, ::-1]
+    if cap is not None:
+        eigs = eigs[:, :int(cap)]
     # every copy of YS[k] in one draw: the rows of each column of each copy are
     # shuffled in the order of PA_COPIES calls rngs[k].permuted(YS[k], axis=0), with
-    # the same bits. The copies sit in one C-ordered array: permuting a broadcast
-    # view instead returns another memory layout, and its products differ in bits.
+    # the same bits
     Z = np.empty((B, PA_COPIES, n_s, m))
     Z[...] = YS[:, None]
     for rng, copies in zip(rngs, Z):
         rng.permuted(copies, axis=1, out=copies)
     Z -= Z.mean(axis=2, keepdims=True)
-    null_cov = np.empty((B, PA_COPIES, m, m))
-    for Zc, out in zip(Z.reshape(-1, n_s, m), null_cov.reshape(-1, m, m)):
-        # one product per copy: a stacked matmul skips the syrk path and can change bits
-        np.matmul(Zc.T, Zc, out=out)
+    null_cov = np.matmul(Z.swapaxes(-1, -2), Z)
     null_cov /= n_s - 1
-    thresholds = np.linalg.eigvalsh(null_cov)[..., ::-1].max(axis=1)
-    # m0 is the leading run of eigenvalues above their thresholds; the relative floor
+    count = _counter(null_cov)
+    # m0 is the leading run of eigenvalues that beat every copy; the relative floor
     # keeps rank-deficient spectra (m >= n_S) from letting zero-vs-zero rounding
     # noise count as a factor
     floor_val = RANK_TOL * np.maximum(eigs[:, :1], 0.0)
-    above = (eigs > thresholds) & (eigs > floor_val)
-    m0 = np.maximum(np.logical_and.accumulate(above, axis=1).sum(axis=1), 1)
-    return m0 if cap is None else np.minimum(m0, int(cap))
+    run = np.zeros(B, dtype=int)
+    going = np.ones(B, dtype=bool)
+    for i in range(0, eigs.shape[1], _PA_CHUNK):
+        t = eigs[:, i:i + _PA_CHUNK]
+        beats = (count(t[:, None]) <= np.arange(i, i + t.shape[1])).all(axis=1)
+        lead = np.logical_and.accumulate(beats & (t > floor_val), axis=1)
+        run += np.where(going, lead.sum(axis=1), 0)
+        going &= lead[:, -1]
+        if not going.any():
+            break
+    return np.maximum(run, 1)
 
 
 def parallel_analysis(rng, YS, cap=None) -> int:

@@ -13,6 +13,7 @@ from mvlrt.screening import (
     PA_COPIES,
     ScreenResult,
     _centered_cov,
+    _counter,
     _pa_rank,
     conditional_transform,
     parallel_analysis,
@@ -276,8 +277,10 @@ def test_parallel_analysis_validation():
     assert parallel_analysis(stream(618), Y, cap=np.int64(1)) == 1
 
 
-def _pa_oracle(rng, YS, cap=None):
-    """Reference for _pa_rank: one rng.permuted call, centering and product per copy."""
+def _pa_oracle(rng, YS, cap=None, gaps=None):
+    """Reference for _pa_rank: one rng.permuted call, centering and product per copy,
+    and every eigenvalue of every copy. Appends to ``gaps`` each decision's distance
+    |eigenvalue - threshold| over the largest eigenvalue."""
     n_s, m = YS.shape
     Yc = YS - YS.mean(axis=0)
     eigs = np.linalg.eigvalsh(Yc.T @ Yc / (n_s - 1))[::-1]
@@ -287,31 +290,54 @@ def _pa_oracle(rng, YS, cap=None):
         Zc = Zc - Zc.mean(axis=0)
         null_cov[b] = Zc.T @ Zc / (n_s - 1)
     null_eigs = np.linalg.eigvalsh(null_cov)[:, ::-1]
-    # the 95% order-statistic quantile by sort and index, which _pa_rank's max must equal
+    # the 95% order-statistic quantile by sort and index
     rank_idx = min(PA_COPIES, max(1, math.ceil(0.95 * PA_COPIES))) - 1
     thresholds = np.sort(null_eigs, axis=0)[rank_idx]
     floor_val = RANK_TOL * max(float(eigs[0]), 0.0)
     m0 = 0
     for lam, th in zip(eigs, thresholds):
-        if lam <= th or lam <= floor_val:
+        if lam <= floor_val:
+            break
+        if gaps is not None:
+            gaps.append(abs(lam - th) / eigs[0])
+        if lam <= th:
             break
         m0 += 1
     m0 = max(m0, 1)
     return m0 if cap is None else min(m0, int(cap))
 
 
-def test_batched_parallel_analysis_matches_per_copy_oracle(monkeypatch):
-    """One permuted draw of every copy gives the per-copy loop's rank, the same
-    eigenvalue inputs bit for bit, and leaves the generator where 19 calls would;
-    a stack of inputs of one shape gives each its own rank and inputs."""
+def _record_eigen_calls(monkeypatch):
+    """The list that every numpy and scipy eigen routine appends (name, input bytes) to."""
+    import scipy.linalg
+    import scipy.linalg.lapack
+
     seen = []
-    eigvalsh = np.linalg.eigvalsh
 
-    def recording(a):
-        seen.append(np.array(a))
-        return eigvalsh(a)
+    def recorder(name, fn):
+        def call(a, *args, **kwargs):
+            seen.append((name, np.asarray(a).tobytes()))
+            return fn(a, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    lapack = [name for name in dir(scipy.linalg.lapack)
+              if re.match(r"[sdcz](sy|he|st|ge)ev|[sd]ste(bz|in|rf|qr)", name)]
+    for module, names in ((np.linalg, ("eig", "eigh", "eigvals", "eigvalsh")),
+                          (scipy.linalg, ("eig", "eigh", "eigvals", "eigvalsh", "eig_banded",
+                                          "eigvals_banded", "eigh_tridiagonal",
+                                          "eigvalsh_tridiagonal")),
+                          (scipy.linalg.lapack, lapack)):
+        for name in names:
+            monkeypatch.setattr(module, name, recorder(name, getattr(module, name)))
+    return seen
+
+
+def test_batched_parallel_analysis_matches_per_copy_oracle(monkeypatch):
+    """One permuted draw of every copy gives the per-copy loop's rank and leaves the
+    generator where 19 calls would; a stack of inputs of one shape gives each its own
+    rank. The one eigen call of a stack is on its data covariances: no copy reaches
+    an eigen routine."""
+    seen = _record_eigen_calls(monkeypatch)
     kinds = {"wide": 0, "constant": 0, "cap_binds": 0}
     by_shape = {}
     for k in range(1000):
@@ -327,33 +353,120 @@ def test_batched_parallel_analysis_matches_per_copy_oracle(monkeypatch):
         Y *= 10.0 ** g.uniform(-3, 3)
         cap = None if k % 3 == 0 else int(g.integers(1, 3))
         want_rng, got_rng = stream(631, k), stream(631, k)
-        seen.clear()
         want = _pa_oracle(want_rng, Y, cap)
-        oracle_inputs = list(seen)
+        cov = _centered_cov(Y)[None]
         seen.clear()
-        got = _pa_rank([got_rng], Y[None], cap, _centered_cov(Y)[None])
+        got = _pa_rank([got_rng], Y[None], cap, cov)
         assert got.tolist() == [want], f"input {k}: n_S={n_s} m={m} cap={cap}"
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, oracle_inputs, strict=True))
+        assert seen == [("eigvalsh", cov.tobytes())]
         assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
         uncapped = _pa_oracle(stream(631, k), Y)
         state = repr(want_rng.bit_generator.state)
-        by_shape.setdefault(Y.shape, []).append((k, Y, uncapped, oracle_inputs, state))
+        by_shape.setdefault(Y.shape, []).append((k, Y, uncapped, state))
         kinds["wide"] += m >= n_s
         kinds["constant"] += k % 4 == 0
         kinds["cap_binds"] += cap is not None and uncapped > cap
     assert min(kinds.values()) >= 50, kinds
     stacks = [group for group in by_shape.values() if len(group) > 1]
     for group in stacks:
-        ks, Ys, wants, inputs, states = zip(*group)
+        ks, Ys, wants, states = zip(*group)
         rngs = [stream(631, k) for k in ks]
+        cov = np.stack([_centered_cov(Y) for Y in Ys])
         seen.clear()
-        got = _pa_rank(rngs, np.stack(Ys), None, np.stack([_centered_cov(Y) for Y in Ys]))
+        got = _pa_rank(rngs, np.stack(Ys), None, cov)
         assert got.tolist() == list(wants), f"inputs {ks}"
-        # one call on the stack's covariances, one on all its copies' covariances
-        assert [a.tobytes() for a in seen] == [b"".join(i[j].tobytes() for i in inputs)
-                                              for j in (0, 1)]
+        assert seen == [("eigvalsh", cov.tobytes())]
         assert [repr(rng.bit_generator.state) for rng in rngs] == list(states)
     assert sum(map(len, stacks)) >= 300 and max(map(len, stacks)) >= 3
+
+
+def test_parallel_analysis_matches_oracle_at_the_split_shape(capfd):
+    """1,000 splits at n_S = 30, m = 20 with 0 to 5 factors of mixed strength, in
+    stacks of 8: the counted ranks equal the oracle's, and the closest decision,
+    the smallest |eigenvalue - threshold| over the largest eigenvalue, is printed."""
+    n_s, m, stack = 30, 20, 8
+    gaps, ranks = [], []
+    for first in range(0, 1000, stack):
+        Ys = []
+        for k in range(first, first + stack):
+            g = stream(640, k)
+            n_factors = int(g.integers(0, 6))
+            Y = g.standard_normal((n_s, m))
+            Y += g.standard_normal((n_s, n_factors)) @ (
+                g.uniform(0.3, 2.0) * g.standard_normal((n_factors, m)))
+            Ys.append(Y)
+            ranks.append(_pa_oracle(stream(641, k), Y, gaps=gaps))
+        got = _pa_rank([stream(641, k) for k in range(first, first + stack)], np.stack(Ys),
+                       None, np.stack([_centered_cov(Y) for Y in Ys]))
+        assert got.tolist() == ranks[first:], f"inputs {first}..{first + stack - 1}"
+    assert len(set(ranks)) >= 4, sorted(set(ranks))
+    with capfd.disabled():
+        print(f"parallel analysis at (30, 20): {len(gaps)} decisions, smallest relative "
+              f"gap {min(gaps):.2e}", flush=True)
+
+
+def test_count_ties_count_as_at_or_above():
+    """Shifts exactly at a diagonal matrix's repeated eigenvalues count them."""
+    C = np.diag([3.0, 1.0, 1.0, 0.0, 3.0, 1.0])
+    t = np.array([3.0, 1.0, 0.0, 2.0, 4.0, -1.0, 0.5, np.nextafter(3.0, 4.0)])
+    assert _counter(C)(t).tolist() == [2, 5, 6, 2, 0, 6, 5, 0]
+
+
+def test_count_on_zero_rows_and_one_column():
+    # a constant column's zero row and column: an exact zero eigenvalue
+    assert _counter(np.zeros((4, 4)))(np.array([0.0, 1e-300, -1e-300])).tolist() == [4, 0, 4]
+    g = stream(642)
+    Y = g.standard_normal((12, 5))
+    Y[:, 2] = 7.0
+    C = _centered_cov(Y)
+    assert not C[2].any()
+    lam = np.linalg.eigvalsh(C)
+    mid = np.concatenate([[lam[0] - 1.0], 0.5 * (lam[:-1] + lam[1:]), [lam[-1] + 1.0]])
+    assert _counter(C)(mid).tolist() == [5, 4, 3, 2, 1, 0]
+    # m = 1, alone and in a stack
+    assert _counter(np.array([[2.5]]))(np.array([2.5, 2.0, 3.0])).tolist() == [1, 1, 0]
+    stack = np.array([[[[1.0]], [[2.0]]]])
+    assert _counter(stack)(np.array([[[1.5, 1.0]]])).tolist() == [[[0, 1], [1, 1]]]
+
+
+def test_count_matches_eigvalsh_on_gram_matrices():
+    """Random Gram matrices, alone and as a (B, copies) stack with per-row shifts,
+    against the eigenvalues counted directly, at shifts away from any eigenvalue."""
+    g = stream(643)
+    for m in (2, 3, 7, 20, 31):
+        for n in (m // 2 + 1, m, 3 * m):
+            A = g.standard_normal((4, 3, n, m)) * 10.0 ** g.uniform(-4, 4)
+            C = A.swapaxes(-1, -2) @ A
+            lam = np.linalg.eigvalsh(C)
+            top = lam.max(axis=(1, 2), keepdims=True)[..., 0]
+            t = g.uniform(-0.05, 1.05, (4, 1, 9)) * top[..., None]
+            want = (lam[..., None, :] >= t[..., None]).sum(axis=-1)
+            gap = np.abs(lam[..., None, :] - t[..., None]).min(axis=-1) / top[..., None]
+            assert gap.min() > 1e-9
+            assert np.array_equal(_counter(C.copy())(t), want), (m, n)
+            assert np.array_equal(_counter(C[2, 1])(t[2, 0]), want[2, 1]), (m, n)
+
+
+def test_parallel_analysis_ignores_the_scale_of_the_data():
+    """Scaling the responses by 2^300 or 2^-300, a covariance near 1e180 or 1e-180,
+    keeps every rank: the copies' squared off-diagonals would overflow or go
+    subnormal unless each matrix is scaled first."""
+    g = stream(644)
+    ranks = set()
+    for k in range(12):
+        n_factors = k % 4
+        Y = g.standard_normal((30, 20))
+        Y += g.standard_normal((30, n_factors)) @ (2.0 * g.standard_normal((n_factors, 20)))
+        want = parallel_analysis(stream(645, k), Y)
+        ranks.add(want)
+        for scale in (2.0 ** 300, 2.0 ** -300):
+            assert parallel_analysis(stream(645, k), Y * scale) == want, (k, scale)
+    assert ranks == {1, 2}, ranks
+    C = _centered_cov(stream(646).standard_normal((12, 5)))
+    lam = np.linalg.eigvalsh(C)
+    mid = np.concatenate([[lam[0] - 1.0], 0.5 * (lam[:-1] + lam[1:]), [lam[-1] + 1.0]])
+    for e in (-1000, -500, 0, 500, 1000):
+        assert _counter(np.ldexp(C, e))(np.ldexp(mid, e)).tolist() == [5, 4, 3, 2, 1, 0], e
 
 
 def test_public_steps_refuse_non_finite_input():
