@@ -248,11 +248,13 @@ def wilks_lrt_tail(x: float, n: int, p: int, m: int, r: int) -> float:
         return 1.0
     if r < m:
         m, r, df = r, m, df + r - m
-    shapes, signs, a_min, h, y_lo, y_hi, p_lo, p_hi, y_zero = _wilks_terms(df, m, r)
+    shapes, signs, a_min, h, y_lo, y_hi, p_lo, p_hi, y_one, y_zero = _wilks_terms(df, m, r)
     if y_lo <= y <= y_hi:
         return p_lo + (p_hi - p_lo) * (y - y_lo) / (y_hi - y_lo)
     if y > y_zero:
         return 0.0
+    if y < y_one:
+        return 1.0
     # K'(s) = y has one root below the pole at a_min; 1/K' is nearly linear in
     # s at both ends, so Newton runs on it, safeguarded by the bracket
     lo, hi = (h, a_min) if y > y_hi else (-math.inf, -h)
@@ -294,6 +296,13 @@ def _wilks_terms(df: int, m: int, r: int):
     saddlepoint, so there it exceeds s0 y - K(s0) > 800. Then w > 40, and both
     Lugannani-Rice terms underflow to 0.0, as does the Chernoff bound
     exp(K(s0) - s0 y) on the exact tail; the exception path returns 0.0 too.
+    Mirrored at s1 < 0, y_one = (K(s1) + 800) / s1, below which the tail is 1.0:
+    there w < -40, so ndtr(-w) is 1.0 and the second term underflows, and the
+    exception path returns 1.0. Any s1 < 0 gives a valid cut. Taking K(s) as
+    -(m r / 2) log(1 - s / a_min), its growth as s goes to -inf, the largest
+    y_one lies near s1 = -a_min (e^(1 + 1600 / (m r)) - 1); the exponent is
+    capped at 14, which keeps the rounding of K(s1) far below 800, and y_one
+    may then be negative.
     """
     a = 0.5 * (df - np.arange(m, dtype=float))
     shapes = np.concatenate([a, a + 0.5 * r])
@@ -303,9 +312,11 @@ def _wilks_terms(df: int, m: int, r: int):
     y_lo, y_hi = _k1(shapes, signs, -h), _k1(shapes, signs, h)
     p_lo, p_hi = _lr_tail(shapes, signs, -h, y_lo), _lr_tail(shapes, signs, h, y_hi)
     a_min = float(a[-1])
-    s0 = 0.5 * a_min
-    k_s0 = float(signs @ (_special().gammaln(shapes - s0) - _special().gammaln(shapes)))
-    return shapes, signs, a_min, h, y_lo, y_hi, p_lo, p_hi, (k_s0 + 800.0) / s0
+    s0, s1 = 0.5 * a_min, -a_min * math.expm1(min(1.0 + 1600.0 / (m * r), 14.0))
+    k0, k1 = signs @ (_special().gammaln(shapes - np.array([[s0], [s1]]))
+                      - _special().gammaln(shapes)).T
+    return (shapes, signs, a_min, h, y_lo, y_hi, p_lo, p_hi,
+            float(k1 + 800.0) / s1, float(k0 + 800.0) / s0)
 
 
 def sample_beta(rng: np.random.Generator, a: float, b: float, size=None):

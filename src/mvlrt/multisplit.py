@@ -23,11 +23,13 @@ BLAS on one thread (see ``_blas``). Each split draws its halves and then its
 parallel-analysis copies from its own stream. A stack makes one eigvalsh
 call on its response covariances, one tridiagonal reduction per permuted
 copy, whose eigenvalues parallel analysis counts rather than solves for,
-one eigh call for the loadings, and one QR and one neg2_log_lrt per group
-of fits that share (p0, m0, q); screening, the feasibility checks and the
-Wilks tail stay per split. A stacked LAPACK call or product gives each
-matrix the bits of a call on it alone, so an outcome does not depend on
-its stack. _stack is the one split runner:
+one eigh call for the loadings, one screening pass (one QR and one score
+product per shape of reduced responses, a pivoted QR only for responses
+that are not provably of full rank), and one QR and one neg2_log_lrt per
+group of fits that share (p0, m0, q); the feasibility checks and the Wilks
+tail stay per split. A stacked LAPACK call or product gives each matrix the
+bits of a call on it alone, so an outcome does not depend on its stack.
+_stack is the one split runner:
 per_split_pvalue and the J = 0 control run a stack of one, and
 multisplit_test reruns a stack that raises split by split, so the first
 failing split raises its own error. The stack runs on the private helpers of
@@ -57,8 +59,11 @@ from .screening import conditional_transform
 GAMMA_MIN_FLOOR = 1e-4
 
 #: splits run at once: one eigen call per stack for parallel analysis and for the
-#: loadings, one QR per group of its fits of one shape
-_SPLIT_STACK = 8
+#: loadings, one screening pass, one QR per group of its fits of one shape. On
+#: multisplit_hd (2 cores, alternating in one process, 40 ops each) an op took
+#: 152, 136, 130 and 125 ms at 8, 16, 32 and 64, and its traced peak was 1.1, 1.7,
+#: 3.0 and 5.6 MB: past 32 the time falls by a few percent while the memory grows
+_SPLIT_STACK = 32
 
 
 @dataclass(frozen=True)
@@ -169,9 +174,8 @@ def _stack(data: DataSet, X, r, protect, cfg: MultiSplitConfig, js, unsplit=Fals
         Y_s = [y @ w for y, w in zip(Y_s, w_hat)]
 
     # each split keeps budget columns (p0 = budget); fits groups them by (m0, q)
-    cols, fits = np.empty((len(js), budget), dtype=int), {}
+    cols, fits = np.sort(_ranked(X[S], Y_s, budget, protect)[0], axis=1), {}
     for k, label in enumerate(labels):
-        cols[k] = np.sort(_ranked(X[S[k]], Y_s[k], budget, protect)[0])
         if n_t <= budget + m0[k] + 1:
             raise SplitInfeasibleError(f"{label}: testing half has n_T={n_t} but needs "
                                        f"more than p0 + m0 + 1 = {budget + m0[k] + 1}")

@@ -13,14 +13,17 @@ protected from screening.
 
 Each step is one private helper on arrays that are already checked:
 _budget and _ranked (screening), _centered_cov, _pa_rank (parallel
-analysis) and _loadings (PCA). The last two take a stack of response sets
-of one shape and make one eigen call for all of it, on its covariances:
-_pa_rank counts its permuted copies' eigenvalues with _counter, one
-tridiagonal reduction per copy and a Sturm count at the data's eigenvalues,
-instead of solving for them. The public functions check their input and
-call them with a stack of one; the multi-split procedure calls them on its
-stack of splits, slices of its checked data set, with one centered
-covariance per split for parallel analysis and loadings.
+analysis) and _loadings (PCA). Each takes a stack of splits. _ranked
+screens all of them at once: _bases makes one QR per shape of response set,
+with a pivoted QR only for a set that is not provably of full rank, and the
+scores take one product per basis shape. _pa_rank and _loadings take
+response sets of one shape and make one eigen call for all of them, on
+their covariances: _pa_rank counts its permuted copies' eigenvalues with
+_counter, one tridiagonal reduction per copy and a Sturm count at the
+data's eigenvalues, instead of solving for them. The public functions check
+their input and call them with a stack of one; the multi-split procedure
+calls them on its stack of splits, slices of its checked data set, with one
+centered covariance per split for parallel analysis and loadings.
 
 Reproducibility: parallel analysis draws all PA_COPIES permuted copies of a
 response set with one rng.permuted call, which shuffles them in the order,
@@ -45,6 +48,10 @@ PA_COPIES = 19
 #: runs are short (all ended by index 4 on multisplit_hd), and counting at every
 #: eigenvalue in one call made that workload's splits about 8% slower
 _PA_CHUNK = 5
+
+#: screening: a response set keeps its unpivoted QR basis when sigma_min(R) provably
+#: passes this share of sigma_max(R), 100 times RANK_TOL (see _bases)
+_FULL_RANK = 100 * RANK_TOL
 
 
 @dataclass(frozen=True)
@@ -89,23 +96,38 @@ def _response_basis(Y: np.ndarray) -> np.ndarray:
     return q[:, :rank]
 
 
-def _column_scores(X: np.ndarray, basis: np.ndarray):
-    """Canonical correlation of each column with the responses, plus degenerate flags.
+def _bases(YS):
+    """[(ks, Q)] for B checked response sets YS[b] with n_S rows each: each b lies
+    in one ks, and Q (len(ks), n_S, w) stacks orthonormal bases of their centered
+    column spaces, each with the bits of a call on its set alone.
 
-    A column's score is the square root of the R^2 from regressing it,
-    centered, on the centered responses: the norm of its projection onto
-    ``basis`` over its own norm. A zero-variance column scores 0.
+    Sets of one shape (n_S, m) with m < n_S - 1 take one unpivoted QR, Yc = Q R,
+    and keep Q where |R|_F |R^-1|_F, a bound on sigma_max / sigma_min, is below
+    1 / _FULL_RANK (a singular R reads inf). In any column order a QR's k-th
+    diagonal entry, the distance of column k from the span of the earlier ones, is
+    at least sigma_min(Yc), and the first is at most sigma_max(Yc). So the pivoted
+    QR of _response_basis would keep every column, with a margin of 100 over
+    RANK_TOL for rounding, both bases span one space, and scores on them differ by
+    rounding only. The rest take _response_basis: sets that may lack full rank,
+    such as one with a constant column, and sets with m >= n_S - 1, which can span
+    the whole centered space, where every score is 1 and rounding alone orders them.
     """
-    Xc = X - X.mean(axis=0)
-    spread = np.linalg.norm(Xc, axis=0)
-    raw = np.linalg.norm(X, axis=0)
-    degenerate = spread <= RANK_TOL * np.maximum(1.0, raw)
-    scores = np.zeros(X.shape[1])
-    ok = ~degenerate
-    if ok.any():
-        proj = np.linalg.norm(basis.T @ Xc[:, ok], axis=0)
-        scores[ok] = np.minimum(proj / spread[ok], 1.0)
-    return scores, degenerate
+    shapes = {}
+    for b, y in enumerate(YS):
+        shapes.setdefault(y.shape, []).append(b)
+    out = []
+    for (n_s, m), ks in shapes.items():
+        ks, full = np.array(ks), np.zeros(len(ks), dtype=bool)
+        if m < n_s - 1:
+            Yc = np.stack([YS[b] for b in ks])
+            Yc -= Yc.mean(axis=1, keepdims=True)
+            q, rr = np.linalg.qr(Yc)
+            full = np.linalg.cond(rr, "fro") < 1.0 / _FULL_RANK
+            if full.any():
+                out.append((ks[full], q if full.all() else q[full]))
+        out += [(ks[i:i + 1], _response_basis(YS[b])[None]) for i, b in enumerate(ks)
+                if not full[i]]
+    return out
 
 
 def _budget(delta: float, p: int, protect: int) -> int:
@@ -119,17 +141,36 @@ def _budget(delta: float, p: int, protect: int) -> int:
     return max(k, protect)
 
 
-def _ranked(XS: np.ndarray, YS: np.ndarray, k: int, protect: int):
-    """(selected, scores, degenerate) for checked XS and YS with matching rows.
+def _ranked(XS: np.ndarray, YS, k: int, protect: int):
+    """(selected, scores, degenerate) for a stack of B checked designs XS (B, n_S, p),
+    which it centers in place, and B checked response sets YS[b] with n_S rows each:
+    (B, k), (B, p) and (B, p) arrays, each row with the bits of a call on its split
+    alone.
 
-    ``selected`` is an int array of k column indices, the first ``protect``
-    columns, then the best-ranked others, best first.
+    A column's score is the square root of the R^2 from regressing it, centered, on
+    the centered responses: the norm of its projection onto the _bases basis over
+    its own norm. A zero-variance (degenerate) column scores 0. A row of
+    ``selected`` holds the first ``protect`` columns, then the best-ranked others,
+    best first.
     """
-    scores, degenerate = _column_scores(XS, _response_basis(YS))
+    B, _, p = XS.shape
+    raw = np.linalg.norm(XS, axis=1)
+    XS -= XS.mean(axis=1, keepdims=True)
+    spread = np.linalg.norm(XS, axis=1)
+    degenerate = spread <= RANK_TOL * np.maximum(1.0, raw)
+    # one product per basis shape: a zero-padded product over all of them would
+    # give a split's scores bits that depend on the other splits in its stack
+    proj = np.empty((B, p))
+    for ks, basis in _bases(YS):
+        proj[ks] = np.linalg.norm(basis.swapaxes(1, 2) @ XS[ks], axis=1)
+    scores = np.zeros((B, p))
+    np.divide(proj, spread, out=scores, where=~degenerate)
+    np.minimum(scores, 1.0, out=scores)
     # last key sorts first: higher score, then non-degenerate, then smaller index
-    order = np.lexsort((np.arange(XS.shape[1]), degenerate, -scores))
-    ranked = order[order >= protect]
-    return np.concatenate([np.arange(protect), ranked[:k - protect]]), scores, degenerate
+    order = np.lexsort((np.broadcast_to(np.arange(p), (B, p)), degenerate, -scores))
+    ranked = order[order >= protect].reshape(B, p - protect)[:, :k - protect]
+    selected = np.hstack([np.broadcast_to(np.arange(protect), (B, protect)), ranked])
+    return selected, scores, degenerate
 
 
 def screen(XS, YS, delta: float, protect: int = 0) -> ScreenResult:
@@ -146,7 +187,7 @@ def screen(XS, YS, delta: float, protect: int = 0) -> ScreenResult:
     if XS.shape[0] != YS.shape[0]:
         raise DomainError(f"XS has {XS.shape[0]} rows but YS has {YS.shape[0]}")
     k = _budget(delta, XS.shape[1], protect)
-    selected, scores, degenerate = _ranked(XS, YS, k, protect)
+    (selected,), (scores,), (degenerate,) = _ranked(XS[None].copy(), [YS], k, protect)
     return ScreenResult(tuple(selected.tolist()),
                         tuple(float(w) for w in scores),
                         tuple(bool(d) for d in degenerate))
@@ -240,13 +281,15 @@ def _pa_rank(rngs, YS: np.ndarray, cap, cov: np.ndarray) -> np.ndarray:
         eigs = eigs[:, :int(cap)]
     # every copy of YS[k] in one draw: the rows of each column of each copy are
     # shuffled in the order of PA_COPIES calls rngs[k].permuted(YS[k], axis=0), with
-    # the same bits
-    Z = np.empty((B, PA_COPIES, n_s, m))
-    Z[...] = YS[:, None]
-    for rng, copies in zip(rngs, Z):
-        rng.permuted(copies, axis=1, out=copies)
-    Z -= Z.mean(axis=2, keepdims=True)
-    null_cov = np.matmul(Z.swapaxes(-1, -2), Z)
+    # the same bits. One split's copies at a time, in one reused buffer, keep the
+    # working set at the stack's covariances
+    Z = np.empty((PA_COPIES, n_s, m))
+    null_cov = np.empty((B, PA_COPIES, m, m))
+    for rng, y, covs in zip(rngs, YS, null_cov):
+        Z[...] = y
+        rng.permuted(Z, axis=1, out=Z)
+        Z -= Z.mean(axis=1, keepdims=True)
+        np.matmul(Z.swapaxes(-1, -2), Z, out=covs)
     null_cov /= n_s - 1
     count = _counter(null_cov)
     # m0 is the leading run of eigenvalues that beat every copy; the relative floor

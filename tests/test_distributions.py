@@ -408,6 +408,25 @@ def test_wilks_tail_returns_the_newton_zero_above_its_cut(monkeypatch, dims):
     assert [wilks_lrt_tail(float(x), *dims) for x in xs] == [0.0] * xs.size
 
 
+@pytest.mark.parametrize("dims", [(70, 24, 16, 24), (70, 24, 20, 24), (70, 30, 20, 10),
+                                  (200, 20, 20, 20), (1000, 50, 40, 40)])
+def test_wilks_tail_returns_the_newton_one_below_its_cut(monkeypatch, dims):
+    """Below y_one the tail returns 1.0 at once; Newton, run there with the cut
+    removed, returns 1.0 too, so the cut moves no value."""
+    import mvlrt.distributions as dist
+
+    n, p, m, r = dims
+    df = n - p
+    if r < m:
+        m, r, df = r, m, df + r - m
+    terms = dist._wilks_terms(df, m, r)
+    assert terms[-2] > 0.0
+    xs = n * terms[-2] * np.array([1.0 - 1e-12, 0.999, 0.9, 0.5, 1e-3, 1e-10, 1e-100, 1e-300])
+    assert all(wilks_lrt_tail(float(x), *dims) == 1.0 for x in xs)
+    monkeypatch.setattr(dist, "_wilks_terms", lambda *law: (*terms[:-2], -math.inf, terms[-1]))
+    assert [wilks_lrt_tail(float(x), *dims) for x in xs] == [1.0] * xs.size
+
+
 def test_wilks_tail_limits_at_the_reported_points():
     assert wilks_lrt_tail(9.325873406851312e-14, 70, 30, 1, 1) == 1.0
     assert wilks_lrt_tail(1e17, 70, 24, 20, 2) == 0.0

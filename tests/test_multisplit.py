@@ -339,35 +339,38 @@ def test_prepare_hypothesis_passes_leading_identity_through(monkeypatch):
 
 
 def test_multisplit_takes_one_svd_and_one_qr_per_split(monkeypatch):
-    """A general hypothesis is decomposed once; each split's fit is one QR of
-    [X_rest X_hyp Y]. Factorized matrices are counted, not calls: a stack of
-    splits factors its fits of one shape in one call."""
-    counts = {"svd": 0, "qr": 0}
+    """A general hypothesis is decomposed once. Each split's screening takes one
+    QR of its centered responses and its fit one QR of [X_rest X_hyp Y].
+    Factorized matrices are counted by shape, not calls: a stack of splits
+    factors its matrices of one shape in one call."""
+    counts = {}
 
     def counting(name):
         orig = getattr(np.linalg, name)
 
         def wrapper(a, *args, **kwargs):
-            counts[name] += math.prod(np.shape(a)[:-2])
+            key = (name, np.shape(a)[-2:])
+            counts[key] = counts.get(key, 0) + math.prod(np.shape(a)[:-2])
             return orig(a, *args, **kwargs)
         return wrapper
 
-    for name in counts:
+    for name in ("svd", "qr"):
         monkeypatch.setattr(np.linalg, name, counting(name))
     data = _wide_null_data(719)
     C = stream(720).standard_normal((2, 120))
     multisplit_test(data, C, MultiSplitConfig(j_splits=6, seed=3))
-    assert counts == {"svd": 1, "qr": 6}
+    # n_S = 30, m = 20; the testing half has n_T = 70 rows and p0 = 24 kept columns
+    assert counts == {("svd", (2, 120)): 1, ("qr", (30, 20)): 6, ("qr", (70, 44)): 6}
 
 
 @pytest.mark.parametrize("policy", [None, 2, "parallel_analysis"])
 @pytest.mark.parametrize("rotated", [False, True], ids=["leading_identity", "rotated"])
 def test_stacked_splits_equal_splits_run_alone(policy, rotated):
-    """37 splits, four full stacks and one short one, give each split the
-    outcome it gets run alone, whatever the response reduction and the form of C."""
+    """37 splits, one full stack and one short one, give each split the outcome
+    it gets run alone, whatever the response reduction and the form of C."""
     import mvlrt.multisplit
 
-    assert 37 % mvlrt.multisplit._SPLIT_STACK
+    assert 37 // mvlrt.multisplit._SPLIT_STACK == 1 and 37 % mvlrt.multisplit._SPLIT_STACK
     rng = stream(722)
     X, Y = rng.standard_normal((100, 120)), rng.standard_normal((100, 20))
     # three response factors, so parallel analysis keeps one to three of them
@@ -417,8 +420,9 @@ def test_no_split_pvalue_with_parallel_analysis_chains_the_public_steps():
 
 
 def test_a_failing_single_split_runs_once(monkeypatch):
-    """per_split_pvalue and the J = 0 control run one stack of one split: a
-    split that fails after screening is screened once, not rerun."""
+    """per_split_pvalue and the J = 0 control run one stack of one split, with
+    one _ranked call per stack: a split that fails after screening is screened
+    once, not rerun."""
     import mvlrt.multisplit as ms
 
     calls, ranked = [], ms._ranked
@@ -450,7 +454,7 @@ def test_a_stack_that_fails_reruns_its_splits_in_order(monkeypatch):
         raise SplitInfeasibleError(message)
 
     def screening(XS, *args):
-        if np.array_equal(XS, data.X[halves[6][0]]):
+        if any(np.array_equal(x, data.X[halves[6][0]]) for x in XS):
             fail("split 6: forced at screening")
         return ranked(XS, *args)
 
@@ -464,6 +468,25 @@ def test_a_stack_that_fails_reruns_its_splits_in_order(monkeypatch):
     with pytest.raises(SplitInfeasibleError, match="split 2: forced at the fit"):
         multisplit_test(data, np.eye(120), cfg)
     assert raised == ["split 6: forced at screening", "split 2: forced at the fit"]
+
+
+def test_a_full_stack_raises_the_error_of_its_failing_split(monkeypatch):
+    """Only split 25's screening rows have constant responses, so only its
+    screening fails. The full stack of 32 raises, and its rerun runs splits 0 to
+    25 one at a time: the error is split 25's own."""
+    import mvlrt.multisplit as ms
+
+    assert ms._SPLIT_STACK == 32
+    rng = stream(727)
+    X, Y = rng.standard_normal((100, 120)), rng.standard_normal((100, 20))
+    cfg = MultiSplitConfig(j_splits=32, seed=8)
+    Y[split_indices(stream(8, 25), 100, cfg.split_ratio)[0]] = 1.5
+    data = DataSet(X, Y)
+    runs, stack = [], ms._stack
+    monkeypatch.setattr(ms, "_stack", lambda *a, **k: runs.append(list(a[-1])) or stack(*a, **k))
+    with pytest.raises(DomainError, match="centered Y has rank zero"):
+        multisplit_test(data, np.eye(120), cfg)
+    assert runs == [list(range(32))] + [[j] for j in range(26)]
 
 
 def test_multisplit_on_leading_identity_builds_no_basis(monkeypatch):

@@ -100,7 +100,9 @@ def _signal_design(rng, n=30, p=10):
 def test_screen_budget_and_order():
     rng = stream(602)
     X, Y = _signal_design(rng)
+    X_in, Y_in = X.copy(), Y.copy()
     res = screen(X, Y, delta=0.3)
+    assert np.array_equal(X, X_in) and np.array_equal(Y, Y_in)  # the inputs stay as they were
     assert len(res.selected) == 3  # floor(0.3 * 10)
     assert res.selected[0] == 0  # the planted column wins
     got_scores = [res.scores[j] for j in res.selected]
@@ -186,6 +188,76 @@ def test_screen_validation():
                                       ((0,), (0.5, 1.5), "score must lie in [0, 1], got 1.5")):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             ScreenResult(selected, scores, (False, False))
+
+
+def _pivoted_ranked(X, Y, k, protect):
+    """Reference for _ranked on one split: scores on a pivoted-QR basis of the
+    centered responses, the former per-split route, and the same ranking."""
+    import scipy.linalg
+
+    Yc = Y - Y.mean(axis=0)
+    q, rr, _ = scipy.linalg.qr(Yc, mode="economic", pivoting=True, check_finite=False)
+    diag = np.abs(np.diag(rr))
+    basis = q[:, :int(np.count_nonzero(diag > RANK_TOL * diag[0]))]
+    Xc = X - X.mean(axis=0)
+    spread = np.linalg.norm(Xc, axis=0)
+    assert np.all(spread > RANK_TOL * np.maximum(1.0, np.linalg.norm(X, axis=0)))
+    scores = np.minimum(np.linalg.norm(basis.T @ Xc, axis=0) / spread, 1.0)
+    order = np.lexsort((np.arange(X.shape[1]), np.zeros(X.shape[1], dtype=bool), -scores))
+    ranked = order[order >= protect]
+    return np.concatenate([np.arange(protect), ranked[:k - protect]]), scores
+
+
+def test_stacked_screening_matches_the_pivoted_route_at_the_split_shape(monkeypatch, capfd):
+    """1,024 splits at n_S = 30, p = 150 in stacks of 32, with response widths 1 to 5
+    (PCA-reduced) and 20 (raw) mixed in each stack, select what the per-split
+    pivoted route selects. Sets with a constant column or with m >= n_S - 1 take the
+    pivoted route, with its bits. For the others, the smallest relative score gap
+    at the selection boundary and the largest relative score difference are printed."""
+    import mvlrt.screening as scr
+
+    pivoted, basis = [], scr._response_basis
+    monkeypatch.setattr(scr, "_response_basis", lambda Y: pivoted.append(Y) or basis(Y))
+    n, p, m, n_s, k, protect, stack = 100, 150, 20, 30, 30, 2, 32
+    gaps, diffs, special = [], [], 0
+    for first in range(0, 1024, stack):
+        Xs, Ys, wants = [], [], []
+        for j in range(first, first + stack):
+            g = stream(650, j)
+            X = g.standard_normal((n, p))
+            B = np.zeros((p, m))
+            B[g.choice(np.arange(4, p), size=5, replace=False)] = 0.5 * g.standard_normal((5, m))
+            Y = X @ B + g.standard_normal((n, m))
+            rows = np.sort(g.permutation(n)[:n_s])
+            X, Y = X[rows], Y[rows]
+            kind = j % 8
+            if kind < 5:  # a PCA-reduced response set of width 1 to 5
+                Y = Y @ pca_reduce(Y, kind + 1)[0]
+            elif kind == 6:  # a constant column: rank 19 of 20
+                Y[:, int(g.integers(m))] = 2.5
+            elif kind == 7:  # m >= n_S - 1: 29 or 40 columns
+                Y = np.hstack([Y, g.standard_normal((n_s, 9 if j % 16 == 7 else 20))])
+            Xs.append(X)
+            Ys.append(Y)
+            wants.append(_pivoted_ranked(X, Y, k, protect))
+        pivoted.clear()
+        selected, scores, degenerate = scr._ranked(np.stack(Xs), Ys, k, protect)
+        assert not degenerate.any()
+        for j, (want_sel, want_scores) in enumerate(wants):
+            assert selected[j].tolist() == want_sel.tolist(), f"split {first + j}"
+            if (first + j) % 8 >= 6:
+                assert scores[j].tolist() == want_scores.tolist(), f"split {first + j}"
+            else:
+                ranked = np.sort(want_scores[protect:])[::-1]
+                gaps.append((ranked[k - protect - 1] - ranked[k - protect]) / ranked[0])
+                diffs.append(np.max(np.abs(scores[j] - want_scores) / want_scores))
+        special += sum(j % 8 >= 6 for j in range(first, first + stack))
+        assert len(pivoted) == sum(j % 8 >= 6 for j in range(first, first + stack))
+    assert special == 256
+    with capfd.disabled():
+        print(f"stacked screening at (30, 150): 1024 selections, smallest relative boundary "
+              f"gap {min(gaps):.2e}, largest relative score difference {max(diffs):.1e}",
+              flush=True)
 
 
 # === hypothesis-aligned basis change ===
