@@ -5,11 +5,15 @@ null tail of the likelihood ratio (Wilks' Lambda), and the Tracy-Widom law of
 order 1. Order 1 is the orthogonal (real-data) case; that
 choice matters for the largest-root test and is documented in the README.
 
-The three tails the tests refer to (``std_normal_tail``, ``chi_sq_tail`` and
-``tw1_cdf``) work element-wise: a float gives a float, an array gives an
-array of the same shape, and an array entry gets the same bits as the float
-would. Any non-finite entry raises check_real's ``DomainError``, naming it.
-The quantiles, the Wilks' Lambda tail and the sampler take floats.
+The four tails the tests refer to (``std_normal_tail``, ``chi_sq_tail``,
+``tw1_cdf`` and the Wilks' Lambda tail ``wilks_lrt_tail``) work element-wise:
+a float gives a float, an array gives an array of the same shape, and an
+array entry gets the same bits as the float would. Any non-finite entry
+raises check_real's ``DomainError``, naming it. The Wilks' Lambda tail
+shares each Newton step of its saddlepoints among the entries: one special
+function call and one stacked vector product per step, which gives each
+entry the bits of its own dot product. The quantiles and the sampler take
+floats.
 
 The Tracy-Widom CDF is realized as an embedded table (``data/tw1_cdf.csv``,
 regenerated by ``scripts/make_tw1_table.py``) with monotone cubic
@@ -195,37 +199,93 @@ _CENTER_SD = 0.02
 _K_ROUNDING_MAX, _EPS = 1e-2, float(np.finfo(float).eps)
 
 
-def _k1(shapes, signs, s: float) -> float:
-    """K'(s) = -sum(signs * psi(shapes - s)), the mean of the tilted law at s."""
-    return -float(signs @ _special().psi(shapes - s))
+def _dot(V: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """signs @ v for each row v of V, by the stacked vector product, which gives each
+    row the bits of its own ddot; a product V @ signs would take gemv, which sums in
+    another order once a row has 4 entries or more."""
+    return np.matmul(V[..., None, :], signs[:, None])[..., 0, 0]
 
 
-def _lr_tail(shapes, signs, s: float, y: float) -> float:
-    """Second-order Lugannani-Rice upper tail at saddlepoint s of the point y.
+def _k1(z: np.ndarray, signs) -> np.ndarray:
+    """K'(s) = -sum(signs * psi(shapes - s)), the mean of the tilted law, at each row
+    z = shapes - s."""
+    return -_dot(_special().psi(z), signs)
+
+
+def _lr_tail(shapes, signs, s: list, y: list) -> list:
+    """Second-order Lugannani-Rice upper tails at saddlepoints s of points y: a list
+    of floats, None where the saddlepoint fails, by dividing by zero, overflowing,
+    taking the root of a negative K''(s) or losing K(s) to rounding (past
+    _K_ROUNDING_MAX). Each special function takes one call for all points, zeta
+    one for all three orders.
 
     Daniels (1987); Butler (2007), eq. 2.48. The cumulant generating function
     K(s) = sum(signs * (lgamma(shapes - s) - lgamma(shapes))) has derivatives
     K^(k)(s) = (k-1)! sum(signs * zeta(k, shapes - s)) for k >= 2.
-    FloatingPointError when the rounding of K(s) passes _K_ROUNDING_MAX.
     """
     sp = _special()
-    z = shapes - s
+    z = shapes - np.array(s)[:, None]
     lgz = sp.gammaln(z)
-    if _EPS * float(np.abs(lgz).sum()) > _K_ROUNDING_MAX:
-        raise FloatingPointError("K(s) is lost to rounding")
-    k0 = float(signs @ (lgz - sp.gammaln(shapes)))
-    k2 = float(signs @ sp.zeta(2, z))
-    l3 = 2.0 * float(signs @ sp.zeta(3, z)) / k2 ** 1.5
-    l4 = 6.0 * float(signs @ sp.zeta(4, z)) / k2 ** 2
-    w = math.copysign(math.sqrt(max(2.0 * (s * y - k0), 0.0)), s)
-    u = s * math.sqrt(k2)
-    terms = (1.0 / u - 1.0 / w + (l4 / 8.0 - 5.0 * l3 * l3 / 24.0) / u
-             - l3 / (2.0 * u * u) - 1.0 / u ** 3 + 1.0 / w ** 3)
-    return float(sp.ndtr(-w)) + math.exp(-0.5 * w * w) / _SQRT_2PI * terms
+    k0 = _dot(lgz - sp.gammaln(shapes), signs).tolist()
+    w = [math.copysign(math.sqrt(max(2.0 * (s_i * y_i - k0_i), 0.0)), s_i)
+         for s_i, y_i, k0_i in zip(s, y, k0)]
+    tails = []
+    for s_i, w_i, rounding, tail_w, k2, k3, k4 in zip(
+            s, w, (_EPS * np.abs(lgz).sum(axis=-1)).tolist(), sp.ndtr(-np.array(w)).tolist(),
+            *_dot(sp.zeta(np.array([[[2.0]], [[3.0]], [[4.0]]]), z), signs).tolist()):
+        try:
+            if rounding > _K_ROUNDING_MAX:
+                raise FloatingPointError("K(s) is lost to rounding")
+            l3 = 2.0 * k3 / k2 ** 1.5
+            l4 = 6.0 * k4 / k2 ** 2
+            u = s_i * math.sqrt(k2)
+            terms = (1.0 / u - 1.0 / w_i + (l4 / 8.0 - 5.0 * l3 * l3 / 24.0) / u
+                     - l3 / (2.0 * u * u) - 1.0 / u ** 3 + 1.0 / w_i ** 3)
+            tails.append(tail_w + math.exp(-0.5 * w_i * w_i) / _SQRT_2PI * terms)
+        except (ArithmeticError, ValueError):
+            tails.append(None)
+    return tails
 
 
-def wilks_lrt_tail(x: float, n: int, p: int, m: int, r: int) -> float:
-    """Exact null upper tail P(-2 log L_n > x) of the likelihood ratio for C B = 0.
+def _saddlepoints(shapes, signs, y: list, lo: list, hi: list) -> list:
+    """The root s of K'(s) = y in (lo, hi) for each y, lo and hi, None where Newton
+    divides by zero; each step makes one special function call for all roots.
+
+    K'(s) = y has one root below the pole at a_min; 1/K' is nearly linear in s at
+    both ends, so Newton runs on it, from the bracket's end nearer the mean and
+    safeguarded by the bracket.
+    """
+    s = [l if math.isfinite(l) else h for l, h in zip(lo, hi)]
+    live = list(range(len(y)))
+    for _ in range(100):
+        if not live:
+            break
+        z = shapes - np.array([s[i] for i in live])[:, None]
+        steps = zip(live, _k1(z, signs).tolist(), _dot(_special().zeta(2, z), signs).tolist())
+        live = []
+        for i, g, k2 in steps:
+            if abs(g - y[i]) <= 1e-12 * y[i]:
+                continue
+            if g > y[i]:
+                hi[i] = s[i]
+            else:
+                lo[i] = s[i]
+            try:
+                step = s[i] + g * (1.0 - g / y[i]) / k2
+            except ZeroDivisionError:
+                s[i] = None
+                continue
+            if not lo[i] < step < hi[i]:
+                step = 0.5 * (lo[i] + hi[i]) if math.isfinite(lo[i]) else 2.0 * s[i] - 1.0
+            if step != s[i]:  # else a fixed point: every later step would repeat this one
+                s[i] = step
+                live.append(i)
+    return s
+
+
+def wilks_lrt_tail(x, n: int, p: int, m: int, r: int):
+    """Exact null upper tail P(-2 log L_n > x) of the likelihood ratio for C B = 0,
+    element-wise in x.
 
     Under the null, Wilks' Lambda = exp(-x / n) is distributed as a product of
     independent Beta((n - p - i + 1)/2, r/2), i = 1..m (Anderson 2003,
@@ -243,42 +303,37 @@ def wilks_lrt_tail(x: float, n: int, p: int, m: int, r: int) -> float:
     df = n - p
     if df < m:
         raise DomainError(f"wilks_lrt_tail needs n - p >= m, got n={n}, p={p}, m={m}")
-    y = x / n
-    if y <= 0.0:
-        return 1.0
+    y = np.asarray(x, dtype=float) / n
     if r < m:
         m, r, df = r, m, df + r - m
     shapes, signs, a_min, h, y_lo, y_hi, p_lo, p_hi, y_one, y_zero = _wilks_terms(df, m, r)
-    if y_lo <= y <= y_hi:
-        return p_lo + (p_hi - p_lo) * (y - y_lo) / (y_hi - y_lo)
-    if y > y_zero:
-        return 0.0
-    if y < y_one:
-        return 1.0
-    # K'(s) = y has one root below the pole at a_min; 1/K' is nearly linear in
-    # s at both ends, so Newton runs on it, safeguarded by the bracket
-    lo, hi = (h, a_min) if y > y_hi else (-math.inf, -h)
-    s = lo if y > y_hi else hi
-    # far out at either end the saddlepoint divides by zero, leaves the domain
-    # of its terms or loses K(s) to rounding; the tail is then its limit there
-    try:
-        for _ in range(100):
-            g = _k1(shapes, signs, s)
-            if abs(g - y) <= 1e-12 * y:
-                break
-            if g > y:
-                hi = s
-            else:
-                lo = s
-            step = s + g * (1.0 - g / y) / float(signs @ _special().zeta(2, shapes - s))
-            if not lo < step < hi:
-                step = 0.5 * (lo + hi) if math.isfinite(lo) else 2.0 * s - 1.0
-            if step == s:
-                break  # a fixed point: every later iteration would repeat this one
-            s = step
-        return min(1.0, max(0.0, _lr_tail(shapes, signs, s, y)))
-    except (ArithmeticError, ValueError):
-        return 0.0 if y > y_hi else 1.0
+    ys = y.ravel().tolist()
+    tails, sp_at = [], []
+    for i, y_i in enumerate(ys):
+        if y_i <= 0.0:
+            tails.append(1.0)
+        elif y_lo <= y_i <= y_hi:
+            tails.append(p_lo + (p_hi - p_lo) * (y_i - y_lo) / (y_hi - y_lo))
+        elif y_i > y_zero:
+            tails.append(0.0)
+        elif y_i < y_one:
+            tails.append(1.0)
+        else:
+            # far out at either end the saddlepoint divides by zero, leaves the domain
+            # of its terms or loses K(s) to rounding; the tail is then its limit there
+            tails.append(0.0 if y_i > y_hi else 1.0)
+            sp_at.append(i)
+    if sp_at:
+        y_sp = [ys[i] for i in sp_at]
+        up = [y_i > y_hi for y_i in y_sp]
+        roots = _saddlepoints(shapes, signs, y_sp, [h if u else -math.inf for u in up],
+                              [a_min if u else -h for u in up])
+        found = [k for k, s in enumerate(roots) if s is not None]
+        for k, t in zip(found, _lr_tail(shapes, signs, [roots[k] for k in found],
+                                        [y_sp[k] for k in found])):
+            if t is not None:
+                tails[sp_at[k]] = min(1.0, max(0.0, t))
+    return np.array(tails).reshape(y.shape) if y.ndim else tails[0]
 
 
 @lru_cache(maxsize=1024)
@@ -309,13 +364,15 @@ def _wilks_terms(df: int, m: int, r: int):
     signs = np.concatenate([np.ones(m), -np.ones(m)])
     shapes.flags.writeable = signs.flags.writeable = False
     h = _CENTER_SD / math.sqrt(float(signs @ _special().zeta(2, shapes)))
-    y_lo, y_hi = _k1(shapes, signs, -h), _k1(shapes, signs, h)
-    p_lo, p_hi = _lr_tail(shapes, signs, -h, y_lo), _lr_tail(shapes, signs, h, y_hi)
+    ys = _k1(shapes - np.array([[-h], [h]]), signs).tolist()
+    ps = _lr_tail(shapes, signs, [-h, h], ys)
+    if None in ps:
+        raise FloatingPointError("the saddlepoint fails at the center window")
     a_min = float(a[-1])
     s0, s1 = 0.5 * a_min, -a_min * math.expm1(min(1.0 + 1600.0 / (m * r), 14.0))
     k0, k1 = signs @ (_special().gammaln(shapes - np.array([[s0], [s1]]))
                       - _special().gammaln(shapes)).T
-    return (shapes, signs, a_min, h, y_lo, y_hi, p_lo, p_hi,
+    return (shapes, signs, a_min, h, *ys, *ps,
             float(k1 + 800.0) / s1, float(k0 + 800.0) / s0)
 
 

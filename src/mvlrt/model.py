@@ -319,28 +319,32 @@ def _extra_ss(X: np.ndarray, Y: np.ndarray, q: int) -> SumsOfSquares:
     R = [[R_XX, R_XY], [0, R_YY]]: S_E = R_YY' R_YY is the residual Gram
     matrix of the full fit, and S_X = H' H, with H the q rows of R_XY facing
     the hypothesis columns, is the extra sum of squares those columns explain
-    (Anderson 2003, section 8.3). A stack takes one stacked QR. The R diagonal
-    of the X block is the design's rank check; check_real refuses a product
-    that overflows; a stack checks pair by pair, so it raises what its first
-    failing pair raises alone. Both matrices are then finite and, formed by
-    syrk, exactly symmetric, so the pair is built without __init__'s checks.
+    (Anderson 2003, section 8.3). A stack takes one stacked QR and two stacked
+    products, which numpy forms by syrk per matrix: each pair keeps the bits of
+    its own products, exactly symmetric. The R diagonal of the X block is the
+    design's rank check, and check_real refuses a product that overflows. Both
+    checks run over the stack; only when one fails are the pairs walked in order,
+    rank first, so a stack raises what its first failing pair raises alone. The
+    pair is then built without __init__'s checks.
     """
     n, p = X.shape[-2:]
     if n < p:
         raise SingularDesignError(f"design has n={n} rows but p={p} columns")
     R = np.linalg.qr(np.concatenate([X[..., q:], X[..., :q], Y], axis=-1), mode="r")
+    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1)[..., :p])
+    top = diag.max(axis=-1)
+    singular = (top == 0.0) | (diag.min(axis=-1) < RANK_TOL * top)
+    H, R_yy = R[..., p - q:p, p:], R[..., p:, p:]
     m = Y.shape[-1]
     s_err, s_hyp = pairs = np.empty((2, *R.shape[:-2], m, m))
-    for Rk, E, S in zip(R.reshape(-1, *R.shape[-2:]), *pairs.reshape(2, -1, m, m)):
-        diag = np.abs(np.diag(Rk)[:p])
-        if diag.max() == 0.0 or diag.min() < RANK_TOL * diag.max():
-            raise SingularDesignError("design matrix is numerically rank deficient")
-        # one product per pair: numpy forms A' A by syrk, exactly symmetric; a stacked one would not
-        H, R_yy = Rk[p - q:p, p:], Rk[p:, p:]
-        np.matmul(R_yy.T, R_yy, out=E)
-        np.matmul(H.T, H, out=S)
-        check_real("S_E", E)
-        check_real("S_X", S)
+    np.matmul(_transpose(R_yy), R_yy, out=s_err)
+    np.matmul(_transpose(H), H, out=s_hyp)
+    if singular.any() or not np.isfinite(pairs).all():
+        for bad, E, S in zip(singular.reshape(-1), *pairs.reshape(2, -1, m, m)):
+            if bad:
+                raise SingularDesignError("design matrix is numerically rank deficient")
+            check_real("S_E", E)
+            check_real("S_X", S)
     return SumsOfSquares._of(s_err, s_hyp, Dims(n, p, m, q))
 
 

@@ -20,22 +20,25 @@ same rows.
 
 The splits run in stacks of ``_SPLIT_STACK`` in the calling thread, with
 BLAS on one thread (see ``_blas``). Each split draws its halves and then its
-parallel-analysis copies from its own stream. A stack makes one eigvalsh
-call on its response covariances, one tridiagonal reduction per permuted
-copy, whose eigenvalues parallel analysis counts rather than solves for,
-one eigh call for the loadings, one screening pass (one QR and one score
-product per shape of reduced responses, a pivoted QR only for responses
-that are not provably of full rank), and one QR and one neg2_log_lrt per
-group of fits that share (p0, m0, q); the feasibility checks and the Wilks
-tail stay per split. A stacked LAPACK call or product gives each matrix the
-bits of a call on it alone, so an outcome does not depend on its stack.
+parallel-analysis copies from its own stream. A stack forms its response
+covariances with one product and makes one eigh call on them: parallel
+analysis compares their eigenvalues with its permuted copies, whose
+eigenvalues it counts after one in-place tridiagonal reduction per copy
+rather than solves for, and PCA takes the eigenvectors as loadings. Then
+come one screening pass (one QR and one score product per shape of reduced
+responses, a pivoted QR only for responses that are not provably of full
+rank) and, per group of fits that share (m0, q), and so one Wilks law, one
+QR, two products, one neg2_log_lrt and one Wilks tail call; the feasibility
+checks stay per split. A stacked LAPACK call or product gives each matrix
+the bits of a call on it alone, and the Wilks tail gives each entry the bits
+of a call on it alone, so an outcome does not depend on its stack.
 _stack is the one split runner:
 per_split_pvalue and the J = 0 control run a stack of one, and
 multisplit_test reruns a stack that raises split by split, so the first
 failing split raises its own error. The stack runs on the private helpers of
 ``screening`` and ``model``, not on their public functions, because its
 arrays are slices of the checked data set: it checks none of them again and
-forms one response covariance per split for parallel analysis and PCA.
+forms its response covariances once for parallel analysis and PCA.
 
 Reproducibility: split j is driven entirely by a seed derived from
 (config seed, j), so runs are bit-reproducible.
@@ -53,12 +56,12 @@ from .distributions import wilks_lrt_tail
 from .errors import DomainError, SplitInfeasibleError, check_integer, check_level, check_real
 from .model import DataSet, _extra_ss, _hypothesis, neg2_log_lrt
 from .rng import derive_seed, stream
-from .screening import _budget, _centered_cov, _loadings, _pa_rank, _ranked
+from .screening import _budget, _centered_cov, _loadings, _pa_rank, _ranked, _spectra
 from .screening import conditional_transform
 
 GAMMA_MIN_FLOOR = 1e-4
 
-#: splits run at once: one eigen call per stack for parallel analysis and for the
+#: splits run at once: one eigh call per stack for parallel analysis and the
 #: loadings, one screening pass, one QR per group of its fits of one shape. On
 #: multisplit_hd (2 cores, alternating in one process, 40 ops each) an op took
 #: 152, 136, 130 and 125 ms at 8, 16, 32 and 64, and its traced peak was 1.1, 1.7,
@@ -162,36 +165,37 @@ def _stack(data: DataSet, X, r, protect, cfg: MultiSplitConfig, js, unsplit=Fals
         if cap < 1:
             raise SplitInfeasibleError(
                 f"{labels[0]}: no room for responses with n_T={n_t}, p0={budget}, m={m}")
-        cov = np.stack([_centered_cov(y) for y in Y_s])
+        vals, vecs = _spectra(_centered_cov(Y_s))
         if cfg.pca_policy == "parallel_analysis":
-            m0 = _pa_rank(rngs, Y_s, cap, cov).tolist()
+            m0 = _pa_rank(rngs, Y_s, cap, vals).tolist()
         else:
             m0 = [int(cfg.pca_policy)] * len(js)
             if m0[0] > cap:
                 raise SplitInfeasibleError(
                     f"{labels[0]}: fixed m0={m0[0]} exceeds the feasible cap {cap}")
-        w_hat = _loadings(cov, m0)[0]
+        w_hat = _loadings(vals, vecs, m0)[0]
         Y_s = [y @ w for y, w in zip(Y_s, w_hat)]
 
     # each split keeps budget columns (p0 = budget); fits groups them by (m0, q)
     cols, fits = np.sort(_ranked(X[S], Y_s, budget, protect)[0], axis=1), {}
-    for k, label in enumerate(labels):
+    # q: the selected hypothesis columns, the first q of each row of cols
+    for k, (label, q) in enumerate(zip(labels, (cols < r).sum(axis=1).tolist())):
         if n_t <= budget + m0[k] + 1:
             raise SplitInfeasibleError(f"{label}: testing half has n_T={n_t} but needs "
                                        f"more than p0 + m0 + 1 = {budget + m0[k] + 1}")
-        q = int(np.searchsorted(cols[k], r))  # selected hypothesis columns, the first q of cols
         # q == 0: screening removed every hypothesis column: nothing to test, stay conservative
         if q:
             fits.setdefault((m0[k], q), []).append(k)
-    p_vals = [1.0] * len(js)
+    p_vals = np.ones(len(js))
     Y_t = data.Y[T]
     for (m0_g, q), ks in fits.items():
-        fit_y = np.stack([Y_t[k] if w_hat[k] is None else Y_t[k] @ w_hat[k] for k in ks])
+        fit_y = Y_t[ks]
+        if cfg.pca_policy is not None:  # one product per fit, each with the bits of its own
+            fit_y = fit_y @ np.stack([w_hat[k] for k in ks])
         pairs = _extra_ss(X[T[ks, :, None], cols[ks, None, :]], fit_y, q)
-        for k, x in zip(ks, neg2_log_lrt(pairs)):
-            p_vals[k] = wilks_lrt_tail(float(x), n_t, budget, m0_g, q)
-    return [SplitOutcome(float(p), tuple(c.tolist()), k, derive_seed(cfg.seed, j))
-            for p, c, k, j in zip(p_vals, cols, m0, js)]
+        p_vals[ks] = wilks_lrt_tail(neg2_log_lrt(pairs), n_t, budget, m0_g, q)
+    return [SplitOutcome(p, tuple(c.tolist()), k, derive_seed(cfg.seed, j))
+            for p, c, k, j in zip(p_vals.tolist(), cols, m0, js)]
 
 
 def per_split_pvalue(data: DataSet, C, cfg: MultiSplitConfig, j: int) -> SplitOutcome:

@@ -12,18 +12,19 @@ hypothesis C B = 0 reads [I_r 0] B~ = 0, so the hypothesis columns can be
 protected from screening.
 
 Each step is one private helper on arrays that are already checked:
-_budget and _ranked (screening), _centered_cov, _pa_rank (parallel
-analysis) and _loadings (PCA). Each takes a stack of splits. _ranked
-screens all of them at once: _bases makes one QR per shape of response set,
-with a pivoted QR only for a set that is not provably of full rank, and the
-scores take one product per basis shape. _pa_rank and _loadings take
-response sets of one shape and make one eigen call for all of them, on
-their covariances: _pa_rank counts its permuted copies' eigenvalues with
-_counter, one tridiagonal reduction per copy and a Sturm count at the
-data's eigenvalues, instead of solving for them. The public functions check
-their input and call them with a stack of one; the multi-split procedure
-calls them on its stack of splits, slices of its checked data set, with one
-centered covariance per split for parallel analysis and loadings.
+_budget and _ranked (screening), _centered_cov and _spectra (the response
+covariances and their one eigh call), _pa_rank (parallel analysis) and
+_loadings (PCA). Each takes a stack of splits. _ranked screens all of them at
+once: _bases makes one QR per shape of response set, with a pivoted QR only
+for a set that is not provably of full rank, and the scores take one product
+per basis shape. _centered_cov takes one product for a stack of response sets
+of one shape, and _spectra one eigh call: _pa_rank reads its eigenvalues and
+_loadings its eigenvectors too, so neither makes an eigen call. _pa_rank
+counts its permuted copies' eigenvalues with _counter, one in-place
+tridiagonal reduction per copy and a Sturm count at the data's eigenvalues,
+instead of solving for them. The public functions check their input and call
+them with a stack of one; the multi-split procedure calls them on its stack
+of splits, slices of its checked data set.
 
 Reproducibility: parallel analysis draws all PA_COPIES permuted copies of a
 response set with one rng.permuted call, which shuffles them in the order,
@@ -208,18 +209,28 @@ def conditional_transform(X, C):
 
 
 def _centered_cov(Y: np.ndarray) -> np.ndarray:
-    """Sample covariance of the columns of Y (divisor n - 1), checked finite."""
-    Yc = Y - Y.mean(axis=0)
-    cov = Yc.T @ Yc / (Y.shape[0] - 1)
+    """Sample covariances (divisor n - 1) of the columns of each matrix of a stack Y
+    (B, n, m), checked finite: one stacked product, which takes syrk per matrix, so
+    each covariance has the bits of its own product."""
+    Yc = Y - Y.mean(axis=-2, keepdims=True)
+    cov = np.matmul(Yc.swapaxes(-1, -2), Yc) / (Y.shape[-2] - 1)
     check_real("response covariance", cov)
     return cov
 
 
+def _spectra(cov: np.ndarray):
+    """(vals, vecs) for a stack of covariances (B, m, m): one eigh call, eigenvalues
+    descending (B, m) and the eigenvectors in their order (B, m, m). Parallel
+    analysis reads the eigenvalues and PCA the eigenvectors too."""
+    vals, vecs = np.linalg.eigh(cov)
+    return vals[:, ::-1], vecs[..., ::-1]
+
+
 def _counter(cov: np.ndarray):
     """For a stack of symmetric positive semidefinite matrices cov (..., m, m), which
-    it overwrites, a function of shifts t, shaped (..., S) against the stack's
-    leading axes, that returns (..., S) counts: how many eigenvalues of each matrix
-    lie at or above each shift.
+    it overwrites if it is a C-ordered float array, a function of shifts t, shaped
+    (..., S) against the stack's leading axes, that returns (..., S) counts: how
+    many eigenvalues of each matrix lie at or above each shift.
 
     Each matrix, and its shifts with it, is scaled by the power of two that brings
     its largest diagonal entry into [0.5, 1), which is exact and keeps the squared
@@ -231,17 +242,20 @@ def _counter(cov: np.ndarray):
     """
     from scipy.linalg.lapack import dsytrd, dsytrd_lwork
 
+    cov = np.ascontiguousarray(cov, dtype=float)
     m = cov.shape[-1]
     exp = np.frexp(cov.diagonal(axis1=-2, axis2=-1).max(axis=-1))[1]
     np.ldexp(cov, -exp[..., None, None], out=cov)
-    d = np.empty(cov.shape[:-1])
-    e2 = np.empty(cov.shape[:-2] + (m - 1,))
     # the optimal workspace lets a large matrix take the blocked reduction; the
     # default one forces the unblocked one, 1.6 to 3 times slower at m = 200
     lwork = int(dsytrd_lwork(m)[0])
-    for k in np.ndindex(cov.shape[:-2]):
-        _, d[k], e2[k], _, _ = dsytrd(cov[k].T, lwork=lwork, overwrite_a=True)
-    e2 **= 2
+    for a in cov.reshape(-1, m, m):
+        dsytrd(a.T, lwork=lwork, overwrite_a=True)
+    # dsytrd on the upper triangle of the F-ordered a.T leaves T's diagonal on the
+    # diagonal and its off-diagonal on the superdiagonal of a.T, the subdiagonal of a:
+    # the values it returns, to the bit. A contiguous d makes the counts faster
+    d = cov.diagonal(axis1=-2, axis2=-1).copy()
+    e2 = cov.diagonal(-1, axis1=-2, axis2=-1) ** 2
     # LAPACK's dlaneg guard: a pivot below pivmin in magnitude, zero included, becomes
     # -pivmin, so an eigenvalue equal to t counts as at or above it. An off-diagonal
     # is at most the scaled matrix's norm, below its trace m, so e2 / pivmin cannot
@@ -262,21 +276,19 @@ def _counter(cov: np.ndarray):
     return count
 
 
-def _pa_rank(rngs, YS: np.ndarray, cap, cov: np.ndarray) -> np.ndarray:
+def _pa_rank(rngs, YS: np.ndarray, cap, eigs: np.ndarray) -> np.ndarray:
     """parallel_analysis on a stack of B checked YS (B, n_S, m) and a cap, where
-    ``cov`` stacks their _centered_cov and YS[k]'s copies draw from rngs[k]: the
-    (B,) ranks.
+    ``eigs`` (B, m) holds the descending eigenvalues of their _centered_cov, from
+    _spectra, and YS[k]'s copies draw from rngs[k]: the (B,) ranks.
 
-    Only the data's eigenvalues are solved for: eigs[k, i] beats every copy of
-    YS[k] exactly when no copy has more than i eigenvalues at or above it, which a
-    Sturm count on each copy's tridiagonal form answers. The counts run on
-    _PA_CHUNK indices at a time and stop once no leading run continues, never past
-    the cap.
+    It solves for no eigenvalue: eigs[k, i] beats every copy of YS[k] exactly when
+    no copy has more than i eigenvalues at or above it, which a Sturm count on each
+    copy's tridiagonal form answers. The counts run on _PA_CHUNK indices at a time
+    and stop once no leading run continues, never past the cap.
     """
     B, n_s, m = YS.shape
     if n_s < 3:
         raise DomainError(f"parallel analysis needs n_S >= 3, got {n_s}")
-    eigs = np.linalg.eigvalsh(cov)[:, ::-1]
     if cap is not None:
         eigs = eigs[:, :int(cap)]
     # every copy of YS[k] in one draw: the rows of each column of each copy are
@@ -321,23 +333,20 @@ def parallel_analysis(rng, YS, cap=None) -> int:
     cannot inflate the rank. The result is floored at 1 and, when ``cap`` is
     given, truncated to it so the testing half stays large enough.
     """
-    YS = _check_matrix(YS, "YS")
+    YS = _check_matrix(YS, "YS")[None]
     if cap is not None:
         check_integer("cap", cap)
-    return int(_pa_rank([rng], YS[None], cap, _centered_cov(YS)[None])[0])
+    return int(_pa_rank([rng], YS, cap, _spectra(_centered_cov(YS))[0])[0])
 
 
-def _loadings(cov: np.ndarray, m0):
-    """(W_hat, spectra) for a stack of B covariances (B, m, m) and B ranks m0:
+def _loadings(vals: np.ndarray, vecs: np.ndarray, m0):
+    """(W_hat, spectra) for the _spectra (vals, vecs) of B covariances and B ranks m0:
     the list of each one's top-m0[k] eigenvectors, sign-fixed, as a C-ordered
     m x m0[k] array, and the (B, m) eigenvalues, descending and floored at 0."""
-    vals, vecs = np.linalg.eigh(cov)
-    vals = np.maximum(vals[:, ::-1], 0.0)
-    vecs = vecs[..., ::-1]
     # the sign of each eigenvector's largest-magnitude entry, the first one on a tie
     lead = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=1)[:, None, :], axis=1)
     vecs = np.where(lead < 0.0, -vecs, vecs)
-    return [v[:, :k].copy() for v, k in zip(vecs, m0)], vals
+    return [v[:, :k].copy() for v, k in zip(vecs, m0)], np.maximum(vals, 0.0)
 
 
 def pca_reduce(YS, m0: int):
@@ -354,5 +363,5 @@ def pca_reduce(YS, m0: int):
     if n_s < 2:
         raise DomainError(f"need n_S >= 2 rows, got {n_s}")
     check_integer("m0", m0, high=min(n_s - 1, m))
-    (w_hat,), (spectrum,) = _loadings(_centered_cov(YS)[None], [m0])
+    (w_hat,), (spectrum,) = _loadings(*_spectra(_centered_cov(YS[None])), [m0])
     return w_hat, spectrum

@@ -6,14 +6,17 @@ plus bisection for chi-square) and are independent of the implementation
 under test.
 """
 
+import inspect
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 from scipy.stats import beta as beta_law
 
+import mvlrt.distributions as dist
 from mvlrt.distributions import (
     _embedded_table,
     _pchip_coeffs,
@@ -382,12 +385,14 @@ def test_wilks_tail_shape_and_domain():
                                   (70, 24, 16, 24), (70, 30, 1, 1), (40, 10, 5, 3)])
 def test_wilks_tail_takes_its_limits_where_the_saddlepoint_fails(dims):
     """Near x = 0 and toward infinity the saddlepoint divides by zero or loses
-    K(s) to rounding; the tail is then 1 or 0, and never increases with x."""
+    K(s) to rounding; the tail is then 1 or 0, and never increases with x. One
+    call on the array of all x gives each entry the bits of its float call."""
     xs = np.concatenate([[0.0, 5e-324], np.geomspace(1e-300, 1e300, 20_000)])
     vals = [wilks_lrt_tail(float(x), *dims) for x in xs]
     assert all(type(v) is float and 0.0 <= v <= 1.0 for v in vals)
     assert np.all(np.diff(vals) <= 0.0)
     assert vals[0] == 1.0 and vals[-1] == 0.0
+    assert wilks_lrt_tail(xs, *dims).tobytes() == np.array(vals).tobytes()
 
 
 @pytest.mark.parametrize("dims", [(70, 24, 20, 2), (70, 30, 5, 1), (100, 10, 5, 5),
@@ -430,3 +435,53 @@ def test_wilks_tail_returns_the_newton_one_below_its_cut(monkeypatch, dims):
 def test_wilks_tail_limits_at_the_reported_points():
     assert wilks_lrt_tail(9.325873406851312e-14, 70, 30, 1, 1) == 1.0
     assert wilks_lrt_tail(1e17, 70, 24, 20, 2) == 0.0
+
+
+def _line_after(fn, text: str) -> int:
+    """The number of the line after the one of fn's source that holds text."""
+    lines, first = inspect.getsourcelines(fn)
+    return first + 1 + next(i for i, line in enumerate(lines) if text in line)
+
+
+@pytest.mark.parametrize("dims", [(70, 30, m0, 2) for m0 in range(1, 6)] + [(70, 24, 16, 24)])
+def test_wilks_tail_takes_each_path_per_array_entry(dims):
+    """The laws of the split path, (70, 30, m0, 2) for m0 = 1..5, and (70, 24, 16, 24),
+    whose lower cut is above 0: an array call gives each entry the bits of its float
+    call, over x that reach x <= 0, the center window, the cuts, Newton's bisection
+    and, for the split laws, a Newton step that divides by zero and a failing
+    Lugannani-Rice sum."""
+    n, p, m, r = dims
+    df = n - p
+    if r < m:
+        m, r, df = r, m, df + r - m
+    *_, y_lo, y_hi, _, _, y_one, y_zero = dist._wilks_terms(df, m, r)
+    xs = np.concatenate([[-1.0, 0.0, 5e-324], np.geomspace(1e-300, 1e300, 2_000),
+                         n * np.linspace(0.5 * y_lo, 1.5 * y_hi, 201),
+                         n * y_zero * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12]),
+                         n * abs(y_one) * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12])])
+    want = np.array([wilks_lrt_tail(float(x), *dims) for x in xs])
+    paths = {_line_after(dist._saddlepoints, "if not lo[i] < step < hi[i]:"): "bisection",
+             _line_after(dist._saddlepoints, "except ZeroDivisionError:"): "Newton fails",
+             _line_after(dist._lr_tail, "except (ArithmeticError, ValueError):"): "sum fails"}
+    codes = (dist._saddlepoints.__code__, dist._lr_tail.__code__)
+    ran = set()
+
+    def trace(frame, event, arg):
+        if event == "line" and frame.f_lineno in paths:
+            ran.add(paths[frame.f_lineno])
+        return trace if frame.f_code in codes else None
+
+    sys.settrace(trace)
+    try:
+        got = wilks_lrt_tail(xs, *dims)
+    finally:
+        sys.settrace(None)
+    assert got.tobytes() == want.tobytes()
+    # on this grid, cuts above 0 at both ends take every x at which the saddlepoint fails
+    fails = {"Newton fails", "sum fails"} if y_one < 0.0 else set()
+    assert ran == {"bisection"} | fails, ran
+    y = xs / n
+    cuts = {"x <= 0": y <= 0.0, "window": (y_lo <= y) & (y <= y_hi), "upper cut": y > y_zero,
+            "lower cut": (0.0 < y) & (y < y_one)}
+    assert all(cuts[path].any() for path in ("x <= 0", "window", "upper cut"))
+    assert cuts["lower cut"].any() == (y_one > 0.0)

@@ -180,6 +180,54 @@ def test_split_pair_is_exactly_symmetric():
         assert stack.s_hyp[k].tobytes() == alone.s_hyp.tobytes()
 
 
+def _qr_products(X, Y, q):
+    """Per pair, R_YY' R_YY and H' H from the QR of [X_rest X_hyp Y] of that pair alone."""
+    p = X.shape[-1]
+    R = np.linalg.qr(np.concatenate([X[:, q:], X[:, :q], Y], axis=1), mode="r")
+    H, R_yy = R[p - q:p, p:], R[p:, p:]
+    return R_yy.T @ R_yy, H.T @ H
+
+
+def test_stacked_fit_products_equal_the_per_pair_products():
+    """The two stacked products of _extra_ss give each pair the bits of its own
+    R_YY' R_YY and H' H, exactly symmetric: at m0 = 1..5 and 20 for stacks of 1 to
+    32, and at the 10,000 x 60 [X Y] of a tall fit."""
+    g = stream(33)
+    cases = [(70, 30, 2, m0, size) for m0 in (1, 2, 3, 4, 5, 20) for size in (1, 2, 7, 32)]
+    for n, p, q, m0, size in cases + [(10_000, 50, 10, 10, None)]:
+        X = g.standard_normal((size or 1, n, p))
+        Y = X[..., :5] @ g.standard_normal((5, m0)) + g.standard_normal((size or 1, n, m0))
+        got = _extra_ss(X, Y, q) if size else _extra_ss(X[0], Y[0], q)
+        s_err, s_hyp = (a.reshape(-1, m0, m0) for a in (got.s_err, got.s_hyp))
+        for k in range(size or 1):
+            want_err, want_hyp = _qr_products(X[k], Y[k], q)
+            assert s_err[k].tobytes() == want_err.tobytes(), (n, p, q, m0, size, k)
+            assert s_hyp[k].tobytes() == want_hyp.tobytes(), (n, p, q, m0, size, k)
+        assert np.array_equal(s_err, s_err.swapaxes(1, 2))
+        assert np.array_equal(s_hyp, s_hyp.swapaxes(1, 2))
+
+
+def test_a_stack_of_fits_raises_its_first_failing_pair():
+    """Pair 1 of a stack has a rank-deficient design and pair 3 an S_E that
+    overflows: the stack raises pair 1's error, and with the two swapped, pair 1's
+    DomainError, each as the pair raises it alone."""
+    g = stream(34)
+    X, Y = g.standard_normal((5, 30, 6)), g.standard_normal((5, 30, 3))
+    X[1, :, 4] = X[1, :, 0] - X[1, :, 2]
+    Y[3] *= 1e160
+    with pytest.raises(SingularDesignError, match="numerically rank deficient"):
+        _extra_ss(X[1], Y[1], 2)
+    order = [0, 3, 2, 1, 4]
+    with np.errstate(over="ignore"):
+        with pytest.raises(SingularDesignError, match="numerically rank deficient"):
+            _extra_ss(X, Y, 2)
+        with pytest.raises(DomainError) as alone:
+            _extra_ss(X[3], Y[3], 2)
+        with pytest.raises(DomainError) as stacked:
+            _extra_ss(X[order], Y[order], 2)
+    assert str(stacked.value) == str(alone.value) == "S_E must lie in (-inf, inf), got inf"
+
+
 def test_sums_of_squares_validation():
     dims = Dims(20, 3, 2, 2)
     with pytest.raises(DomainError):

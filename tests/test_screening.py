@@ -6,8 +6,10 @@ import re
 import numpy as np
 import pytest
 
+import mvlrt.screening
 from mvlrt.errors import DomainError
-from mvlrt.model import RANK_TOL, HypothesisMatrix
+from mvlrt.model import RANK_TOL, DataSet, HypothesisMatrix
+from mvlrt.multisplit import MultiSplitConfig, _prepare_hypothesis, _stack, split_indices
 from mvlrt.rng import stream
 from mvlrt.screening import (
     PA_COPIES,
@@ -15,6 +17,7 @@ from mvlrt.screening import (
     _centered_cov,
     _counter,
     _pa_rank,
+    _spectra,
     conditional_transform,
     parallel_analysis,
     pca_reduce,
@@ -349,10 +352,11 @@ def test_parallel_analysis_validation():
     assert parallel_analysis(stream(618), Y, cap=np.int64(1)) == 1
 
 
-def _pa_oracle(rng, YS, cap=None, gaps=None):
+def _pa_oracle(rng, YS, cap=None, gaps=None, covs=None):
     """Reference for _pa_rank: one rng.permuted call, centering and product per copy,
     and every eigenvalue of every copy. Appends to ``gaps`` each decision's distance
-    |eigenvalue - threshold| over the largest eigenvalue."""
+    |eigenvalue - threshold| over the largest eigenvalue, and to ``covs`` the
+    copies' (PA_COPIES, m, m) covariances."""
     n_s, m = YS.shape
     Yc = YS - YS.mean(axis=0)
     eigs = np.linalg.eigvalsh(Yc.T @ Yc / (n_s - 1))[::-1]
@@ -361,6 +365,8 @@ def _pa_oracle(rng, YS, cap=None, gaps=None):
         Zc = rng.permuted(YS, axis=0)
         Zc = Zc - Zc.mean(axis=0)
         null_cov[b] = Zc.T @ Zc / (n_s - 1)
+    if covs is not None:
+        covs.append(null_cov)
     null_eigs = np.linalg.eigvalsh(null_cov)[:, ::-1]
     # the 95% order-statistic quantile by sort and index
     rank_idx = min(PA_COPIES, max(1, math.ceil(0.95 * PA_COPIES))) - 1
@@ -404,12 +410,26 @@ def _record_eigen_calls(monkeypatch):
     return seen
 
 
+def _record_counted(monkeypatch):
+    """The list that _counter appends a copy of each stack of covariances it gets to."""
+    counted, counter = [], mvlrt.screening._counter
+
+    def record(cov):
+        counted.append(cov.copy())
+        return counter(cov)
+
+    monkeypatch.setattr(mvlrt.screening, "_counter", record)
+    return counted
+
+
 def test_batched_parallel_analysis_matches_per_copy_oracle(monkeypatch):
-    """One permuted draw of every copy gives the per-copy loop's rank and leaves the
-    generator where 19 calls would; a stack of inputs of one shape gives each its own
-    rank. The one eigen call of a stack is on its data covariances: no copy reaches
-    an eigen routine."""
+    """One permuted draw of every copy gives the per-copy loop's rank, the bits of its
+    covariances, and leaves the generator where 19 calls would; a stack of inputs of
+    one shape gives each its own rank. _pa_rank makes no eigen call: it reads the
+    data spectrum of _spectra, and no copy reaches an eigen routine. The split
+    runner makes one eigh call per stack, on its splits' response covariances."""
     seen = _record_eigen_calls(monkeypatch)
+    counted = _record_counted(monkeypatch)
     kinds = {"wide": 0, "constant": 0, "cap_binds": 0}
     by_shape = {}
     for k in range(1000):
@@ -425,12 +445,15 @@ def test_batched_parallel_analysis_matches_per_copy_oracle(monkeypatch):
         Y *= 10.0 ** g.uniform(-3, 3)
         cap = None if k % 3 == 0 else int(g.integers(1, 3))
         want_rng, got_rng = stream(631, k), stream(631, k)
-        want = _pa_oracle(want_rng, Y, cap)
-        cov = _centered_cov(Y)[None]
+        covs = []
+        want = _pa_oracle(want_rng, Y, cap, covs=covs)
+        eigs = _spectra(_centered_cov(Y[None]))[0]
         seen.clear()
-        got = _pa_rank([got_rng], Y[None], cap, cov)
+        counted.clear()
+        got = _pa_rank([got_rng], Y[None], cap, eigs)
         assert got.tolist() == [want], f"input {k}: n_S={n_s} m={m} cap={cap}"
-        assert seen == [("eigvalsh", cov.tobytes())]
+        assert seen == []
+        assert counted[0].tobytes() == covs[0].tobytes(), f"input {k}"
         assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
         uncapped = _pa_oracle(stream(631, k), Y)
         state = repr(want_rng.bit_generator.state)
@@ -443,13 +466,20 @@ def test_batched_parallel_analysis_matches_per_copy_oracle(monkeypatch):
     for group in stacks:
         ks, Ys, wants, states = zip(*group)
         rngs = [stream(631, k) for k in ks]
-        cov = np.stack([_centered_cov(Y) for Y in Ys])
+        eigs = _spectra(_centered_cov(np.stack(Ys)))[0]
         seen.clear()
-        got = _pa_rank(rngs, np.stack(Ys), None, cov)
+        got = _pa_rank(rngs, np.stack(Ys), None, eigs)
         assert got.tolist() == list(wants), f"inputs {ks}"
-        assert seen == [("eigvalsh", cov.tobytes())]
+        assert seen == []
         assert [repr(rng.bit_generator.state) for rng in rngs] == list(states)
     assert sum(map(len, stacks)) >= 300 and max(map(len, stacks)) >= 3
+    g = stream(634)
+    data = DataSet(g.standard_normal((40, 30)), g.standard_normal((40, 8)))
+    cfg = MultiSplitConfig(j_splits=5, pca_policy="parallel_analysis", seed=3)
+    S = np.stack([split_indices(stream(3, j), data.n, cfg.split_ratio)[0] for j in range(5)])
+    seen.clear()
+    _stack(data, *_prepare_hypothesis(data, np.eye(2, 30)), cfg, range(5))
+    assert seen == [("eigh", _centered_cov(data.Y[S]).tobytes())]
 
 
 def test_parallel_analysis_matches_oracle_at_the_split_shape(capfd):
@@ -469,7 +499,7 @@ def test_parallel_analysis_matches_oracle_at_the_split_shape(capfd):
             Ys.append(Y)
             ranks.append(_pa_oracle(stream(641, k), Y, gaps=gaps))
         got = _pa_rank([stream(641, k) for k in range(first, first + stack)], np.stack(Ys),
-                       None, np.stack([_centered_cov(Y) for Y in Ys]))
+                       None, _spectra(_centered_cov(np.stack(Ys)))[0])
         assert got.tolist() == ranks[first:], f"inputs {first}..{first + stack - 1}"
     assert len(set(ranks)) >= 4, sorted(set(ranks))
     with capfd.disabled():
@@ -517,6 +547,32 @@ def test_count_matches_eigvalsh_on_gram_matrices():
             assert gap.min() > 1e-9
             assert np.array_equal(_counter(C.copy())(t), want), (m, n)
             assert np.array_equal(_counter(C[2, 1])(t[2, 0]), want[2, 1]), (m, n)
+
+
+def test_counter_reads_the_tridiagonal_form_that_dsytrd_returns():
+    """_counter reduces each matrix in place and reads T from the diagonal and the
+    subdiagonal of the overwritten stack: its d and e equal the arrays that dsytrd
+    returns for the same scaled matrix, at m = 1, 2, 20 and 200 and at scales 2^-300,
+    1 and 2^300, and the counts are those of that T."""
+    from scipy.linalg.lapack import dsytrd, dsytrd_lwork
+
+    g = stream(647)
+    for m in (1, 2, 20, 200):
+        A = g.standard_normal((2, 3, m + 3, m))
+        for scale in (2.0 ** -300, 1.0, 2.0 ** 300):
+            C = scale * (A.swapaxes(-1, -2) @ A)
+            count = _counter(C.copy())
+            seen = dict(zip(count.__code__.co_freevars, (c.cell_contents for c in count.__closure__)))
+            want_d, want_e = np.empty(C.shape[:-1]), np.empty(C.shape[:-2] + (m - 1,))
+            for k in np.ndindex(C.shape[:-2]):
+                c = np.ldexp(C[k], -np.frexp(C[k].diagonal().max())[1])
+                _, want_d[k], want_e[k], _, info = dsytrd(c.T, lwork=int(dsytrd_lwork(m)[0]))
+                assert info == 0
+            assert seen["d"].tobytes() == want_d.tobytes(), (m, scale)
+            assert seen["e2"].tobytes() == (want_e ** 2).tobytes(), (m, scale)
+            lam = np.linalg.eigvalsh(C)
+            t = 0.5 * (lam[..., :1] + lam[..., -1:])
+            assert np.array_equal(count(t), (lam >= t).sum(axis=-1, keepdims=True)), (m, scale)
 
 
 def test_parallel_analysis_ignores_the_scale_of_the_data():
