@@ -7,9 +7,10 @@ numbers alone can show that it did:
   hypothesis;
 * ``mvlrt multisplit`` at J=0 (``--unsafe-no-split``) and at J=20 with its
   ``--out`` audit CSV, for a general and a leading-identity hypothesis;
-* small ``mvlrt simulate`` and ``mvlrt power`` tables, with ``--out`` and
-  ``--gnuplot``, and ``mvlrt boundary``;
-* the exit codes and texts of the typed errors;
+* small ``mvlrt simulate`` and ``mvlrt power`` tables, the latter with
+  ``--out``, and ``mvlrt boundary``;
+* the exit codes and texts of the typed errors, and of two retired options,
+  ``--convention`` and ``--gnuplot``;
 * the library's multi-split outcomes (``p_t`` and every split) and small
   ``multisplit_sweep`` and ``gamma_sensitivity`` tables;
 * the Monte Carlo sweeps at the shape of the ``mc_sweep`` benchmark
@@ -155,9 +156,8 @@ def _cli_outputs(f: dict, work: pathlib.Path) -> dict:
     out["power_stdout.txt"] = ok(
         ["power", "--n", "60", "--p", "20", "--m", "8", "--r", "10",
          "--signal-grid", "1,3", "--methods", "t1,t2,t3", "--reps", "100",
-         "--seed", "5", "--out", power_csv, "--gnuplot"])
+         "--seed", "5", "--out", power_csv])
     out["power.csv"] = _read(power_csv)
-    out["power.csv.gp"] = _read(power_csv + ".gp")
     out["boundary.txt"] = ok(["boundary", "--n", "100", "--p", "50", "--m", "20",
                               "--r", "30"])
 

@@ -8,9 +8,10 @@ win over file values, file values win over defaults. Each run echoes its
 fully resolved configuration to stderr so any output is reproducible from
 the log alone.
 
-The library returns results as data and this module alone formats them
-(key=value lines by _print_pairs, JSON, the audit CSV): a string as it is,
-any other value by repr, so a float reads back to the same bits.
+The library returns results as data and this module formats them (key=value
+lines by _print_pairs, JSON, the audit CSV): a string as it is, any other
+value by repr, so a float reads back to the same bits. The sweep tables' CSV
+is the one the library writes itself, by ResultTable.csv_text.
 
 Exit status: 0 on success, 2 when a statistic is undefined in the requested
 dimension regime, 1 for malformed input, bad configuration, or IO failure.
@@ -31,8 +32,6 @@ from .experiments import ExperimentSpec, power_sweep, typeI_sweep
 from .lrt import TESTS, boundary_check
 from .model import DataSet, Dims, HypothesisMatrix, hypothesis_ss
 from .multisplit import MultiSplitConfig, multisplit_test, no_split_pvalue
-
-log = logging.getLogger("mvlrt.cli")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,7 +93,6 @@ _SWEEP = {
     "rho_x": (float, 0.0, None), "rho_e": (float, 0.0, None), "seed": (int, 0, None),
     "methods": (_strs, ("t1",), "comma list of test statistics to tabulate"),
     "reps": (int, 10_000, None), "alpha": (float, 0.05, None), "out": _OUT,
-    "gnuplot": (_bool, False, "also write a plotting script next to the CSV"),
 }
 _SCHEMA = {
     "test": dict(
@@ -248,13 +246,7 @@ def _cmd_multisplit(v) -> int:
 def _emit_table(table, v) -> None:
     if v["out"]:
         table.write(v["out"])
-        if v["gnuplot"]:
-            with open(v["out"] + ".gp", "w") as fh:
-                fh.write(table.gnuplot_script(v["out"]))
-            log.info("wrote %s", v["out"] + ".gp")
     else:
-        if v["gnuplot"]:
-            raise DomainError("--gnuplot needs --out to know the CSV path")
         sys.stdout.write(table.csv_text())
 
 

@@ -309,20 +309,16 @@ def wilks_lrt_tail(x, n: int, p: int, m: int, r: int):
     shapes, signs, a_min, h, y_lo, y_hi, p_lo, p_hi, y_one, y_zero = _wilks_terms(df, m, r)
     ys = y.ravel().tolist()
     tails, sp_at = [], []
+    # outside the center window the tail is its limit, unless the saddlepoint, run
+    # only for 0 < y within both cuts, gives one; every law has 0 < y_lo, y_one < y_lo
+    # and y_hi < y_zero, so x <= 0 and x past a cut keep the limit of their side
     for i, y_i in enumerate(ys):
-        if y_i <= 0.0:
-            tails.append(1.0)
-        elif y_lo <= y_i <= y_hi:
+        if y_lo <= y_i <= y_hi:
             tails.append(p_lo + (p_hi - p_lo) * (y_i - y_lo) / (y_hi - y_lo))
-        elif y_i > y_zero:
-            tails.append(0.0)
-        elif y_i < y_one:
-            tails.append(1.0)
         else:
-            # far out at either end the saddlepoint divides by zero, leaves the domain
-            # of its terms or loses K(s) to rounding; the tail is then its limit there
             tails.append(0.0 if y_i > y_hi else 1.0)
-            sp_at.append(i)
+            if 0.0 < y_i and y_one <= y_i <= y_zero:
+                sp_at.append(i)
     if sp_at:
         y_sp = [ys[i] for i in sp_at]
         up = [y_i > y_hi for y_i in y_sp]

@@ -167,25 +167,6 @@ class ResultTable:
         with open(path, "w") as fh:
             fh.write(self.csv_text())
 
-    def gnuplot_script(self, csv_path: str) -> str:
-        """A plotting script for the emitted CSV: one curve per method."""
-        methods = sorted({row.method for row in self.rows if row.rate is not None})
-        lines = [
-            "set datafile separator ','",
-            f"csv = '{csv_path}'",
-            "set key outside",
-            "set ylabel 'rejection rate'",
-            "set xlabel 'cell index'",
-            "set yrange [0:1]",
-            "plot \\",
-        ]
-        plots = [
-            f"  \"< awk -F, 'NR>1 && $2==\\\"{meth}\\\"' \" . csv using 0:3 with linespoints title '{meth}'"
-            for meth in methods
-        ]
-        lines.append(", \\\n".join(plots))
-        return "\n".join(lines) + "\n"
-
 
 def _ar1_factor(rho: float, k: int) -> np.ndarray:
     if rho == 0.0:

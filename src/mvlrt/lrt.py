@@ -114,8 +114,7 @@ class PowerSpec:
 def mu_sigma(dims: Dims):
     """Centering and scaling of the corrected statistic: returns (mu_n, n*sigma_n).
 
-    sigma_n^2 = (2/n^2) * n^2 log-ratio form; concretely
-    sigma^2 = 2 log[ (n+r-p-m)(n-p) / ((n-p-m)(n+r-p)) ], and
+    With ratio = (n+r-p-m)(n-p) / ((n-p-m)(n+r-p)), sigma_n^2 = 2 log(ratio) and
     mu_n = n (n-m-p-1/2) log(ratio) + n r log[(n+r-p-m)/(n+r-p)]
          + n m log[(n-p)/(n+r-p)].
     The limits in the classical regime are mu_n -> -mr and (n sigma_n)^2 -> 2mr.
@@ -324,13 +323,9 @@ def _statistics(ss: SumsOfSquares, methods, alpha: float) -> list:
 
 def _counts(stats, methods, dims: Dims, alpha: float) -> np.ndarray:
     """How many entries of each statistic array (one stack or many) reject at level alpha,
-    each checked as its TestReport checks it: p-value in [0, 1], then a finite statistic."""
-    counts = []
-    for meth, stat in zip(methods, stats):
-        p_value = _checked("p_value", _p_value(meth, stat, dims), unit=True)
-        _checked("statistic", stat)
-        counts.append(np.count_nonzero(p_value <= alpha))
-    return np.array(counts)
+    checked by the TestReport that the method's test builds, so they raise what it raises."""
+    return np.array([np.count_nonzero(TestReport(*tagged, _p_value(*tagged, dims)).p_value <= alpha)
+                     for tagged in zip(methods, stats)])
 
 
 def _rejections(ss: SumsOfSquares, methods, alpha: float) -> np.ndarray:

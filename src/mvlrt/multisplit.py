@@ -56,7 +56,7 @@ from .distributions import wilks_lrt_tail
 from .errors import DomainError, SplitInfeasibleError, check_integer, check_level, check_real
 from .model import DataSet, _extra_ss, _hypothesis, neg2_log_lrt
 from .rng import derive_seed, stream
-from .screening import _budget, _centered_cov, _loadings, _pa_rank, _ranked, _spectra
+from .screening import _budget, _loadings, _pa_rank, _ranked, _spectra
 from .screening import conditional_transform
 
 GAMMA_MIN_FLOOR = 1e-4
@@ -165,7 +165,7 @@ def _stack(data: DataSet, X, r, protect, cfg: MultiSplitConfig, js, unsplit=Fals
         if cap < 1:
             raise SplitInfeasibleError(
                 f"{labels[0]}: no room for responses with n_T={n_t}, p0={budget}, m={m}")
-        vals, vecs = _spectra(_centered_cov(Y_s))
+        vals, vecs = _spectra(Y_s)
         if cfg.pca_policy == "parallel_analysis":
             m0 = _pa_rank(rngs, Y_s, cap, vals).tolist()
         else:
@@ -173,7 +173,7 @@ def _stack(data: DataSet, X, r, protect, cfg: MultiSplitConfig, js, unsplit=Fals
             if m0[0] > cap:
                 raise SplitInfeasibleError(
                     f"{labels[0]}: fixed m0={m0[0]} exceeds the feasible cap {cap}")
-        w_hat = _loadings(vals, vecs, m0)[0]
+        w_hat = _loadings(vecs, m0)
         Y_s = [y @ w for y, w in zip(Y_s, w_hat)]
 
     # each split keeps budget columns (p0 = budget); fits groups them by (m0, q)

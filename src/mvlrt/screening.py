@@ -12,14 +12,14 @@ hypothesis C B = 0 reads [I_r 0] B~ = 0, so the hypothesis columns can be
 protected from screening.
 
 Each step is one private helper on arrays that are already checked:
-_budget and _ranked (screening), _centered_cov and _spectra (the response
-covariances and their one eigh call), _pa_rank (parallel analysis) and
-_loadings (PCA). Each takes a stack of splits. _ranked screens all of them at
-once: _bases makes one QR per shape of response set, with a pivoted QR only
-for a set that is not provably of full rank, and the scores take one product
-per basis shape. _centered_cov takes one product for a stack of response sets
-of one shape, and _spectra one eigh call: _pa_rank reads its eigenvalues and
-_loadings its eigenvectors too, so neither makes an eigen call. _pa_rank
+_budget and _ranked (screening), _spectra (the response covariances and their
+one eigh call), _pa_rank (parallel analysis) and _loadings (PCA). Each takes
+a stack of splits. _ranked screens all of them at once: _bases makes one QR
+per shape of response set, with a pivoted QR only for a set that is not
+provably of full rank, and the scores take one product per basis shape.
+_spectra takes one product and one eigh call for a stack of response sets of
+one shape: _pa_rank reads its eigenvalues and _loadings its eigenvectors, so
+neither makes an eigen call. _pa_rank
 counts its permuted copies' eigenvalues with _counter, one in-place
 tridiagonal reduction per copy and a Sturm count at the data's eigenvalues,
 instead of solving for them. The public functions check their input and call
@@ -208,20 +208,15 @@ def conditional_transform(X, C):
     return _hypothesis(C, X.shape[1]).design(X)
 
 
-def _centered_cov(Y: np.ndarray) -> np.ndarray:
-    """Sample covariances (divisor n - 1) of the columns of each matrix of a stack Y
-    (B, n, m), checked finite: one stacked product, which takes syrk per matrix, so
-    each covariance has the bits of its own product."""
+def _spectra(Y: np.ndarray):
+    """(vals, vecs) for a stack of response sets Y (B, n, m): the sample covariances
+    (divisor n - 1) of their columns, checked finite, from one stacked product, which
+    takes syrk per matrix, so each has the bits of its own product; then one eigh
+    call, eigenvalues descending (B, m) and the eigenvectors in their order (B, m, m).
+    Parallel analysis reads the eigenvalues and PCA the eigenvectors."""
     Yc = Y - Y.mean(axis=-2, keepdims=True)
     cov = np.matmul(Yc.swapaxes(-1, -2), Yc) / (Y.shape[-2] - 1)
     check_real("response covariance", cov)
-    return cov
-
-
-def _spectra(cov: np.ndarray):
-    """(vals, vecs) for a stack of covariances (B, m, m): one eigh call, eigenvalues
-    descending (B, m) and the eigenvectors in their order (B, m, m). Parallel
-    analysis reads the eigenvalues and PCA the eigenvectors too."""
     vals, vecs = np.linalg.eigh(cov)
     return vals[:, ::-1], vecs[..., ::-1]
 
@@ -278,8 +273,8 @@ def _counter(cov: np.ndarray):
 
 def _pa_rank(rngs, YS: np.ndarray, cap, eigs: np.ndarray) -> np.ndarray:
     """parallel_analysis on a stack of B checked YS (B, n_S, m) and a cap, where
-    ``eigs`` (B, m) holds the descending eigenvalues of their _centered_cov, from
-    _spectra, and YS[k]'s copies draw from rngs[k]: the (B,) ranks.
+    ``eigs`` (B, m) holds their descending covariance eigenvalues from _spectra,
+    and YS[k]'s copies draw from rngs[k]: the (B,) ranks.
 
     It solves for no eigenvalue: eigs[k, i] beats every copy of YS[k] exactly when
     no copy has more than i eigenvalues at or above it, which a Sturm count on each
@@ -336,17 +331,16 @@ def parallel_analysis(rng, YS, cap=None) -> int:
     YS = _check_matrix(YS, "YS")[None]
     if cap is not None:
         check_integer("cap", cap)
-    return int(_pa_rank([rng], YS, cap, _spectra(_centered_cov(YS))[0])[0])
+    return int(_pa_rank([rng], YS, cap, _spectra(YS)[0])[0])
 
 
-def _loadings(vals: np.ndarray, vecs: np.ndarray, m0):
-    """(W_hat, spectra) for the _spectra (vals, vecs) of B covariances and B ranks m0:
-    the list of each one's top-m0[k] eigenvectors, sign-fixed, as a C-ordered
-    m x m0[k] array, and the (B, m) eigenvalues, descending and floored at 0."""
+def _loadings(vecs: np.ndarray, m0) -> list:
+    """For the _spectra eigenvectors of B covariances and B ranks m0: each one's
+    top-m0[k] eigenvectors, sign-fixed, as a C-ordered m x m0[k] array."""
     # the sign of each eigenvector's largest-magnitude entry, the first one on a tie
     lead = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=1)[:, None, :], axis=1)
     vecs = np.where(lead < 0.0, -vecs, vecs)
-    return [v[:, :k].copy() for v, k in zip(vecs, m0)], np.maximum(vals, 0.0)
+    return [v[:, :k].copy() for v, k in zip(vecs, m0)]
 
 
 def pca_reduce(YS, m0: int):
@@ -363,5 +357,5 @@ def pca_reduce(YS, m0: int):
     if n_s < 2:
         raise DomainError(f"need n_S >= 2 rows, got {n_s}")
     check_integer("m0", m0, high=min(n_s - 1, m))
-    (w_hat,), (spectrum,) = _loadings(*_spectra(_centered_cov(YS[None])), [m0])
-    return w_hat, spectrum
+    (vals,), vecs = _spectra(YS[None])
+    return _loadings(vecs, [m0])[0], np.maximum(vals, 0.0)

@@ -225,11 +225,10 @@ _EVERY_OPTION = {
                        seed="5", pca_policy="2", alpha="0.1", unsafe_no_split="no"),
     "simulate": dict(generator="linear", noise="gaussian", n="50", p="6", m="4", r="3",
                      rho_x="0.3", rho_e="0.2", seed="4", methods="t1,t3", reps="40",
-                     alpha="0.1", gnuplot="no", eta_grid="0.3,0.4",
-                     grow="pm"),
+                     alpha="0.1", eta_grid="0.3,0.4", grow="pm"),
     "power": dict(generator="canonical", noise="gaussian", n="60", p="8", m="4", r="4",
                   rho_x="0", rho_e="0", seed="5", methods="t1,t2", reps="40",
-                  alpha="0.1", gnuplot="off", signal_kind="spikes",
+                  alpha="0.1", signal_kind="spikes",
                   spike_ratios="1,0.5", signal_rank="2", signal_grid="1,2"),
     "boundary": dict(n="100", p="10", m="2", r="2"),
 }
@@ -256,7 +255,6 @@ def test_config_file_values_parse_like_flags(capsys, tmp_path, data_files, wide_
 
 @pytest.mark.parametrize("command, line, flag", [
     ("simulate", "n = abc", "--n"),
-    ("power", "gnuplot = maybe", "--gnuplot"),
     ("simulate", "eta_grid = 0.5,x", "--eta-grid"),
     ("multisplit", "pca_policy = 1.5", "--pca-policy"),
     ("multisplit", "unsafe_no_split = perhaps", "--unsafe-no-split"),
@@ -363,18 +361,14 @@ def test_simulate_stdout_csv(capsys, data_files):
     assert all(row[4] == "50" for row in rows[1:])
 
 
-def test_simulate_out_file_and_gnuplot(capsys, tmp_path):
+def test_simulate_out_file(capsys, tmp_path):
     out_csv = tmp_path / "sweep.csv"
     code, out, _ = _run(capsys, ["simulate", "--n", "60", "--p", "8", "--m",
                                  "4", "--r", "4", "--reps", "20",
-                                 "--out", str(out_csv), "--gnuplot"])
+                                 "--out", str(out_csv)])
     assert code == 0
     assert out == ""  # table went to the file
     assert out_csv.exists()
-    script = (tmp_path / "sweep.csv.gp").read_text()
-    assert "plot" in script
-    code, _, err = _run(capsys, ["simulate", "--reps", "5", "--gnuplot"])
-    assert code == 1 and "--out" in err
 
 
 def test_power_command(capsys):
@@ -397,20 +391,24 @@ def test_power_signal_kind_follows_the_generator(capsys, generator, kind):
     assert f"# config power.signal_kind={kind}" in err
 
 
-@pytest.mark.parametrize("command", ["multisplit", "simulate", "power"])
-def test_commands_refuse_the_retired_threads_option(capsys, tmp_path, command):
-    """The work runs in the calling thread, so no command offers --threads,
-    as a flag or as a config key."""
+@pytest.mark.parametrize("command, option", [
+    ("multisplit", "threads"), ("simulate", "threads"), ("power", "threads"),
+    ("simulate", "gnuplot"), ("power", "gnuplot"),
+])
+def test_commands_refuse_the_retired_options(capsys, tmp_path, command, option):
+    """The work runs in the calling thread, so no command offers --threads, and
+    the sweeps write CSV only, so none offers --gnuplot: as a flag or as a config
+    key, each exits 1."""
     with pytest.raises(SystemExit) as exc:
-        main([command, "--threads", "2"])
+        main([command, f"--{option}", "1"])
     assert exc.value.code == 1
     out, err = capsys.readouterr()
-    assert out == "" and "unrecognized arguments: --threads 2" in err
+    assert out == "" and f"unrecognized arguments: --{option} 1" in err
     cfg = tmp_path / "old.cfg"
-    cfg.write_text("threads = 2\n")
+    cfg.write_text(f"{option} = 1\n")
     code, out, err = _run(capsys, [command, "--config", str(cfg)])
     assert code == 1 and out == ""
-    assert f"unknown config key 'threads' for {command}" in err
+    assert f"unknown config key '{option}' for {command}" in err
 
 
 def test_cli_defaults_match_the_library():

@@ -395,6 +395,21 @@ def test_wilks_tail_takes_its_limits_where_the_saddlepoint_fails(dims):
     assert wilks_lrt_tail(xs, *dims).tobytes() == np.array(vals).tobytes()
 
 
+def test_wilks_window_lies_inside_both_cuts():
+    """wilks_lrt_tail classifies x by these facts: the center window lies above 0,
+    above the lower cut y_one and below the upper cut y_zero. Checked on the laws of
+    the limit test above and on the split laws (70, 30, m0, q), m0 = 1..5, q = 1, 2."""
+    laws = [(70, 24, 20, 2), (70, 30, 5, 1), (100, 10, 5, 5), (70, 24, 16, 24),
+            (70, 30, 1, 1), (40, 10, 5, 3)]
+    laws += [(70, 30, m0, q) for m0 in range(1, 6) for q in (1, 2)]
+    for n, p, m, r in laws:
+        df = n - p
+        if r < m:
+            m, r, df = r, m, df + r - m
+        *_, y_lo, y_hi, _, _, y_one, y_zero = dist._wilks_terms(df, m, r)
+        assert 0.0 < y_lo and y_one < y_lo and y_hi < y_zero, (n, p, m, r)
+
+
 @pytest.mark.parametrize("dims", [(70, 24, 20, 2), (70, 30, 5, 1), (100, 10, 5, 5),
                                   (70, 24, 16, 24), (70, 30, 1, 1), (40, 10, 5, 3)])
 def test_wilks_tail_returns_the_newton_zero_above_its_cut(monkeypatch, dims):

@@ -629,14 +629,3 @@ def test_result_table_validation_and_write(tmp_path):
     parsed = _parse_csv(table.csv_text())
     assert parsed[1][0] == "a cell"
     assert float(parsed[1][2]) == 0.25
-
-
-def test_gnuplot_script_mentions_methods():
-    table = ResultTable([
-        ResultRow("c1", "t1", 0.1, 0.01, 100, 0.5),
-        ResultRow("c1", "t2", 0.2, 0.01, 100, 0.5),
-        ResultRow("c2", "bad", None, None, 100, 0.5, "infeasible: x"),
-    ])
-    script = table.gnuplot_script("table.csv")
-    assert "plot" in script and "'t1'" in script and "'t2'" in script
-    assert "bad" not in script

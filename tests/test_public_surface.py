@@ -1,6 +1,8 @@
 """The top-level namespace holds the workflow, the README quick start runs on it,
-and the functions and report keys the benchmark hooks into exist."""
+the functions and report keys the benchmark hooks into exist, and no module
+keeps an import or a private name that nothing uses."""
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -17,6 +19,7 @@ import mvlrt
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+SRC = ROOT / "src" / "mvlrt"
 
 WORKFLOW = [
     "DataFormatError", "DataSet", "DegenerateMatrixError", "DegenerateRootError", "Dims",
@@ -97,3 +100,36 @@ def test_benchmark_hooks_resolve():
     ss = mvlrt.SumsOfSquares(50.0 * np.eye(4), np.eye(4), mvlrt.Dims(60, 8, 4, 4))
     assert "neg2_log_lrt" in mvlrt.t1_test(ss).diagnostics
     assert {"t2", "f_n"} <= set(mvlrt.t3_test(ss).diagnostics)
+
+
+def _loaded_names(tree) -> set:
+    """Every name the tree reads as a name; an attribute or a docstring does not count."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_no_module_keeps_an_unused_import_or_private_name():
+    """Each module-level import of a module is read in that module (the package's
+    re-exports and __future__ aside), and each module-level name that starts with
+    one underscore is read somewhere in the package: a deletion leaves no orphan."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    everywhere = set().union(*map(_loaded_names, trees.values()))
+    unused, orphans = [], []
+    for name, tree in trees.items():
+        read = _loaded_names(tree)
+        for node in tree.body:
+            defined = []
+            if (isinstance(node, (ast.Import, ast.ImportFrom)) and name != "__init__.py"
+                    and getattr(node, "module", None) != "__future__"):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [(name, b) for b in bound if b not in read]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for target in targets for t in ast.walk(target)
+                           if isinstance(t, ast.Name)]
+            orphans += [(name, d) for d in defined
+                        if d.startswith("_") and not d.startswith("__") and d not in everywhere]
+    assert len(trees) >= 10
+    assert unused == [] and orphans == []

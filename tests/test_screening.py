@@ -14,7 +14,6 @@ from mvlrt.rng import stream
 from mvlrt.screening import (
     PA_COPIES,
     ScreenResult,
-    _centered_cov,
     _counter,
     _pa_rank,
     _spectra,
@@ -352,6 +351,12 @@ def test_parallel_analysis_validation():
     assert parallel_analysis(stream(618), Y, cap=np.int64(1)) == 1
 
 
+def _cov(Y):
+    """Oracle: the sample covariance (divisor n - 1) of the columns of Y."""
+    Yc = Y - Y.mean(axis=0)
+    return Yc.T @ Yc / (Y.shape[0] - 1)
+
+
 def _pa_oracle(rng, YS, cap=None, gaps=None, covs=None):
     """Reference for _pa_rank: one rng.permuted call, centering and product per copy,
     and every eigenvalue of every copy. Appends to ``gaps`` each decision's distance
@@ -447,7 +452,7 @@ def test_batched_parallel_analysis_matches_per_copy_oracle(monkeypatch):
         want_rng, got_rng = stream(631, k), stream(631, k)
         covs = []
         want = _pa_oracle(want_rng, Y, cap, covs=covs)
-        eigs = _spectra(_centered_cov(Y[None]))[0]
+        eigs = _spectra(Y[None])[0]
         seen.clear()
         counted.clear()
         got = _pa_rank([got_rng], Y[None], cap, eigs)
@@ -466,7 +471,7 @@ def test_batched_parallel_analysis_matches_per_copy_oracle(monkeypatch):
     for group in stacks:
         ks, Ys, wants, states = zip(*group)
         rngs = [stream(631, k) for k in ks]
-        eigs = _spectra(_centered_cov(np.stack(Ys)))[0]
+        eigs = _spectra(np.stack(Ys))[0]
         seen.clear()
         got = _pa_rank(rngs, np.stack(Ys), None, eigs)
         assert got.tolist() == list(wants), f"inputs {ks}"
@@ -479,7 +484,7 @@ def test_batched_parallel_analysis_matches_per_copy_oracle(monkeypatch):
     S = np.stack([split_indices(stream(3, j), data.n, cfg.split_ratio)[0] for j in range(5)])
     seen.clear()
     _stack(data, *_prepare_hypothesis(data, np.eye(2, 30)), cfg, range(5))
-    assert seen == [("eigh", _centered_cov(data.Y[S]).tobytes())]
+    assert seen == [("eigh", np.stack([_cov(y) for y in data.Y[S]]).tobytes())]
 
 
 def test_parallel_analysis_matches_oracle_at_the_split_shape(capfd):
@@ -499,7 +504,7 @@ def test_parallel_analysis_matches_oracle_at_the_split_shape(capfd):
             Ys.append(Y)
             ranks.append(_pa_oracle(stream(641, k), Y, gaps=gaps))
         got = _pa_rank([stream(641, k) for k in range(first, first + stack)], np.stack(Ys),
-                       None, _spectra(_centered_cov(np.stack(Ys)))[0])
+                       None, _spectra(np.stack(Ys))[0])
         assert got.tolist() == ranks[first:], f"inputs {first}..{first + stack - 1}"
     assert len(set(ranks)) >= 4, sorted(set(ranks))
     with capfd.disabled():
@@ -520,7 +525,7 @@ def test_count_on_zero_rows_and_one_column():
     g = stream(642)
     Y = g.standard_normal((12, 5))
     Y[:, 2] = 7.0
-    C = _centered_cov(Y)
+    C = _cov(Y)
     assert not C[2].any()
     lam = np.linalg.eigvalsh(C)
     mid = np.concatenate([[lam[0] - 1.0], 0.5 * (lam[:-1] + lam[1:]), [lam[-1] + 1.0]])
@@ -590,7 +595,7 @@ def test_parallel_analysis_ignores_the_scale_of_the_data():
         for scale in (2.0 ** 300, 2.0 ** -300):
             assert parallel_analysis(stream(645, k), Y * scale) == want, (k, scale)
     assert ranks == {1, 2}, ranks
-    C = _centered_cov(stream(646).standard_normal((12, 5)))
+    C = _cov(stream(646).standard_normal((12, 5)))
     lam = np.linalg.eigvalsh(C)
     mid = np.concatenate([[lam[0] - 1.0], 0.5 * (lam[:-1] + lam[1:]), [lam[-1] + 1.0]])
     for e in (-1000, -500, 0, 500, 1000):
